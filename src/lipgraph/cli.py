@@ -283,7 +283,9 @@ def _run_campaign(args: argparse.Namespace) -> Report:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = _run_campaign(args)
-    except (DepthTooLarge, OutOfDomain, InvalidCurve, NotBracketed, TolTooTight, ValueError) as exc:
+    except (
+        DepthTooLarge, OutOfDomain, InvalidCurve, NotBracketed, TolTooTight, ValueError, OverflowError
+    ) as exc:
         print(f"cannot run campaign: {exc}", file=sys.stderr)
         return 2
     text = report.to_json(include_timing=args.timing)

@@ -21,10 +21,15 @@ descending into a subcell therefore reproduces the full unit-scale
 oscillation at every scale, which is what the witness constructions
 below certify.
 
-All evaluation is exact rational arithmetic.  The limit u is never
-materialised: `eval_limit` returns an Interval whose width contracts
-like (2/3)**depth, and quotient enclosures divide through certified
-root enclosures from `numerics`.
+All evaluation is exact.  Each Curve clears the denominators of its
+branch constants once: every x constant becomes an integer numerator
+over a common denominator dx, every y constant one over ey.  A descent
+then keeps the point as an integer pair t = p/q and the composed maps
+as integer numerators over powers of dx and ey, so a step is a few
+integer products with no gcd; a Fraction is built only for the
+result.  The limit u is never materialised: `eval_limit` returns an
+Interval whose width contracts like (2/3)**depth, and quotient
+enclosures divide through certified root enclosures from `numerics`.
 """
 
 from __future__ import annotations
@@ -132,13 +137,6 @@ class AffineMap1D:
 
     def inverse(self, t: RationalLike) -> Fraction:
         return (Fraction(t) - self.b) / self.a
-
-    def after(self, inner: "AffineMap1D") -> "AffineMap1D":
-        """self composed with inner: t -> self(inner(t))."""
-        return AffineMap1D(self.a * inner.a, self.a * inner.b + self.b)
-
-
-IDENTITY_MAP = AffineMap1D(Fraction(1), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -263,21 +261,79 @@ class Curve:
     they share all the machinery and are allowed to fail loudly
     (InvalidCurve, UncoveredPoint) when a perturbation destroys the
     structure the standard system has.
+
+    On construction the branch constants are cleared to integers: dx is
+    the least common denominator of every x_scale and x_offset, ey that
+    of every y_scale and y_offset, and each branch becomes one row
+    (x_lo, x_hi, x_scale, x_offset, y_scale, y_offset, branch) of
+    numerators over dx (the first four) and ey (the next two).  Every
+    descent below runs on these rows.
     """
 
     branches: tuple[Branch, ...] = BRANCHES
     max_level: int = MAX_LEVEL
 
+    def __post_init__(self) -> None:
+        dx = math.lcm(*(f.denominator for br in self.branches for f in (br.x_scale, br.x_offset)))
+        ey = math.lcm(*(f.denominator for br in self.branches for f in (br.y_scale, br.y_offset)))
+        rows = tuple(
+            (
+                int(br.x_lo * dx),
+                int(br.x_hi * dx),
+                int(br.x_scale * dx),
+                int(br.x_offset * dx),
+                int(br.y_scale * ey),
+                int(br.y_offset * ey),
+                br,
+            )
+            for br in self.branches
+        )
+        object.__setattr__(self, "_dx", dx)
+        object.__setattr__(self, "_ey", ey)
+        object.__setattr__(self, "_rows", rows)
+
     # ------------------------------------------------------------------
     # branch geometry
 
-    def locate_branch(self, t: RationalLike) -> Branch:
-        """Leftmost branch whose x-cell contains t."""
-        t = Fraction(t)
-        for br in self.branches:
-            if br.x_lo <= t <= br.x_hi:
-                return br
-        raise UncoveredPoint(f"no branch cell contains t={t}")
+    def locate_branch(self, pd: int, q: int) -> tuple:
+        """Row of the leftmost branch whose x-cell contains t = p/q.
+
+        The point comes as the integers (p*dx, q) with q > 0, so the test
+        x_lo <= t <= x_hi is lo*q <= p*dx <= hi*q on numerators over dx.
+        Every descent step makes exactly one call.
+        """
+        for row in self._rows:
+            if row[0] * q <= pd <= row[1] * q:
+                return row
+        raise UncoveredPoint(f"no branch cell contains t={Fraction(pd, q * self._dx)}")
+
+    def _descend(self, t: Fraction, steps: int, stop_at_ends: bool) -> tuple[int, int, int, int, int]:
+        """Descend from t through at most `steps` branch cells.
+
+        Returns (p, q, a, b, k): after k steps the point has moved to p/q
+        in [0, 1] and the composed vertical map is y -> (a*y + b) / ey**k.
+        One step through a branch maps p/q to (p*dx - x_offset*q) /
+        (q*x_scale), which keeps q > 0 since only branches with x_lo <=
+        x_hi can contain a point.  With stop_at_ends the descent stops
+        early once the point is 0 or 1.
+        """
+        dx, ey = self._dx, self._ey
+        locate = self.locate_branch
+        p, q = t.numerator, t.denominator
+        a, b, k = 1, 0, 0
+        for _ in range(steps):
+            if stop_at_ends and (p == 0 or p == q):
+                break
+            pd = p * dx
+            _, _, xs, xo, ys, yo, _ = locate(pd, q)
+            if not xs:
+                # A zero-length cell holds only t = x_offset; inverting its
+                # map is the Fraction division 0/0.
+                raise ZeroDivisionError("Fraction(0, 0)")
+            p, q = pd - xo * q, q * xs
+            a, b = a * ys, a * yo + b * ey
+            k += 1
+        return p, q, a, b, k
 
     # ------------------------------------------------------------------
     # iterates
@@ -287,29 +343,37 @@ class Curve:
 
         Level 0 is the diagonal.  Each level maps the previous polyline
         through every branch and concatenates; seam points shared by
-        adjacent branches are deduplicated exactly.
+        adjacent branches are deduplicated exactly.  Level k keeps its
+        points as integer numerators over dx**k and ey**k, so each
+        breakpoint becomes a Fraction only once, at the end.
         """
         if n < 0:
             raise OutOfDomain("level must be nonnegative")
         if n > self.max_level:
             raise DepthTooLarge(f"level {n} exceeds cap {self.max_level}")
-        pts: list[tuple[Fraction, Fraction]] = [
-            (Fraction(0), Fraction(0)),
-            (Fraction(1), Fraction(1)),
-        ]
+        dx, ey = self._dx, self._ey
+        pts: list[tuple[int, int]] = [(0, 0), (1, 1)]
+        xd = yd = 1  # dx**k and ey**k at level k
         for _ in range(n):
-            nxt: list[tuple[Fraction, Fraction]] = []
-            for br in self.branches:
+            nxt: list[tuple[int, int]] = []
+            for _, _, xs, xo, ys, yo, _ in self._rows:
+                x0, y0 = xo * xd, yo * yd
                 for t, v in pts:
-                    p = (br.x_map(t), br.y_map(v))
-                    if nxt and nxt[-1] == p:
+                    pt = (xs * t + x0, ys * v + y0)
+                    if nxt and nxt[-1] == pt:
                         continue
-                    nxt.append(p)
+                    nxt.append(pt)
             pts = nxt
-        return PiecewiseLinear(tuple(pts))
+            xd *= dx
+            yd *= ey
+        return PiecewiseLinear(tuple((Fraction(t, xd), Fraction(v, yd)) for t, v in pts))
 
     def eval_iterate(self, n: int, t: RationalLike) -> Fraction:
-        """Exact value of the n-th iterate at t, without building it."""
+        """Exact value of the n-th iterate at t, without building it.
+
+        The descent takes all n steps, also once t reaches 0 or 1, and
+        applies the composed vertical map to the point it ends at.
+        """
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise OutOfDomain(f"t={t} outside [0, 1]")
@@ -317,10 +381,8 @@ class Curve:
             raise OutOfDomain("level must be nonnegative")
         if n > self.max_level:
             raise DepthTooLarge(f"level {n} exceeds cap {self.max_level}")
-        if n == 0:
-            return t
-        br = self.locate_branch(t)
-        return br.y_map(self.eval_iterate(n - 1, br.x_inverse(t)))
+        p, q, a, b, k = self._descend(t, n, False)
+        return Fraction(a * p + b * q, q * self._ey**k)
 
     # ------------------------------------------------------------------
     # the limit
@@ -328,8 +390,10 @@ class Curve:
     def eval_limit(self, t: RationalLike, depth: int) -> Interval:
         """Certified enclosure of the limit value u(t).
 
-        Descends through branch cells, composing the vertical affine
-        maps.  The composed vertical image of [0, 1] is the enclosure;
+        Descends through branch cells with `_descend`, composing the
+        vertical affine maps as integer numerators over a power of ey;
+        the endpoints become Fractions only on return.  The composed
+        vertical image of [0, 1] is the enclosure;
         its width is the product of |y_scale| factors, at most
         (2/3)**depth for the standard system.  If the descent reaches an
         endpoint of [0, 1] the value is exact and the enclosure
@@ -340,18 +404,14 @@ class Curve:
             raise OutOfDomain(f"t={t} outside [0, 1]")
         if depth < 0:
             raise OutOfDomain("depth must be nonnegative")
-        a, b = Fraction(1), Fraction(0)
-        for _ in range(depth):
-            if t == 0 or t == 1:
-                break
-            br = self.locate_branch(t)
-            a, b = a * br.y_scale, a * br.y_offset + b
-            t = br.x_inverse(t)
-        if t == 0 or t == 1:
-            v = a * t + b
-            return Interval.point(v)
+        p, q, a, b, k = self._descend(t, depth, True)
+        den = self._ey**k
+        if p == 0:
+            return Interval.point(Fraction(b, den))
+        if p == q:
+            return Interval.point(Fraction(a + b, den))
         lo, hi = (b, a + b) if a >= 0 else (a + b, b)
-        return Interval(lo, hi)
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
     # ------------------------------------------------------------------
     # difference quotients
@@ -406,6 +466,11 @@ class Curve:
         branches.  Ties at cell boundaries resolve to the leftmost
         containing cell.  Cell length shrinks by at least 4/9 per step,
         so the length lands in [delta/9, delta] for the standard system.
+
+        The descent is the one of `eval_limit`, stopped by cell length
+        instead of a step count.  A step through a branch with x_scale
+        >= 1 would not shrink the cell, so it raises UncoveredPoint;
+        every other step shrinks it, so the descent ends at any delta.
         """
         t = Fraction(t)
         delta = Fraction(delta)
@@ -413,20 +478,28 @@ class Curve:
             raise OutOfDomain(f"t={t} outside [0, 1]")
         if not 0 < delta <= 1:
             raise OutOfDomain(f"delta={delta} outside (0, 1]")
+        dx = self._dx
+        locate = self.locate_branch
+        p0, q0 = t.numerator, t.denominator
+        p, q = p0, q0
+        # After k steps p/q = (t*dx**k - b_k) / a_k, where the cell map is
+        # x -> (a_k*x + b_k) / dx**k; so a_k = q/q0, and the length test
+        # a_k/dx**k > delta reads q*dd > delta.numerator*q0*dx**k = cut.
+        dd = delta.denominator
+        cut = delta.numerator * q0
         word: list[BranchTag] = []
-        cell = IDENTITY_MAP
-        sign = 1
-        guard = 0
-        while cell.a > delta:
-            br = self.locate_branch(cell.inverse(t))
-            word.append(br.tag)
-            cell = cell.after(AffineMap1D(br.x_scale, br.x_offset))
-            if br.tag is BranchTag.MID:
-                sign = -sign
-            guard += 1
-            if guard > 4 * MAX_LEVEL * 16:
+        while q * dd > cut:
+            pd = p * dx
+            _, _, xs, xo, _, _, br = locate(pd, q)
+            if xs >= dx:
                 raise UncoveredPoint("descent does not contract; branch system broken")
-        return Address(tuple(word)), cell, sign
+            p, q = pd - xo * q, q * xs
+            cut *= dx
+            word.append(br.tag)
+        den = dx ** len(word)
+        cell = AffineMap1D(Fraction(q // q0, den), Fraction((p0 * den - p) // q0, den))
+        address = Address(tuple(word))
+        return address, cell, address.sign
 
     # ------------------------------------------------------------------
     # witnesses

@@ -290,7 +290,7 @@ def verify_window_gap(
         key = {"t": str(t), "delta": str(delta)}
         try:
             w = curve.window_witnesses(t, delta, floor=floor)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             failures.append({"kind": "construction", "detail": str(exc), **key})
             continue
         for s in (w.s1, w.s2):

@@ -157,6 +157,14 @@ class TestVerifyCommand:
             assert run(["verify", "claim2", "--grid", "0"])[0] == 2
             assert run(["verify", "holder", "--level", "7", "--refine", "100"])[0] == 2
 
+    def test_deep_scales_refused_without_traceback(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run(["verify", "oscillation", "--t-hat", "1/7", "--scales", "340"])
+        assert code == 2
+        assert err.getvalue().startswith("cannot run campaign")
+        assert "Traceback" not in err.getvalue()
+
     def test_unknown_campaign_rejected(self):
         with pytest.raises(SystemExit) as exc:
             with contextlib.redirect_stderr(io.StringIO()):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipgraph.numerics import Interval, Ordering, cmp_abs_sq, quotient_enclose
 from lipgraph.selfsim import (
@@ -14,6 +16,7 @@ from lipgraph.selfsim import (
     UNIT_MIN_OFFSET,
     WINDOW_OFFSET_RATIO,
     Address,
+    AffineMap1D,
     Branch,
     BranchTag,
     CoincidentPoints,
@@ -33,6 +36,7 @@ from lipgraph.selfsim import (
     unit_witnesses,
     window_witnesses,
 )
+from lipgraph.verify import MUTABLE_FIELDS, perturbed_branches
 
 
 def u_float(t, iters=80):
@@ -393,6 +397,20 @@ class TestLocateCell:
         assert sign == word.sign
 
 
+    def test_deep_scale_is_reached(self):
+        # 9**-400 needs more than 768 descent steps, the old fixed step guard
+        t, delta = F(1, 7), F(1, 9**400)
+        word, cell, _ = locate_cell(t, delta)
+        assert len(word) > 4 * MAX_LEVEL * 16
+        assert cell.b <= t <= cell.a + cell.b
+        assert delta / 9 <= cell.a <= delta
+
+    def test_non_contracting_branch_refused(self):
+        flat = Curve(branches=(Branch(BranchTag.LEFT, F(1), F(0), F(1), F(0)),))
+        with pytest.raises(UncoveredPoint, match="does not contract"):
+            flat.locate_cell(F(1, 2), F(1, 2))
+
+
 class TestWindowWitnesses:
     def test_frozen(self):
         w = window_witnesses(F(1, 2), F(1, 10))
@@ -446,3 +464,188 @@ class TestCurveValidation:
         curve = Curve(branches=(left, drifted, right))
         with pytest.raises(InvalidCurve):
             curve.iterate(2)
+
+
+# ----------------------------------------------------------------------
+# Fraction reference: the descent as plain rational stepping, kept as the
+# oracle the integer kernel in Curve must match value for value and
+# exception for exception.
+
+
+def ref_locate_branch(curve, t):
+    for br in curve.branches:
+        if br.x_lo <= t <= br.x_hi:
+            return br
+    raise UncoveredPoint(f"no branch cell contains t={t}")
+
+
+def ref_eval_limit(curve, t, depth):
+    t = F(t)
+    if not 0 <= t <= 1:
+        raise OutOfDomain(f"t={t} outside [0, 1]")
+    if depth < 0:
+        raise OutOfDomain("depth must be nonnegative")
+    a, b = F(1), F(0)
+    for _ in range(depth):
+        if t == 0 or t == 1:
+            break
+        br = ref_locate_branch(curve, t)
+        a, b = a * br.y_scale, a * br.y_offset + b
+        t = br.x_inverse(t)
+    if t == 0 or t == 1:
+        return Interval.point(a * t + b)
+    lo, hi = (b, a + b) if a >= 0 else (a + b, b)
+    return Interval(lo, hi)
+
+
+def ref_eval_iterate(curve, n, t):
+    t = F(t)
+    if not 0 <= t <= 1:
+        raise OutOfDomain(f"t={t} outside [0, 1]")
+    if n < 0:
+        raise OutOfDomain("level must be nonnegative")
+    if n > curve.max_level:
+        raise DepthTooLarge(f"level {n} exceeds cap {curve.max_level}")
+    if n == 0:
+        return t
+    br = ref_locate_branch(curve, t)
+    return br.y_map(ref_eval_iterate(curve, n - 1, br.x_inverse(t)))
+
+
+def ref_locate_cell(curve, t, delta):
+    t = F(t)
+    delta = F(delta)
+    if not 0 <= t <= 1:
+        raise OutOfDomain(f"t={t} outside [0, 1]")
+    if not 0 < delta <= 1:
+        raise OutOfDomain(f"delta={delta} outside (0, 1]")
+    word = []
+    cell = AffineMap1D(F(1), F(0))
+    sign = 1
+    guard = 0
+    while cell.a > delta:
+        br = ref_locate_branch(curve, cell.inverse(t))
+        word.append(br.tag)
+        cell = AffineMap1D(cell.a * br.x_scale, cell.a * br.x_offset + cell.b)
+        if br.tag is BranchTag.MID:
+            sign = -sign
+        guard += 1
+        if guard > 4 * MAX_LEVEL * 16:
+            raise UncoveredPoint("descent does not contract; branch system broken")
+    return Address(tuple(word)), cell, sign
+
+
+def ref_iterate(curve, n):
+    if n < 0:
+        raise OutOfDomain("level must be nonnegative")
+    if n > curve.max_level:
+        raise DepthTooLarge(f"level {n} exceeds cap {curve.max_level}")
+    pts = [(F(0), F(0)), (F(1), F(1))]
+    for _ in range(n):
+        nxt = []
+        for br in curve.branches:
+            for t, v in pts:
+                p = (br.x_map(t), br.y_map(v))
+                if nxt and nxt[-1] == p:
+                    continue
+                nxt.append(p)
+        pts = nxt
+    return PiecewiseLinear(tuple(pts))
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _drifted(tag, fld, bump):
+    br = next(b for b in BRANCHES if b.tag is tag)
+    return Curve(branches=perturbed_branches(tag, fld, getattr(br, fld) + bump))
+
+
+_LEFT, _MID, _RIGHT = BRANCHES
+ORACLE_CURVES = (
+    [UNIT_CURVE]
+    # the 24 drifts of the mutation probe
+    + [_drifted(br.tag, fld, bump) for br in BRANCHES for fld in MUTABLE_FIELDS for bump in (F(1, 100), F(-1, 100))]
+    # drifts that open gaps (UncoveredPoint) or break the iterates (InvalidCurve)
+    + [
+        _drifted(BranchTag.LEFT, "x_scale", F(-1, 7)),
+        _drifted(BranchTag.MID, "x_scale", F(-1, 7)),
+        _drifted(BranchTag.MID, "y_scale", F(1, 7)),
+        _drifted(BranchTag.RIGHT, "x_offset", F(1, 7)),
+        # zero-length cells: inverting their map divides by zero
+        _drifted(BranchTag.LEFT, "x_scale", F(-4, 9)),
+        Curve(branches=(_LEFT, Branch(BranchTag.MID, F(0), F(1, 2), F(-1, 3), F(2, 3)), _RIGHT)),
+    ]
+)
+_rng = random.Random(20259)
+ORACLE_TS = (
+    [F(_rng.randrange(10**6 + 1), 10**6) for _ in range(8)]
+    + [F(k, 81) for k in _rng.sample(range(82), 8)]
+    + [F(0), F(1), F(1, 2), F(3, 2)]
+)
+ORACLE_DEPTHS = (0, 1, 2, 5, 30, 60)
+
+
+class TestFractionOracle:
+    """The integer kernel against the Fraction reference on every branch tuple."""
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES)
+    def test_eval_limit(self, curve):
+        for t in ORACLE_TS:
+            for depth in ORACLE_DEPTHS + (-1,):
+                assert outcome(curve.eval_limit, t, depth) == outcome(ref_eval_limit, curve, t, depth)
+        # depth 300 on two grid points and two k/81 points keeps the reference affordable
+        for t in ORACLE_TS[:2] + ORACLE_TS[8:10]:
+            assert outcome(curve.eval_limit, t, 300) == outcome(ref_eval_limit, curve, t, 300)
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES)
+    def test_eval_iterate(self, curve):
+        for t in ORACLE_TS:
+            for n in (-1, 0, 1, 2, 5, MAX_LEVEL, MAX_LEVEL + 1):
+                assert outcome(curve.eval_iterate, n, t) == outcome(ref_eval_iterate, curve, n, t)
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES)
+    def test_locate_cell(self, curve):
+        deltas = [F(1, 9**d) for d in ORACLE_DEPTHS] + [F(3, 10), F(1, 7), F(0), F(2)]
+        for t in ORACLE_TS:
+            for delta in deltas:
+                assert outcome(curve.locate_cell, t, delta) == outcome(ref_locate_cell, curve, t, delta)
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES)
+    def test_iterate(self, curve):
+        for n in (-1, 0, 1, 2, 3, 4, MAX_LEVEL + 1):
+            assert outcome(curve.iterate, n) == outcome(ref_iterate, curve, n)
+
+
+# ----------------------------------------------------------------------
+# properties of the descent on the standard curve
+
+unit_points = st.builds(F, st.integers(0, 10**6), st.just(10**6)) | st.fractions(0, 1, max_denominator=10**4)
+
+
+class TestDescentProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(t=unit_points, depth=st.integers(0, 80))
+    def test_deeper_enclosure_nests(self, t, depth):
+        assert eval_limit(t, depth).encloses(eval_limit(t, depth + 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=unit_points, n=st.integers(0, MAX_LEVEL), data=st.data())
+    def test_iterate_value_inside_enclosure(self, t, n, data):
+        depth = data.draw(st.integers(0, n))
+        assert eval_limit(t, depth).contains(eval_iterate(n, t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=unit_points,
+        delta=st.fractions(0, 1, max_denominator=10**6).filter(bool) | st.integers(0, 400).map(lambda j: F(1, 9**j)),
+    )
+    def test_cell_contains_point_and_is_short(self, t, delta):
+        _, cell, _ = locate_cell(t, delta)
+        assert cell.b <= t <= cell.a + cell.b
+        assert cell.a <= delta

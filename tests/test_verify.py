@@ -123,6 +123,12 @@ class TestWindowGapCampaign:
         assert r.parameters["offset_ratio"] == F(1, 162)
 
 
+    def test_unrepresentable_start_depth_is_construction_failure(self):
+        r = verify_window_gap([(F(1, 7), F(1, 9**330))])
+        assert not r.certified
+        assert [f["kind"] for f in r.failures] == ["construction"]
+
+
 class TestOscillation:
     def test_windows_certified_at_half(self):
         deltas = [F(1, 9) ** j for j in range(1, 5)]
