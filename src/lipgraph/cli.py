@@ -231,6 +231,8 @@ def _run_campaign(args: argparse.Namespace) -> Report:
         depth = args.depth if args.depth is not None else 30
         return verify_cone(count, depth, args.seed)
     if name == "oscillation":
+        if args.scales < 1:
+            raise ValueError("scales must be at least 1")
         started = time.perf_counter()
         deltas = [Fraction(1, 9**j) for j in range(1, args.scales + 1)]
         windows = oscillation_scan(args.t_hat, deltas)

@@ -83,10 +83,15 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
 
     @classmethod
     def point(cls, q: RationalLike) -> "Interval":
@@ -148,13 +153,9 @@ class Interval:
             raise ZeroDenominator(
                 f"interval division needs a strictly positive denominator, got {other}"
             )
-        cands = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return Interval(min(cands), max(cands))
+        # Of the four endpoint quotients, these two are the min and the max.
+        lo, hi = self.lo, self.hi
+        return Interval(lo / (other.hi if lo >= 0 else other.lo), hi / (other.lo if hi >= 0 else other.hi))
 
     def abs(self) -> "Interval":
         if self.lo >= 0:

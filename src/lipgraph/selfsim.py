@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Optional, Sequence
 
 from .numerics import Interval, RationalLike, quotient_enclose, sqrt_enclose
@@ -51,6 +52,11 @@ MAX_LEVEL = 12
 # cell of length <= delta, giving the ratio 1/162 against delta itself.
 UNIT_MIN_OFFSET = Fraction(1, 18)
 WINDOW_OFFSET_RATIO = Fraction(1, 162)
+
+# Descents each Curve keeps for eval_limit to resume; the store is cleared
+# when full.  A claim2 base point needs 3 live points and a 64-scale
+# oscillation scan about 130.
+_DESCENTS_KEPT = 256
 
 _TWO_THIRDS = Fraction(2, 3)
 _HALF = Fraction(1, 2)
@@ -291,6 +297,9 @@ class Curve:
         object.__setattr__(self, "_dx", dx)
         object.__setattr__(self, "_ey", ey)
         object.__setattr__(self, "_rows", rows)
+        # (t.numerator, t.denominator) -> last eval_limit state of t, keyed
+        # by ints because hashing a Fraction costs a modular inverse.
+        object.__setattr__(self, "_descents", {})
 
     # ------------------------------------------------------------------
     # branch geometry
@@ -307,21 +316,23 @@ class Curve:
                 return row
         raise UncoveredPoint(f"no branch cell contains t={Fraction(pd, q * self._dx)}")
 
-    def _descend(self, t: Fraction, steps: int, stop_at_ends: bool) -> tuple[int, int, int, int, int]:
-        """Descend from t through at most `steps` branch cells.
+    def _descend(
+        self, state: tuple[int, int, int, int, int], depth: int, stop_at_ends: bool
+    ) -> tuple[int, int, int, int, int]:
+        """Continue a descent from state (p, q, a, b, k) until k reaches depth.
 
-        Returns (p, q, a, b, k): after k steps the point has moved to p/q
-        in [0, 1] and the composed vertical map is y -> (a*y + b) / ey**k.
-        One step through a branch maps p/q to (p*dx - x_offset*q) /
-        (q*x_scale), which keeps q > 0 since only branches with x_lo <=
-        x_hi can contain a point.  With stop_at_ends the descent stops
-        early once the point is 0 or 1.
+        After k steps the point has moved to p/q in [0, 1] and the
+        composed vertical map is y -> (a*y + b) / ey**k; a descent from t
+        starts at (t.numerator, t.denominator, 1, 0, 0).  One step
+        through a branch maps p/q to (p*dx - x_offset*q) / (q*x_scale),
+        which keeps q > 0 since only branches with x_lo <= x_hi can
+        contain a point.  With stop_at_ends the descent stops early once
+        the point is 0 or 1.
         """
         dx, ey = self._dx, self._ey
         locate = self.locate_branch
-        p, q = t.numerator, t.denominator
-        a, b, k = 1, 0, 0
-        for _ in range(steps):
+        p, q, a, b, k = state
+        for _ in range(depth - k):
             if stop_at_ends and (p == 0 or p == q):
                 break
             pd = p * dx
@@ -381,7 +392,7 @@ class Curve:
             raise OutOfDomain("level must be nonnegative")
         if n > self.max_level:
             raise DepthTooLarge(f"level {n} exceeds cap {self.max_level}")
-        p, q, a, b, k = self._descend(t, n, False)
+        p, q, a, b, k = self._descend((t.numerator, t.denominator, 1, 0, 0), n, False)
         return Fraction(a * p + b * q, q * self._ey**k)
 
     # ------------------------------------------------------------------
@@ -398,13 +409,30 @@ class Curve:
         (2/3)**depth for the standard system.  If the descent reaches an
         endpoint of [0, 1] the value is exact and the enclosure
         degenerates to a point, whatever the requested depth.
+
+        The Curve keeps the last descent of each point, so a call at the
+        same depth does no step, a deeper call resumes where that descent
+        stopped, and only a shallower call starts again from t.
         """
-        t = Fraction(t)
-        if not 0 <= t <= 1:
+        if type(t) is not Fraction:
+            t = Fraction(t)
+        p, q = t.numerator, t.denominator
+        if p < 0 or p > q:
             raise OutOfDomain(f"t={t} outside [0, 1]")
         if depth < 0:
             raise OutOfDomain("depth must be nonnegative")
-        p, q, a, b, k = self._descend(t, depth, True)
+        depth = index(depth)
+        kept = self._descents
+        key = (p, q)
+        st = kept.get(key)
+        if st is None and len(kept) >= _DESCENTS_KEPT:
+            kept.clear()
+        if st is None or st[4] > depth:
+            st = (p, q, 1, 0, 0)
+        if st[4] != depth:
+            st = self._descend(st, depth, True)
+            kept[key] = st
+        p, q, a, b, k = st
         den = self._ey**k
         if p == 0:
             return Interval.point(Fraction(b, den))
@@ -423,8 +451,10 @@ class Curve:
         [0, 1] for evaluation while the gap |s - t| is taken between the
         original abscissas.
         """
-        s = Fraction(s)
-        t = Fraction(t)
+        if type(s) is not Fraction:
+            s = Fraction(s)
+        if type(t) is not Fraction:
+            t = Fraction(t)
         if s == t:
             raise CoincidentPoints("difference quotient needs s != t")
         us = self.eval_limit(reduce_domain(s), depth)
@@ -567,7 +597,14 @@ class Curve:
         floor_hi = (floor or quotient_gap_floor()).hi
         # Probe values are exact breakpoint images, so enclosure width is
         # driven by u(t) alone; size the starting depth to the cell scale.
-        start = 16 + max(0, int(2.2 * math.log(1 / float(cell.a), 3))) if cell.a < 1 else 16
+        start = 16
+        if cell.a < 1:
+            try:
+                start += max(0, int(2.2 * math.log(1 / float(cell.a), 3)))
+            except (OverflowError, ZeroDivisionError):
+                # 1/a overflows a float once a < 5.6e-309 (from about
+                # delta = 9**-323): take the logarithms of the integers.
+                start += int(2.2 * (math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3)))
         gap = None
         depth = start
         for _ in range(6):

@@ -157,13 +157,19 @@ class TestVerifyCommand:
             assert run(["verify", "claim2", "--grid", "0"])[0] == 2
             assert run(["verify", "holder", "--level", "7", "--refine", "100"])[0] == 2
 
-    def test_deep_scales_refused_without_traceback(self):
+    def test_deep_scales_certified(self):
+        code, out = run(["verify", "oscillation", "--t-hat", "1/7", "--scales", "340"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["checked"] == 340 and report["certified"] is True
+
+    @pytest.mark.parametrize("scales", ["0", "-3"])
+    def test_no_scales_refused(self, scales):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code, _ = run(["verify", "oscillation", "--t-hat", "1/7", "--scales", "340"])
-        assert code == 2
-        assert err.getvalue().startswith("cannot run campaign")
-        assert "Traceback" not in err.getvalue()
+            code, out = run(["verify", "oscillation", "--scales", scales])
+        assert code == 2 and out == ""
+        assert err.getvalue() == "cannot run campaign: scales must be at least 1\n"
 
     def test_unknown_campaign_rejected(self):
         with pytest.raises(SystemExit) as exc:

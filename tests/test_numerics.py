@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipgraph.numerics import (
     Interval,
@@ -182,3 +184,86 @@ class TestInterval:
                     assert a.scale(q).contains(x * q)
                     if b.lo > 0:
                         assert (a / b).contains(x / y)
+
+
+# ----------------------------------------------------------------------
+# Reference bodies of Interval construction and division: the fast paths
+# in Interval must match them value for value and exception for exception.
+
+
+def ref_interval(lo, hi):
+    """(lo, hi) as Interval.__post_init__ stores them, by coercion and Fraction order."""
+    lo, hi = F(lo), F(hi)
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+    return lo, hi
+
+
+def ref_truediv(x, other):
+    """Division by a strictly positive interval as min/max of the four endpoint quotients."""
+    if not isinstance(other, Interval):
+        other = Interval.point(other)
+    if other.lo <= 0:
+        raise ZeroDenominator(f"interval division needs a strictly positive denominator, got {other}")
+    cands = (x.lo / other.lo, x.lo / other.hi, x.hi / other.lo, x.hi / other.hi)
+    return Interval(min(cands), max(cands))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class _Sub(F):
+    pass
+
+
+ENDPOINTS = [F(-7, 3), -2, F(-1, 9), 0, F(0), False, True, F(1, 3), _Sub(1, 3), 1, F(5, 2), 0.5, "2/7"]
+
+
+def _stored(lo, hi):
+    i = Interval(lo, hi)
+    assert type(i.lo) is F and type(i.hi) is F
+    return i.lo, i.hi
+
+
+class TestIntervalReference:
+    def test_construction(self):
+        for lo in ENDPOINTS + [float("nan")]:
+            for hi in ENDPOINTS:
+                assert outcome(_stored, lo, hi) == outcome(ref_interval, lo, hi)
+
+    def test_division(self):
+        points = [F(-5, 2), F(-1, 3), 0, F(1, 7), F(4, 3)]
+        xs = [Interval(a, b) for a in points for b in points if a <= b]
+        divisors = xs + [F(2, 3), 3, 0, F(-1, 2)]
+        for x in xs:
+            for d in divisors:
+                assert outcome(x.__truediv__, d) == outcome(ref_truediv, x, d)
+
+
+rationals = st.fractions(-100, 100, max_denominator=10**6)
+
+
+class TestIntervalProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(a=rationals, b=rationals, c=rationals.filter(lambda q: q > 0), d=rationals.filter(lambda q: q > 0))
+    def test_division_is_min_max_of_four_quotients(self, a, b, c, d):
+        x, y = Interval(min(a, b), max(a, b)), Interval(min(c, d), max(c, d))
+        assert x / y == ref_truediv(x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=rationals,
+        denom_sq=st.fractions(0, 100, max_denominator=10**6).filter(bool),
+        width=st.sampled_from([F(1, 10), F(1, 10**6), F(1, 2**30), F(1, 10**12)]),
+    )
+    def test_quotient_enclose_contains_float_quotient(self, num, denom_sq, width):
+        e = quotient_enclose(num, denom_sq, width)
+        assert e.width() <= width
+        # float(num) / sqrt(float(denom_sq)) takes four roundings, each within 2**-53 relative
+        f = F(float(num) / math.sqrt(float(denom_sq)))
+        slack = abs(f) * F(1, 2**50)
+        assert e.lo - slack <= f <= e.hi + slack

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipgraph.numerics import Interval, Ordering, cmp_abs_sq, quotient_enclose
+from lipgraph.numerics import Interval, Ordering, ZeroDenominator, cmp_abs_sq, quotient_enclose, sqrt_enclose
 from lipgraph.selfsim import (
+    _DESCENTS_KEPT,
     BRANCHES,
     MAX_LEVEL,
     UNIT_CURVE,
@@ -437,6 +438,18 @@ class TestWindowWitnesses:
     def test_offset_ratio_constant(self):
         assert WINDOW_OFFSET_RATIO == F(1, 162)
 
+    @pytest.mark.parametrize("j", [322, 323])
+    def test_start_depth_where_floats_end(self, j):
+        # at t = 1/7, 9**-323 is the first scale whose cell length has no
+        # finite float reciprocal
+        t, delta = F(1, 7), F(1, 9**j)
+        _, cell, _ = locate_cell(t, delta)
+        assert math.isinf(1 / float(cell.a)) == (j == 323)
+        w = window_witnesses(t, delta)
+        for s in (w.s1, w.s2):
+            assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
+        assert w.gap_lower_bound.lo >= quotient_gap_floor().hi
+
 
 class TestCurveValidation:
     def test_uncovered_point(self):
@@ -620,6 +633,83 @@ class TestFractionOracle:
     def test_iterate(self, curve):
         for n in (-1, 0, 1, 2, 3, 4, MAX_LEVEL + 1):
             assert outcome(curve.iterate, n) == outcome(ref_iterate, curve, n)
+
+
+# ----------------------------------------------------------------------
+# Curves keep their descents: eval_limit against a fresh Curve per call,
+# which has nothing to resume, and diff_quotient against the same
+# enclosures divided by four-candidate min/max.
+
+
+def fresh_eval_limit(curve, t, depth):
+    return Curve(branches=curve.branches, max_level=curve.max_level).eval_limit(t, depth)
+
+
+def ref_diff_quotient(curve, s, t, depth):
+    s, t = F(s), F(t)
+    if s == t:
+        raise CoincidentPoints("difference quotient needs s != t")
+    num = fresh_eval_limit(curve, reduce_domain(s), depth) - fresh_eval_limit(curve, reduce_domain(t), depth)
+    gap = abs(s - t)
+    root = sqrt_enclose(gap, min(gap, F(1)) * F(2, 3) ** depth)
+    if root.lo <= 0:
+        raise ZeroDenominator(f"interval division needs a strictly positive denominator, got {root}")
+    cands = (num.lo / root.lo, num.lo / root.hi, num.hi / root.lo, num.hi / root.hi)
+    q = Interval(min(cands), max(cands))
+    return q if s > t else -q
+
+
+RESUME_DEPTHS = (0, 1, 16, 24, 30, 16, 64, 300)
+RESUME_TS = [F(_rng.randrange(10**6 + 1), 10**6) for _ in range(6)] + [F(k, 81) for k in _rng.sample(range(82), 6)]
+
+
+class TestResumableDescent:
+    @pytest.mark.parametrize("curve", ORACLE_CURVES[:25])
+    def test_rising_repeated_and_falling_depths(self, curve):
+        kept = Curve(branches=curve.branches)
+        for t in RESUME_TS:
+            for depth in RESUME_DEPTHS:
+                assert outcome(kept.eval_limit, t, depth) == outcome(fresh_eval_limit, curve, t, depth)
+            assert len(kept._descents) <= _DESCENTS_KEPT
+
+    def test_failed_descent_keeps_nothing(self):
+        gap = _drifted(BranchTag.LEFT, "x_scale", F(-1, 7))  # no cell covers (19/63, 4/9)
+        t = F(32, 45)  # the right branch maps it to 7/20, inside the gap
+        expected = outcome(fresh_eval_limit, gap, t, 30)
+        assert expected[0] is UncoveredPoint
+        assert outcome(gap.eval_limit, t, 30) == expected
+        assert outcome(gap.eval_limit, t, 30) == expected
+        assert (t.numerator, t.denominator) not in gap._descents
+        # a shallower descent succeeds and is kept; resuming it fails the same way
+        assert gap.eval_limit(t, 1) == fresh_eval_limit(gap, t, 1)
+        assert gap._descents[t.numerator, t.denominator][4] == 1
+        assert outcome(gap.eval_limit, t, 30) == expected
+        assert gap._descents[t.numerator, t.denominator][4] == 1
+
+    def test_store_stays_bounded(self):
+        curve = Curve()
+        for i in range(3 * _DESCENTS_KEPT):
+            curve.eval_limit(F(i, 3 * _DESCENTS_KEPT), 8)
+            assert len(curve._descents) <= _DESCENTS_KEPT
+        assert curve == UNIT_CURVE and repr(curve) == repr(UNIT_CURVE)
+
+    def test_non_integer_depth_refused_after_a_kept_descent(self):
+        curve = Curve()
+        curve.eval_limit(F(1, 7), 16)
+        for depth in (16.0, F(16)):
+            with pytest.raises(TypeError) as got:
+                curve.eval_limit(F(1, 7), depth)
+            with pytest.raises(TypeError) as want:
+                fresh_eval_limit(curve, F(1, 7), depth)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES[:25])
+    def test_diff_quotient_off_the_unit_interval(self, curve):
+        points = [F(-7, 3), -1, F(-1, 7), 0, F(1, 7), F(1, 2), 1, F(3, 2), 2, F(17, 7)]
+        for s in points:
+            for t in points:
+                for depth in (0, 5, 30):
+                    assert outcome(curve.diff_quotient, s, t, depth) == outcome(ref_diff_quotient, curve, s, t, depth)
 
 
 # ----------------------------------------------------------------------
