@@ -1,0 +1,53 @@
+"""Byte-identical CLI output: sha256 of every report, figure and table.
+
+Each case runs one command at fixed arguments and hashes what a user
+gets: the report JSON on stdout for `verify`, the written file for the
+plots, and the printed enclosure for `eval`.  A refactor that keeps
+behaviour must keep every hash; a deliberate output change must update
+the hash here and say why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from lipgraph import cli
+
+# (argv, where the output goes, sha256 of the output bytes)
+CASES = [
+    (["verify", "holder", "--level", "4"], "stdout",
+     "ef2a512bf62f91cadade5d195ead9a0f9792eea22cbbb8cd49e84467213a2d1f"),
+    (["verify", "claim2", "--grid", "41"], "stdout",
+     "c18ec75d8ae10c5528cda0b2469d9ca23c4f7dd96fabcec16da21117fc494936"),
+    (["verify", "claim3", "--samples", "20"], "stdout",
+     "5db080f157aa7630e5c5ded51579913191d1d68e1389de5d4e11426e900913b7"),
+    (["verify", "cone", "--samples", "200", "--depth", "30"], "stdout",
+     "3ba2ae22a2d4e05d343c4a30f8dcbcc21addc2c3913bf0da8dd74553492cc484"),
+    (["verify", "oscillation", "--t-hat", "7/2", "--scales", "12"], "stdout",
+     "8a74961515cef38542f3d2ee0ef6972c406149a4a48936509a0e498de92c126f"),
+    (["verify", "blowup-divergence"], "stdout",
+     "579739364fe51e10ae97602544a869e56fb127384b2f396e14d7a68890cb98ff"),
+    (["plot-iterates", "--levels", "0,1,2,3,4"], "file",
+     "b470ecc8e82b74575012ee1be92660510b30e4a80af5d0bc836b5288e2defda1"),
+    (["plot-iterates", "--levels", "0,1,2,3,4", "--format", "csv"], "file",
+     "ad38725e48ade9fe522a7b135665e40ee1741b0a2e271ec987147d733239d85e"),
+    (["plot-ifs", "--depth", "3"], "file",
+     "7610ef16ed37667447202f9c5058c6455b048e0997fdbe3459813778cc9de393"),
+    (["eval", "1/7", "--depth", "40"], "stdout",
+     "a0c6e9593a313f84590fe943b0d50e33fea972e6dbf35d0ce5546066493b1277"),
+]
+
+
+@pytest.mark.parametrize("argv, sink, digest", CASES, ids=[" ".join(c[0]) for c in CASES])
+def test_output_bytes(argv, sink, digest, tmp_path):
+    path = tmp_path / "out"
+    if sink == "file":
+        argv = argv + ["--out", str(path)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 0
+    data = path.read_bytes() if sink == "file" else buf.getvalue().encode()
+    assert hashlib.sha256(data).hexdigest() == digest
