@@ -11,87 +11,4 @@ verdicts come from exact rational arithmetic and certified interval
 enclosures; no floating point touches any decision.
 """
 
-from .numerics import (
-    Interval,
-    NegativeInput,
-    Ordering,
-    Rational,
-    ZeroDenominator,
-    cmp_abs_sq,
-    quotient_enclose,
-    sqrt_enclose,
-)
-from .selfsim import (
-    Address,
-    AffineMap1D,
-    BRANCHES,
-    Branch,
-    BranchTag,
-    CoincidentPoints,
-    Curve,
-    DepthTooLarge,
-    InvalidCurve,
-    MAX_LEVEL,
-    OutOfDomain,
-    PiecewiseLinear,
-    QuotientWitness,
-    UNIT_CURVE,
-    UNIT_MIN_OFFSET,
-    UncoveredPoint,
-    WINDOW_OFFSET_RATIO,
-    diff_quotient,
-    eval_iterate,
-    eval_limit,
-    iterate,
-    locate_cell,
-    quotient_gap_floor,
-    reduce_domain,
-    unit_witnesses,
-    window_witnesses,
-)
-from .carnot import (
-    CONE_CONSTANT,
-    ConeConstant,
-    DimensionMismatch,
-    GroupPoint,
-    NonPositiveLambda,
-    NotBracketed,
-    NotGraphPoints,
-    NotInW,
-    Splitting,
-    TolTooTight,
-    beta,
-    blowup_graph_sample,
-    blowup_profile,
-    cone_gap,
-    dilate,
-    graph_point,
-    hnorm,
-    identity,
-    inv,
-    mul,
-    point,
-    solve_quotient,
-    standard_splitting,
-    w_point,
-)
-from .verify import (
-    EmptyAfterRestriction,
-    MAX_PAIRS,
-    OscillationWindow,
-    REFERENCE_SEED,
-    Report,
-    blowup_divergence,
-    hausdorff_distance,
-    mutation_detected,
-    mutation_probe,
-    oscillation_scan,
-    perturbed_branches,
-    verify_cone,
-    verify_holder,
-    verify_unit_gap,
-    verify_window_gap,
-    window_gap_samples,
-)
-
 __version__ = "0.1.0"

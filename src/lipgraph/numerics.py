@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 
@@ -60,14 +59,6 @@ def cmp_abs_sq(a: RationalLike, b: RationalLike) -> Ordering:
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _floor_to(q: Fraction, den: int) -> Fraction:
-    return Fraction(q.numerator * den // q.denominator, den)
-
-
-def _ceil_to(q: Fraction, den: int) -> Fraction:
-    return Fraction(_ceil_div(q.numerator * den, q.denominator), den)
 
 
 @dataclass(frozen=True)
@@ -171,12 +162,6 @@ class Interval:
     @staticmethod
     def min_of(a: "Interval", b: "Interval") -> "Interval":
         return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
-
-    def round_out(self, max_den: int) -> "Interval":
-        """Widen outward so both endpoints have denominator <= max_den."""
-        if max_den < 1:
-            raise ValueError("max_den must be a positive integer")
-        return Interval(_floor_to(self.lo, max_den), _ceil_to(self.hi, max_den))
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

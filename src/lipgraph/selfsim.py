@@ -146,22 +146,6 @@ class AffineMap1D:
 
 
 @dataclass(frozen=True)
-class Address:
-    """A word of branch tags naming a descent into nested cells."""
-
-    word: tuple[BranchTag, ...]
-
-    @property
-    def sign(self) -> int:
-        """Parity of mid branches: the factor picked up by quotients."""
-        flips = sum(1 for tag in self.word if tag is BranchTag.MID)
-        return -1 if flips % 2 else 1
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-
-@dataclass(frozen=True)
 class QuotientWitness:
     """Two probe abscissas with a certified gap between their quotients.
 
@@ -191,7 +175,10 @@ class PiecewiseLinear:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((Fraction(t), Fraction(v)) for t, v in self.breakpoints)
+        pts = tuple(
+            (t if type(t) is Fraction else Fraction(t), v if type(v) is Fraction else Fraction(v))
+            for t, v in self.breakpoints
+        )
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2:
             raise InvalidCurve("need at least two breakpoints")
@@ -251,13 +238,6 @@ def reduce_domain(t: RationalLike) -> Fraction:
     return 2 - t if t > 1 else t
 
 
-def _quotient_interval(num: Interval, gap: Fraction, depth: int) -> Interval:
-    """Sound enclosure of num / gap**(1/2) for gap > 0."""
-    width = min(gap, Fraction(1)) * _TWO_THIRDS**depth
-    root = sqrt_enclose(gap, width)
-    return num / root
-
-
 @dataclass(frozen=True)
 class Curve:
     """A branch system together with evaluation and witness machinery.
@@ -271,8 +251,8 @@ class Curve:
     On construction the branch constants are cleared to integers: dx is
     the least common denominator of every x_scale and x_offset, ey that
     of every y_scale and y_offset, and each branch becomes one row
-    (x_lo, x_hi, x_scale, x_offset, y_scale, y_offset, branch) of
-    numerators over dx (the first four) and ey (the next two).  Every
+    (x_lo, x_hi, x_scale, x_offset, y_scale, y_offset) of numerators
+    over dx (the first four) and ey (the last two).  Every
     descent below runs on these rows.
     """
 
@@ -290,7 +270,6 @@ class Curve:
                 int(br.x_offset * dx),
                 int(br.y_scale * ey),
                 int(br.y_offset * ey),
-                br,
             )
             for br in self.branches
         )
@@ -336,7 +315,7 @@ class Curve:
             if stop_at_ends and (p == 0 or p == q):
                 break
             pd = p * dx
-            _, _, xs, xo, ys, yo, _ = locate(pd, q)
+            _, _, xs, xo, ys, yo = locate(pd, q)
             if not xs:
                 # A zero-length cell holds only t = x_offset; inverting its
                 # map is the Fraction division 0/0.
@@ -367,7 +346,7 @@ class Curve:
         xd = yd = 1  # dx**k and ey**k at level k
         for _ in range(n):
             nxt: list[tuple[int, int]] = []
-            for _, _, xs, xo, ys, yo, _ in self._rows:
+            for _, _, xs, xo, ys, yo in self._rows:
                 x0, y0 = xo * xd, yo * yd
                 for t, v in pts:
                     pt = (xs * t + x0, ys * v + y0)
@@ -459,7 +438,9 @@ class Curve:
             raise CoincidentPoints("difference quotient needs s != t")
         us = self.eval_limit(reduce_domain(s), depth)
         ut = self.eval_limit(reduce_domain(t), depth)
-        q = _quotient_interval(us - ut, abs(s - t), depth)
+        gap = abs(s - t)
+        # The root enclosure is as tight as the numerator's, (2/3)**depth.
+        q = (us - ut) / sqrt_enclose(gap, min(gap, Fraction(1)) * _TWO_THIRDS**depth)
         return q if s > t else -q
 
     def diff_quotient_within(
@@ -486,16 +467,13 @@ class Curve:
     # ------------------------------------------------------------------
     # cell location
 
-    def locate_cell(
-        self, t: RationalLike, delta: RationalLike
-    ) -> tuple[Address, AffineMap1D, int]:
+    def locate_cell(self, t: RationalLike, delta: RationalLike) -> AffineMap1D:
         """First nested cell containing t whose length is at most delta.
 
-        Returns the branch word, the increasing affine map from [0, 1]
-        onto the cell, and the quotient sign accumulated from mid
-        branches.  Ties at cell boundaries resolve to the leftmost
-        containing cell.  Cell length shrinks by at least 4/9 per step,
-        so the length lands in [delta/9, delta] for the standard system.
+        Returns the increasing affine map from [0, 1] onto the cell.  Ties
+        at cell boundaries resolve to the leftmost containing cell.  Cell
+        length shrinks by at least 4/9 per step, so the length lands in
+        [delta/9, delta] for the standard system.
 
         The descent is the one of `eval_limit`, stopped by cell length
         instead of a step count.  A step through a branch with x_scale
@@ -517,19 +495,17 @@ class Curve:
         # a_k/dx**k > delta reads q*dd > delta.numerator*q0*dx**k = cut.
         dd = delta.denominator
         cut = delta.numerator * q0
-        word: list[BranchTag] = []
+        k = 0
         while q * dd > cut:
             pd = p * dx
-            _, _, xs, xo, _, _, br = locate(pd, q)
+            _, _, xs, xo, _, _ = locate(pd, q)
             if xs >= dx:
                 raise UncoveredPoint("descent does not contract; branch system broken")
             p, q = pd - xo * q, q * xs
             cut *= dx
-            word.append(br.tag)
-        den = dx ** len(word)
-        cell = AffineMap1D(Fraction(q // q0, den), Fraction((p0 * den - p) // q0, den))
-        address = Address(tuple(word))
-        return address, cell, address.sign
+            k += 1
+        den = dx**k
+        return AffineMap1D(Fraction(q // q0, den), Fraction((p0 * den - p) // q0, den))
 
     # ------------------------------------------------------------------
     # witnesses
@@ -590,7 +566,7 @@ class Curve:
         """
         t = Fraction(t)
         delta = Fraction(delta)
-        _, cell, _ = self.locate_cell(t, delta)
+        cell = self.locate_cell(t, delta)
         t0 = cell.inverse(t)
         b1, b2, side = self._unit_probe(t0)
         s1, s2 = cell(b1), cell(b2)
@@ -638,35 +614,3 @@ def quotient_gap_floor(width: Fraction = Fraction(1, 10**12)) -> Interval:
     lo = min(t1.lo, t2.lo, t3.lo)
     hi = min(t1.hi, t2.hi, t3.hi)
     return Interval(lo, hi)
-
-
-# ----------------------------------------------------------------------
-# module-level conveniences bound to the standard curve
-
-
-def iterate(n: int) -> PiecewiseLinear:
-    return UNIT_CURVE.iterate(n)
-
-
-def eval_iterate(n: int, t: RationalLike) -> Fraction:
-    return UNIT_CURVE.eval_iterate(n, t)
-
-
-def eval_limit(t: RationalLike, depth: int) -> Interval:
-    return UNIT_CURVE.eval_limit(t, depth)
-
-
-def diff_quotient(s: RationalLike, t: RationalLike, depth: int) -> Interval:
-    return UNIT_CURVE.diff_quotient(s, t, depth)
-
-
-def locate_cell(t: RationalLike, delta: RationalLike) -> tuple[Address, AffineMap1D, int]:
-    return UNIT_CURVE.locate_cell(t, delta)
-
-
-def unit_witnesses(t0: RationalLike) -> QuotientWitness:
-    return UNIT_CURVE.unit_witnesses(t0)
-
-
-def window_witnesses(t: RationalLike, delta: RationalLike) -> QuotientWitness:
-    return UNIT_CURVE.window_witnesses(t, delta)

@@ -23,10 +23,8 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 from typing import Optional, Sequence
-
-from math import isqrt
 
 from .carnot import (
     GroupPoint,
@@ -73,8 +71,6 @@ def _jsonable(v):
         return [str(v.lo), str(v.hi)]
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, BranchTag):
-        return v.value
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -276,6 +272,8 @@ def verify_window_gap(
     The campaign id is "claim3" to match the command-line interface.
     """
     started = time.perf_counter()
+    if not samples:
+        raise ValueError("samples must be at least 1")
     floor = quotient_gap_floor()
     params = {
         "samples": len(samples),
@@ -312,62 +310,49 @@ def verify_window_gap(
 
 
 # ----------------------------------------------------------------------
-# oscillation windows
-
-
-@dataclass(frozen=True)
-class OscillationWindow:
-    """Certified oscillation of quotients in one offset annulus.
-
-    offset1 and offset2 are witness offsets from t_hat with magnitudes
-    in [delta/162, delta]; osc_lower_bound bounds from below the spread
-    max - min of q(t_hat + s, t_hat) over the annulus, since both
-    witnesses lie inside it.
-    """
-
-    t_hat: Fraction
-    delta: Fraction
-    offset1: Fraction
-    offset2: Fraction
-    osc_lower_bound: Fraction
-    certified: bool
+# oscillation scan
 
 
 def oscillation_scan(
     t_hat: RationalLike,
     deltas: Sequence[RationalLike],
     curve: Curve = UNIT_CURVE,
-) -> list[OscillationWindow]:
+) -> Report:
     """Witness oscillation of difference quotients at every requested scale.
 
-    t_hat may be any rational on the line; evaluation folds it into
-    [0, 1] and witness offsets are reflected back, which preserves both
-    their magnitudes and the certified gap.  A window with certified
-    False records that the enclosure failed to clear the gap floor, it
-    is not a proof of absence.
+    For each delta, parameters["windows"] records the witness offsets
+    from t_hat, with magnitudes in [delta/162, delta], and
+    osc_lower_bound, which bounds from below the spread max - min of
+    q(t_hat + s, t_hat) over that offset annulus since both witnesses
+    lie inside it.  t_hat may be any rational on the line; evaluation
+    folds it into [0, 1] and offsets are reflected back, which preserves
+    both their magnitudes and the certified gap.  A window that fails to
+    clear the gap floor is a failure record, not a proof of absence.
     """
+    started = time.perf_counter()
+    if not deltas:
+        raise ValueError("scales must be at least 1")
     t_hat = Fraction(t_hat)
     t_red = reduce_domain(t_hat)
     reflected = (t_hat % 2) > 1
     floor = quotient_gap_floor()
+    deltas = [Fraction(d) for d in deltas]
     windows = []
+    failures = []
     for delta in deltas:
-        delta = Fraction(delta)
         w = curve.window_witnesses(t_red, delta, floor=floor)
         o1, o2 = w.s1 - t_red, w.s2 - t_red
         if reflected:
             o1, o2 = -o1, -o2
+        lo = w.gap_lower_bound.lo
+        certified = lo >= floor.hi
         windows.append(
-            OscillationWindow(
-                t_hat=t_hat,
-                delta=delta,
-                offset1=o1,
-                offset2=o2,
-                osc_lower_bound=w.gap_lower_bound.lo,
-                certified=w.gap_lower_bound.lo >= floor.hi,
-            )
+            {"delta": delta, "offset1": o1, "offset2": o2, "osc_lower_bound": lo, "certified": certified}
         )
-    return windows
+        if not certified:
+            failures.append({"kind": "window-uncertified", "delta": str(delta), "osc_lower_bound": str(lo)})
+    params = {"t_hat": t_hat, "deltas": deltas, "windows": windows}
+    return _finish("oscillation", params, len(deltas), failures, started)
 
 
 # ----------------------------------------------------------------------

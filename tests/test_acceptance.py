@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 from lipgraph import cli
 from lipgraph.carnot import w_point
-from lipgraph.selfsim import BranchTag, Curve, eval_iterate, iterate
+from lipgraph.selfsim import UNIT_CURVE, BranchTag, Curve
 from lipgraph.verify import (
     blowup_divergence,
     oscillation_scan,
@@ -30,10 +30,10 @@ def report(n, elapsed, detail):
 def test_criterion_1_pinned_values():
     start = time.perf_counter()
     for n in range(1, 9):
-        assert eval_iterate(n, F(0)) == 0
-        assert eval_iterate(n, F(1)) == 1
-        assert eval_iterate(n, F(4, 9)) == F(2, 3)
-        assert eval_iterate(n, F(5, 9)) == F(1, 3)
+        assert UNIT_CURVE.eval_iterate(n, F(0)) == 0
+        assert UNIT_CURVE.eval_iterate(n, F(1)) == 1
+        assert UNIT_CURVE.eval_iterate(n, F(4, 9)) == F(2, 3)
+        assert UNIT_CURVE.eval_iterate(n, F(5, 9)) == F(1, 3)
     elapsed = time.perf_counter() - start
     assert elapsed < 1
     report(1, elapsed, "iterates 1..8 pinned at 0, 1, 4/9, 5/9 exactly")
@@ -42,7 +42,7 @@ def test_criterion_1_pinned_values():
 def test_criterion_2_symmetry():
     start = time.perf_counter()
     for n in range(9):
-        pl = iterate(n)
+        pl = UNIT_CURVE.iterate(n)
         table = dict(pl.breakpoints)
         for x, y in pl.breakpoints:
             assert y == 1 - table[1 - x]
@@ -53,7 +53,7 @@ def test_criterion_2_symmetry():
 
 def test_criterion_3_contraction():
     start = time.perf_counter()
-    iterates = [iterate(n) for n in range(9)]
+    iterates = [UNIT_CURVE.iterate(n) for n in range(9)]
     sups = [iterates[n].sup_diff(iterates[n + 1]) for n in range(8)]
     assert sups[0] == F(2, 9)
     for n in range(1, 8):
@@ -130,11 +130,11 @@ def test_criterion_8_blowup_divergence_and_oscillation():
 
     deltas = [F(1, 9) ** j for j in range(1, 9)]
     for t_hat in (F(0), F(1, 2)):
-        windows = oscillation_scan(t_hat, deltas)
-        assert len(windows) == 8
-        for w in windows:
-            assert w.certified
-            assert w.osc_lower_bound >= F(854, 100000)
+        r = oscillation_scan(t_hat, deltas)
+        assert r.certified and r.checked == 8
+        for w in r.parameters["windows"]:
+            assert w["certified"]
+            assert w["osc_lower_bound"] >= F(854, 100000)
     elapsed = time.perf_counter() - start
     assert elapsed < 60
     report(

@@ -32,7 +32,7 @@ from lipgraph.carnot import (
     w_point,
 )
 from lipgraph.numerics import Interval
-from lipgraph.selfsim import diff_quotient, eval_limit
+from lipgraph.selfsim import UNIT_CURVE
 
 
 def matrix_mul(a, b):
@@ -227,7 +227,7 @@ class TestBlowup:
         # lam * (u(t + h / lam**2) - u(t)) computed two ways must agree
         lam, h, t_hat = F(3), F(1, 2), F(1, 7)
         direct = blowup_profile(t_hat, lam, h, 40)
-        shifted = (eval_limit((t_hat + h / lam**2) % 2, 40) - eval_limit(t_hat, 40)).scale(lam)
+        shifted = (UNIT_CURVE.eval_limit((t_hat + h / lam**2) % 2, 40) - UNIT_CURVE.eval_limit(t_hat, 40)).scale(lam)
         assert direct.intersects(shifted)
 
     def test_nonpositive_lambda(self):
@@ -265,7 +265,7 @@ class TestSolveQuotient:
         target = F(7, 10)
         s = solve_quotient(0, target, 1, (F(5, 9), F(1)), tol)
         assert F(5, 9) < s < 1
-        q = diff_quotient(s, F(0), 60)
+        q = UNIT_CURVE.diff_quotient(s, F(0), 60)
         assert (q - target).abs().hi <= tol
 
     def test_not_bracketed(self):

@@ -171,6 +171,14 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.getvalue() == "cannot run campaign: scales must be at least 1\n"
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_samples_refused(self, samples):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["verify", "claim3", "--samples", samples])
+        assert code == 2 and out == ""
+        assert err.getvalue() == "cannot run campaign: samples must be at least 1\n"
+
     def test_unknown_campaign_rejected(self):
         with pytest.raises(SystemExit) as exc:
             with contextlib.redirect_stderr(io.StringIO()):

@@ -150,13 +150,6 @@ class TestInterval:
         with pytest.raises(ZeroDenominator):
             Interval(1, 2) / Interval(-2, -1)
 
-    def test_round_out(self):
-        i = Interval(F(10, 30), F(2, 3))
-        r = i.round_out(7)
-        assert r.encloses(i)
-        assert r.lo.denominator <= 7 and r.hi.denominator <= 7
-        assert r == Interval(F(2, 7), F(5, 7))
-
     def test_inside_ball(self):
         assert Interval(F(9, 10), F(11, 10)).inside_ball(1, F(1, 10))
         assert not Interval(F(9, 10), F(12, 10)).inside_ball(1, F(1, 10))

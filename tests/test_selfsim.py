@@ -16,7 +16,6 @@ from lipgraph.selfsim import (
     UNIT_CURVE,
     UNIT_MIN_OFFSET,
     WINDOW_OFFSET_RATIO,
-    Address,
     AffineMap1D,
     Branch,
     BranchTag,
@@ -27,15 +26,8 @@ from lipgraph.selfsim import (
     OutOfDomain,
     PiecewiseLinear,
     UncoveredPoint,
-    diff_quotient,
-    eval_iterate,
-    eval_limit,
-    iterate,
-    locate_cell,
     quotient_gap_floor,
     reduce_domain,
-    unit_witnesses,
-    window_witnesses,
 )
 from lipgraph.verify import MUTABLE_FIELDS, perturbed_branches
 
@@ -90,11 +82,60 @@ class TestBranches:
             (F(5, 9), 1),
         ]
 
-    def test_address_sign(self):
-        assert Address(()).sign == 1
-        assert Address((BranchTag.MID,)).sign == -1
-        assert Address((BranchTag.MID, BranchTag.LEFT, BranchTag.MID)).sign == 1
-        assert Address((BranchTag.RIGHT, BranchTag.MID)).sign == -1
+
+def ref_breakpoints(breakpoints):
+    """Breakpoints as PiecewiseLinear stored them by coercing every coordinate."""
+    pts = tuple((F(t), F(v)) for t, v in breakpoints)
+    if len(pts) < 2:
+        raise InvalidCurve("need at least two breakpoints")
+    for (t0, _), (t1, _) in zip(pts, pts[1:]):
+        if t0 >= t1:
+            raise InvalidCurve(f"abscissas not strictly increasing at t={t0}")
+    if pts[0] != (0, 0):
+        raise InvalidCurve(f"curve must start at (0, 0), got {pts[0]}")
+    if pts[-1] != (1, 1):
+        raise InvalidCurve(f"curve must end at (1, 1), got {pts[-1]}")
+    return pts
+
+
+def _stored_breakpoints(breakpoints):
+    pts = PiecewiseLinear(breakpoints).breakpoints
+    assert type(pts) is tuple
+    assert all(type(p) is tuple and type(p[0]) is F and type(p[1]) is F for p in pts)
+    return pts
+
+
+def pl_outcome(fn, bps):
+    try:
+        return fn(bps)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class _SubF(F):
+    pass
+
+
+PL_CASES = [
+    ((F(0), F(0)), (F(1), F(1))),
+    ((0, 0), (1, 1)),
+    ((False, False), (True, True)),
+    ((0.0, 0), (0.5, 0.25), (1.0, 1.0)),
+    ((_SubF(0), _SubF(0)), (_SubF(1, 2), F(1, 3)), (_SubF(1), 1)),
+    [[F(0), F(0)], [F(1, 3), _SubF(2, 3)], [1, F(1)]],
+    (("0", "0"), ("1/2", "1/4"), ("1", "1")),
+    ((F(0), F(0)),),
+    (),
+    ((F(0), F(0)), (F(1, 2), F(1, 3)), (F(1, 2), F(2, 3)), (F(1), F(1))),
+    ((F(0), F(0)), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), (F(1), F(1))),
+    ((F(1, 9), F(0)), (1, 1)),
+    ((0, 0), (F(1, 2), F(1, 2))),
+    ((0, 0), (1, 1.5)),
+    ((0, 0), (float("nan"), 0), (1, 1)),
+    ((0, 0), (None, 0), (1, 1)),
+    ((0, 0), ("x", 0), (1, 1)),
+    UNIT_CURVE.iterate(3).breakpoints,
+]
 
 
 class TestPiecewiseLinear:
@@ -119,9 +160,13 @@ class TestPiecewiseLinear:
         with pytest.raises(InvalidCurve):
             PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1, 3)), (F(1, 2), F(2, 3)), (F(1), F(1))))
 
+    def test_construction_matches_reference(self):
+        for bps in PL_CASES:
+            assert pl_outcome(_stored_breakpoints, bps) == pl_outcome(ref_breakpoints, bps)
+
     def test_sup_diff_matches_brute_force(self):
-        a = iterate(2)
-        b = iterate(3)
+        a = UNIT_CURVE.iterate(2)
+        b = UNIT_CURVE.iterate(3)
         got = a.sup_diff(b)
         xs = sorted({p[0] for p in a.breakpoints} | {p[0] for p in b.breakpoints})
         brute = max(abs(a.value(x) - b.value(x)) for x in xs)
@@ -131,10 +176,10 @@ class TestPiecewiseLinear:
 class TestIterates:
     def test_breakpoint_counts(self):
         for n in range(6):
-            assert len(iterate(n).breakpoints) == 3**n + 1
+            assert len(UNIT_CURVE.iterate(n).breakpoints) == 3**n + 1
 
     def test_first_iterate_frozen(self):
-        assert iterate(1).breakpoints == (
+        assert UNIT_CURVE.iterate(1).breakpoints == (
             (F(0), F(0)),
             (F(4, 9), F(2, 3)),
             (F(5, 9), F(1, 3)),
@@ -143,19 +188,19 @@ class TestIterates:
 
     def test_pinned_values(self):
         for n in range(1, 9):
-            assert eval_iterate(n, F(0)) == 0
-            assert eval_iterate(n, F(1)) == 1
-            assert eval_iterate(n, F(4, 9)) == F(2, 3)
-            assert eval_iterate(n, F(5, 9)) == F(1, 3)
+            assert UNIT_CURVE.eval_iterate(n, F(0)) == 0
+            assert UNIT_CURVE.eval_iterate(n, F(1)) == 1
+            assert UNIT_CURVE.eval_iterate(n, F(4, 9)) == F(2, 3)
+            assert UNIT_CURVE.eval_iterate(n, F(5, 9)) == F(1, 3)
 
     def test_symmetry_at_breakpoints(self):
         for n in range(5):
-            pl = iterate(n)
+            pl = UNIT_CURVE.iterate(n)
             for x, y in pl.breakpoints:
                 assert y == 1 - pl.value(1 - x)
 
     def test_contraction(self):
-        sups = [iterate(n).sup_diff(iterate(n + 1)) for n in range(5)]
+        sups = [UNIT_CURVE.iterate(n).sup_diff(UNIT_CURVE.iterate(n + 1)) for n in range(5)]
         assert sups[0] == F(2, 9)
         for prev, cur in zip(sups, sups[1:]):
             assert cur <= F(2, 3) * prev
@@ -163,40 +208,40 @@ class TestIterates:
     def test_eval_iterate_matches_breakpoint_interpolation(self):
         rng = random.Random(11)
         for n in (2, 4, 6):
-            pl = iterate(n)
+            pl = UNIT_CURVE.iterate(n)
             for _ in range(50):
                 t = F(rng.randrange(0, 3**n + 1), 3**n)
-                assert eval_iterate(n, t) == pl.value(t)
+                assert UNIT_CURVE.eval_iterate(n, t) == pl.value(t)
 
     def test_eval_iterate_frozen(self):
-        assert eval_iterate(2, F(1, 2)) == F(1, 2)
-        assert eval_iterate(2, F(2, 9)) == F(1, 3)
+        assert UNIT_CURVE.eval_iterate(2, F(1, 2)) == F(1, 2)
+        assert UNIT_CURVE.eval_iterate(2, F(2, 9)) == F(1, 3)
 
     def test_depth_cap(self):
         with pytest.raises(DepthTooLarge):
-            iterate(MAX_LEVEL + 1)
+            UNIT_CURVE.iterate(MAX_LEVEL + 1)
         with pytest.raises(DepthTooLarge):
-            eval_iterate(MAX_LEVEL + 1, F(1, 2))
+            UNIT_CURVE.eval_iterate(MAX_LEVEL + 1, F(1, 2))
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            eval_iterate(1, F(-1, 9))
+            UNIT_CURVE.eval_iterate(1, F(-1, 9))
         with pytest.raises(OutOfDomain):
-            iterate(-1)
+            UNIT_CURVE.iterate(-1)
 
 
 class TestLimitFunction:
     def test_exact_at_breakpoints(self):
-        assert eval_limit(F(4, 9), 1) == Interval.point(F(2, 3))
-        assert eval_limit(F(5, 9), 1) == Interval.point(F(1, 3))
-        assert eval_limit(F(0), 0) == Interval.point(0)
-        assert eval_limit(F(1), 0) == Interval.point(1)
+        assert UNIT_CURVE.eval_limit(F(4, 9), 1) == Interval.point(F(2, 3))
+        assert UNIT_CURVE.eval_limit(F(5, 9), 1) == Interval.point(F(1, 3))
+        assert UNIT_CURVE.eval_limit(F(0), 0) == Interval.point(0)
+        assert UNIT_CURVE.eval_limit(F(1), 0) == Interval.point(1)
 
     def test_frozen_enclosures(self):
-        assert eval_limit(F(2, 9), 2) == Interval(F(2, 9), F(4, 9))
-        assert eval_limit(F(2, 9), 2).contains(F(1, 3))
-        assert eval_limit(F(2, 9), 4) == Interval(F(26, 81), F(28, 81))
-        assert eval_limit(F(1, 2), 8).contains(F(1, 2))
+        assert UNIT_CURVE.eval_limit(F(2, 9), 2) == Interval(F(2, 9), F(4, 9))
+        assert UNIT_CURVE.eval_limit(F(2, 9), 2).contains(F(1, 3))
+        assert UNIT_CURVE.eval_limit(F(2, 9), 4) == Interval(F(26, 81), F(28, 81))
+        assert UNIT_CURVE.eval_limit(F(1, 2), 8).contains(F(1, 2))
 
     def test_width_bound_and_nesting(self):
         rng = random.Random(22)
@@ -204,7 +249,7 @@ class TestLimitFunction:
             t = F(rng.randrange(0, 7921), 7920)
             prev = None
             for depth in (1, 3, 6, 10):
-                enc = eval_limit(t, depth)
+                enc = UNIT_CURVE.eval_limit(t, depth)
                 assert enc.width() <= F(2, 3) ** depth
                 if prev is not None:
                     assert prev.encloses(enc)
@@ -215,13 +260,13 @@ class TestLimitFunction:
         for _ in range(40):
             t = F(rng.randrange(0, 1001), 1000)
             for n in (2, 5):
-                assert eval_limit(t, n).contains(eval_iterate(n, t))
+                assert UNIT_CURVE.eval_limit(t, n).contains(UNIT_CURVE.eval_iterate(n, t))
 
     def test_against_float_oracle(self):
         rng = random.Random(44)
         for _ in range(60):
             t = F(rng.randrange(0, 10001), 10000)
-            enc = eval_limit(t, 40)
+            enc = UNIT_CURVE.eval_limit(t, 40)
             approx = u_float(t)
             assert float(enc.lo) - 1e-9 <= approx <= float(enc.hi) + 1e-9
 
@@ -229,14 +274,14 @@ class TestLimitFunction:
         rng = random.Random(55)
         for _ in range(30):
             t = F(rng.randrange(0, 1001), 1000)
-            a = eval_limit(t, 30)
-            b = eval_limit(1 - t, 30)
+            a = UNIT_CURVE.eval_limit(t, 30)
+            b = UNIT_CURVE.eval_limit(1 - t, 30)
             mirrored = Interval(1 - b.hi, 1 - b.lo)
             assert a.intersects(mirrored)
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            eval_limit(F(3, 2), 5)
+            UNIT_CURVE.eval_limit(F(3, 2), 5)
 
 
 class TestDomainFold:
@@ -259,29 +304,29 @@ class TestDomainFold:
 
 class TestDiffQuotient:
     def test_frozen_exact(self):
-        assert diff_quotient(F(1), F(0), 10) == Interval.point(1)
-        assert diff_quotient(F(4, 9), F(0), 10) == Interval.point(1)
-        assert diff_quotient(F(0), F(1), 10) == Interval.point(1)
+        assert UNIT_CURVE.diff_quotient(F(1), F(0), 10) == Interval.point(1)
+        assert UNIT_CURVE.diff_quotient(F(4, 9), F(0), 10) == Interval.point(1)
+        assert UNIT_CURVE.diff_quotient(F(0), F(1), 10) == Interval.point(1)
 
     def test_inverse_root_five(self):
-        got = diff_quotient(F(5, 9), F(0), 30)
+        got = UNIT_CURVE.diff_quotient(F(5, 9), F(0), 30)
         ref = quotient_enclose(F(1, 3), F(5, 9), F(1, 10**9))
         assert got.intersects(ref)
         assert got.width() < F(1, 10**6)
 
     def test_symmetric_under_swap(self):
         # the signed root in the denominator makes the quotient swap-invariant
-        a = diff_quotient(F(1, 3), F(2, 3), 25)
-        b = diff_quotient(F(2, 3), F(1, 3), 25)
+        a = UNIT_CURVE.diff_quotient(F(1, 3), F(2, 3), 25)
+        b = UNIT_CURVE.diff_quotient(F(2, 3), F(1, 3), 25)
         assert a == b
 
     def test_coincident_points(self):
         with pytest.raises(CoincidentPoints):
-            diff_quotient(F(1, 2), F(1, 2), 10)
+            UNIT_CURVE.diff_quotient(F(1, 2), F(1, 2), 10)
 
     def test_bounded_by_one_on_random_breakpoints(self):
         rng = random.Random(77)
-        pl = iterate(6)
+        pl = UNIT_CURVE.iterate(6)
         pts = pl.breakpoints
         for _ in range(300):
             (s, us), (t, ut) = rng.sample(pts, 2)
@@ -290,33 +335,33 @@ class TestDiffQuotient:
 
     def test_branch_self_similarity_exact(self):
         # vertical increments contract by y_scale exactly under each branch map
-        pts = iterate(3).breakpoints
+        pts = UNIT_CURVE.iterate(3).breakpoints
         rng = random.Random(88)
         for branch in BRANCHES:
             for _ in range(40):
                 (s, us), (t, ut) = rng.sample(pts, 2)
                 ms, mt = branch.x_map(s), branch.x_map(t)
-                vs = eval_limit(ms, 16)
-                vt = eval_limit(mt, 16)
+                vs = UNIT_CURVE.eval_limit(ms, 16)
+                vt = UNIT_CURVE.eval_limit(mt, 16)
                 assert vs.is_point() and vt.is_point()
                 assert vs.lo - vt.lo == branch.y_scale * (us - ut)
                 assert ms - mt == branch.x_scale * (s - t)
 
     def test_quotient_invariance_under_branches(self):
         # |q(Bs, Bt)| agrees with |q(s, t)|, with the middle branch flipping sign
-        pts = iterate(2).breakpoints
+        pts = UNIT_CURVE.iterate(2).breakpoints
         rng = random.Random(99)
         for branch in BRANCHES:
             sign = 1 if branch.y_scale > 0 else -1
             for _ in range(25):
                 (s, _), (t, _) = rng.sample(pts, 2)
-                base = diff_quotient(s, t, 30)
-                mapped = diff_quotient(branch.x_map(s), branch.x_map(t), 30)
+                base = UNIT_CURVE.diff_quotient(s, t, 30)
+                mapped = UNIT_CURVE.diff_quotient(branch.x_map(s), branch.x_map(t), 30)
                 assert mapped.intersects(base.scale(sign))
 
     def test_fold_enters_quotient(self):
         # u(3/2) = u(1/2): values fold, the horizontal gap does not
-        enc = diff_quotient(F(3, 2), F(1, 2), 40)
+        enc = UNIT_CURVE.diff_quotient(F(3, 2), F(1, 2), 40)
         assert enc.contains(0)
         assert enc.abs().hi < F(1, 10**6)
 
@@ -346,7 +391,7 @@ class TestUnitWitnesses:
             (F(3, 4), (F(0), F(4, 9))),
             (F(4, 9), (F(5, 9), F(1))),
         ):
-            w = unit_witnesses(t0)
+            w = UNIT_CURVE.unit_witnesses(t0)
             assert (w.s1, w.s2) == expect
 
     def test_offsets_and_gap(self):
@@ -354,7 +399,7 @@ class TestUnitWitnesses:
         floor = quotient_gap_floor()
         for _ in range(25):
             t0 = F(rng.randrange(0, 1001), 1000)
-            w = unit_witnesses(t0)
+            w = UNIT_CURVE.unit_witnesses(t0)
             for s in (w.s1, w.s2):
                 assert UNIT_MIN_OFFSET <= abs(s - t0) <= 1
             assert w.side in (-1, 1)
@@ -366,43 +411,34 @@ class TestUnitWitnesses:
 
 class TestLocateCell:
     def test_frozen(self):
-        word, cell, sign = locate_cell(F(1, 5), F(1))
-        assert word == Address(())
-        assert (cell.a, cell.b, sign) == (F(1), F(0), 1)
+        cell = UNIT_CURVE.locate_cell(F(1, 5), F(1))
+        assert (cell.a, cell.b) == (F(1), F(0))
 
-        word, cell, sign = locate_cell(F(1, 2), F(1, 10))
-        assert word == Address((BranchTag.MID, BranchTag.MID))
-        assert (cell.a, cell.b, sign) == (F(1, 81), F(40, 81), 1)
+        cell = UNIT_CURVE.locate_cell(F(1, 2), F(1, 10))
+        assert (cell.a, cell.b) == (F(1, 81), F(40, 81))
 
-        word, cell, _ = locate_cell(F(1, 10), F(3, 10))
-        assert word == Address((BranchTag.LEFT, BranchTag.LEFT))
+        cell = UNIT_CURVE.locate_cell(F(1, 10), F(3, 10))
         assert (cell.a, cell.b) == (F(16, 81), F(0))
 
-        word, cell, _ = locate_cell(F(0), F(1, 81))
-        assert word == Address((BranchTag.LEFT,) * 6)
-        assert cell.a == F(4, 9) ** 6
+        cell = UNIT_CURVE.locate_cell(F(0), F(1, 81))
+        assert (cell.a, cell.b) == (F(4, 9) ** 6, F(0))
 
     def test_cell_contains_point_with_calibrated_length(self):
         rng = random.Random(222)
         for _ in range(60):
             t = F(rng.randrange(0, 1001), 1000)
             delta = F(1, 9) ** rng.randrange(0, 7)
-            _, cell, _ = locate_cell(t, delta)
+            cell = UNIT_CURVE.locate_cell(t, delta)
             assert cell.b <= t <= cell.a + cell.b
             assert cell.a <= delta
             assert cell.a >= delta * F(1, 9)
 
-    def test_sign_tracks_middle_branch_parity(self):
-        word, _, sign = locate_cell(F(1, 2), F(1, 10))
-        assert sign == (-1) ** sum(1 for w in word.word if w is BranchTag.MID)
-        assert sign == word.sign
-
-
     def test_deep_scale_is_reached(self):
         # 9**-400 needs more than 768 descent steps, the old fixed step guard
         t, delta = F(1, 7), F(1, 9**400)
-        word, cell, _ = locate_cell(t, delta)
-        assert len(word) > 4 * MAX_LEVEL * 16
+        cell = UNIT_CURVE.locate_cell(t, delta)
+        # every standard x_scale is 4/9 or 1/9, so the cell length is 4**i / 9**steps
+        assert cell.a.denominator > 9 ** (4 * MAX_LEVEL * 16)
         assert cell.b <= t <= cell.a + cell.b
         assert delta / 9 <= cell.a <= delta
 
@@ -414,13 +450,13 @@ class TestLocateCell:
 
 class TestWindowWitnesses:
     def test_frozen(self):
-        w = window_witnesses(F(1, 2), F(1, 10))
+        w = UNIT_CURVE.window_witnesses(F(1, 2), F(1, 10))
         assert (w.s1, w.s2) == (F(365, 729), F(41, 81))
 
-        w = window_witnesses(F(0), F(1, 81))
+        w = UNIT_CURVE.window_witnesses(F(0), F(1, 81))
         assert (w.s1, w.s2) == (F(20480, 4782969), F(4096, 531441))
 
-        w = window_witnesses(F(1, 5), F(1))
+        w = UNIT_CURVE.window_witnesses(F(1, 5), F(1))
         assert (w.s1, w.s2) == (F(5, 9), F(1))
 
     def test_distances_and_gap(self):
@@ -429,7 +465,7 @@ class TestWindowWitnesses:
         for _ in range(25):
             t = F(rng.randrange(0, 10**6 + 1), 10**6)
             delta = F(1, 9) ** rng.randrange(1, 8)
-            w = window_witnesses(t, delta)
+            w = UNIT_CURVE.window_witnesses(t, delta)
             for s in (w.s1, w.s2):
                 assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
                 assert 0 <= s <= 1
@@ -443,9 +479,9 @@ class TestWindowWitnesses:
         # at t = 1/7, 9**-323 is the first scale whose cell length has no
         # finite float reciprocal
         t, delta = F(1, 7), F(1, 9**j)
-        _, cell, _ = locate_cell(t, delta)
+        cell = UNIT_CURVE.locate_cell(t, delta)
         assert math.isinf(1 / float(cell.a)) == (j == 323)
-        w = window_witnesses(t, delta)
+        w = UNIT_CURVE.window_witnesses(t, delta)
         for s in (w.s1, w.s2):
             assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
         assert w.gap_lower_bound.lo >= quotient_gap_floor().hi
@@ -532,20 +568,15 @@ def ref_locate_cell(curve, t, delta):
         raise OutOfDomain(f"t={t} outside [0, 1]")
     if not 0 < delta <= 1:
         raise OutOfDomain(f"delta={delta} outside (0, 1]")
-    word = []
     cell = AffineMap1D(F(1), F(0))
-    sign = 1
     guard = 0
     while cell.a > delta:
         br = ref_locate_branch(curve, cell.inverse(t))
-        word.append(br.tag)
         cell = AffineMap1D(cell.a * br.x_scale, cell.a * br.x_offset + cell.b)
-        if br.tag is BranchTag.MID:
-            sign = -sign
         guard += 1
         if guard > 4 * MAX_LEVEL * 16:
             raise UncoveredPoint("descent does not contract; branch system broken")
-    return Address(tuple(word)), cell, sign
+    return cell
 
 
 def ref_iterate(curve, n):
@@ -722,13 +753,13 @@ class TestDescentProperties:
     @settings(max_examples=150, deadline=None)
     @given(t=unit_points, depth=st.integers(0, 80))
     def test_deeper_enclosure_nests(self, t, depth):
-        assert eval_limit(t, depth).encloses(eval_limit(t, depth + 1))
+        assert UNIT_CURVE.eval_limit(t, depth).encloses(UNIT_CURVE.eval_limit(t, depth + 1))
 
     @settings(max_examples=150, deadline=None)
     @given(t=unit_points, n=st.integers(0, MAX_LEVEL), data=st.data())
     def test_iterate_value_inside_enclosure(self, t, n, data):
         depth = data.draw(st.integers(0, n))
-        assert eval_limit(t, depth).contains(eval_iterate(n, t))
+        assert UNIT_CURVE.eval_limit(t, depth).contains(UNIT_CURVE.eval_iterate(n, t))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -736,6 +767,6 @@ class TestDescentProperties:
         delta=st.fractions(0, 1, max_denominator=10**6).filter(bool) | st.integers(0, 400).map(lambda j: F(1, 9**j)),
     )
     def test_cell_contains_point_and_is_short(self, t, delta):
-        _, cell, _ = locate_cell(t, delta)
+        cell = UNIT_CURVE.locate_cell(t, delta)
         assert cell.b <= t <= cell.a + cell.b
         assert cell.a <= delta

@@ -19,7 +19,6 @@ from lipgraph.selfsim import (
 from lipgraph.verify import (
     MUTABLE_FIELDS,
     EmptyAfterRestriction,
-    OscillationWindow,
     Report,
     blowup_divergence,
     hausdorff_distance,
@@ -123,6 +122,10 @@ class TestWindowGapCampaign:
         assert r.parameters["offset_ratio"] == F(1, 162)
 
 
+    def test_no_samples_refused(self):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_window_gap([])
+
     def test_start_depth_beyond_floats_certified(self):
         r = verify_window_gap([(F(1, 7), F(1, 9**330))])
         assert r.certified and r.failures == []
@@ -131,26 +134,46 @@ class TestWindowGapCampaign:
 class TestOscillation:
     def test_windows_certified_at_half(self):
         deltas = [F(1, 9) ** j for j in range(1, 5)]
-        windows = oscillation_scan(F(1, 2), deltas)
+        r = oscillation_scan(F(1, 2), deltas)
         floor = quotient_gap_floor()
+        assert r.campaign == "oscillation"
+        assert r.certified and r.failures == [] and r.checked == len(deltas)
+        assert r.parameters["t_hat"] == F(1, 2) and r.parameters["deltas"] == deltas
+        windows = r.parameters["windows"]
         assert len(windows) == len(deltas)
         for w, d in zip(windows, deltas):
-            assert isinstance(w, OscillationWindow)
-            assert w.certified
-            assert w.delta == d
-            assert w.osc_lower_bound >= floor.hi
-            for off in (w.offset1, w.offset2):
+            assert w["certified"]
+            assert w["delta"] == d
+            assert w["osc_lower_bound"] >= floor.hi
+            for off in (w["offset1"], w["offset2"]):
                 assert d * F(1, 162) <= abs(off) <= d
 
     def test_reflected_window_keeps_magnitudes(self):
         # 7/2 folds to 1/2 through a reflection: offsets flip sign only
-        base = oscillation_scan(F(1, 2), [F(1, 9)])[0]
-        refl = oscillation_scan(F(7, 2), [F(1, 9)])[0]
-        assert refl.certified
-        assert abs(refl.offset1) == abs(base.offset1)
-        assert abs(refl.offset2) == abs(base.offset2)
-        assert refl.offset1 == -base.offset1
-        assert refl.osc_lower_bound == base.osc_lower_bound
+        base = oscillation_scan(F(1, 2), [F(1, 9)]).parameters["windows"][0]
+        refl = oscillation_scan(F(7, 2), [F(1, 9)]).parameters["windows"][0]
+        assert refl["certified"]
+        assert abs(refl["offset1"]) == abs(base["offset1"])
+        assert abs(refl["offset2"]) == abs(base["offset2"])
+        assert refl["offset1"] == -base["offset1"]
+        assert refl["osc_lower_bound"] == base["osc_lower_bound"]
+
+    def test_no_scales_refused(self):
+        with pytest.raises(ValueError, match="scales must be at least 1"):
+            oscillation_scan(F(1, 2), [])
+
+    def test_flat_mid_branch_leaves_windows_uncertified(self):
+        # with a flat mid branch the probes no longer separate the quotients
+        flat = Curve(branches=perturbed_branches(BranchTag.MID, "y_scale", 0))
+        deltas = [F(1, 9) ** j for j in range(1, 4)]
+        r = oscillation_scan(F(1, 2), deltas, flat)
+        assert not r.certified and r.checked == 3
+        assert not any(w["certified"] for w in r.parameters["windows"])
+        assert [f["kind"] for f in r.failures] == ["window-uncertified"] * 3
+        # canonical order, as in every report
+        assert [f["delta"] for f in r.failures] == ["1/729", "1/81", "1/9"]
+        for f, w in zip(r.failures, reversed(r.parameters["windows"])):
+            assert f["osc_lower_bound"] == str(w["osc_lower_bound"])
 
 
 class TestHausdorff:
