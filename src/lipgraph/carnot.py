@@ -23,18 +23,26 @@ The r coordinate is an Interval rather than a rational because graph
 points carry certified enclosures of the profile; group operations
 propagate those enclosures soundly and exactly cancel the rational
 coordinates, which is what makes the blow-up sampler rigorous.
+
+On graph points x = 0, so the twist <x, y'> - <y, x'> of a product of
+graph points vanishes and the Euclidean norm of a 1-vector y is |y|;
+`mul` skips products with a zero factor and `hnorm` takes that norm
+exactly, so the cone campaign does no arithmetic on terms that are 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, neg
 from typing import Iterable, Optional, Sequence, Union
 
 from .numerics import Interval, RationalLike, sqrt_enclose
 from .selfsim import Curve, UNIT_CURVE, reduce_domain
 
-_ZERO = Interval.point(0)
+_FZERO = Fraction(0)
+_ZERO = Interval.point(_FZERO)
 _TWO_THIRDS = Fraction(2, 3)
 
 
@@ -64,8 +72,8 @@ class TolTooTight(ValueError):
 
 def _vec(v: Union[RationalLike, Iterable[RationalLike]]) -> tuple[Fraction, ...]:
     if isinstance(v, (int, Fraction)):
-        return (Fraction(v),)
-    return tuple(Fraction(c) for c in v)
+        return (v if type(v) is Fraction else Fraction(v),)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in v)
 
 
 @dataclass(frozen=True)
@@ -94,33 +102,33 @@ def point(
     if len(xv) != len(yv):
         raise DimensionMismatch(f"x has {len(xv)} entries, y has {len(yv)}")
     rv = r if isinstance(r, Interval) else Interval.point(r)
-    return GroupPoint(xv, yv, Fraction(t), rv)
+    return GroupPoint(xv, yv, t if type(t) is Fraction else Fraction(t), rv)
 
 
 def identity(k: int = 2) -> GroupPoint:
-    zeros = (Fraction(0),) * (k - 1)
-    return GroupPoint(zeros, zeros, Fraction(0), _ZERO)
+    zeros = (_FZERO,) * (k - 1)
+    return GroupPoint(zeros, zeros, _FZERO, _ZERO)
 
 
 def mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:
-    if len(p.x) != len(q.x):
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    if len(px) != len(qx):
         raise DimensionMismatch(f"k={p.k} times k={q.k}")
-    twist = sum(a * b for a, b in zip(p.x, q.y)) - sum(a * b for a, b in zip(p.y, q.x))
-    return GroupPoint(
-        tuple(a + b for a, b in zip(p.x, q.x)),
-        tuple(a + b for a, b in zip(p.y, q.y)),
-        p.t + q.t + twist / 2,
-        p.r + q.r,
-    )
+    t = p.t + q.t
+    twist = 0
+    for a, b in zip(px, qy):
+        if a and b:
+            twist += a * b
+    for a, b in zip(py, qx):
+        if a and b:
+            twist -= a * b
+    if twist:
+        t += twist / 2
+    return GroupPoint(tuple(map(add, px, qx)), tuple(map(add, py, qy)), t, p.r + q.r)
 
 
 def inv(p: GroupPoint) -> GroupPoint:
-    return GroupPoint(
-        tuple(-c for c in p.x),
-        tuple(-c for c in p.y),
-        -p.t,
-        -p.r,
-    )
+    return GroupPoint(tuple(map(neg, p.x)), tuple(map(neg, p.y)), -p.t, -p.r)
 
 
 def dilate(lam: RationalLike, p: GroupPoint) -> GroupPoint:
@@ -142,16 +150,26 @@ def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
     are rational (in particular for points with one nonzero coordinate
     of rational norm).
     """
-    width = Fraction(width)
-    nx = sqrt_enclose(sum(c * c for c in p.x), width)
-    ny = sqrt_enclose(sum(c * c for c in p.y), width)
+    if type(width) is not Fraction:
+        width = Fraction(width)
+    nx = _euclid(p.x, width)
+    ny = _euclid(p.y, width)
     nt = sqrt_enclose(abs(p.t), width)
-    out = Interval.max_of(Interval.max_of(nx, ny), Interval.max_of(nt, p.r.abs()))
-    return out
+    return Interval.max_of(Interval.max_of(nx, ny), Interval.max_of(nt, p.r.abs()))
+
+
+def _euclid(v: tuple[Fraction, ...], width: Fraction) -> Interval:
+    """Enclosure of |v|_2 as sqrt_enclose gives it; a rational 1-vector's norm is exact."""
+    if len(v) == 1 and isinstance(v[0], (int, Fraction)):
+        if width.numerator <= 0:
+            raise ValueError("width must be positive")
+        return Interval.point(abs(v[0]))
+    return sqrt_enclose(sum(c * c for c in v), width)
 
 
 def is_in_w(p: GroupPoint) -> bool:
-    return all(c == 0 for c in p.x) and p.r == _ZERO
+    r = p.r
+    return not any(p.x) and r.__class__ is Interval and not r.lo.numerator and not r.hi.numerator
 
 
 def beta(w: GroupPoint) -> Fraction:
@@ -165,7 +183,8 @@ def w_point(
     y: Union[RationalLike, Iterable[RationalLike]] = 0, t: RationalLike = 0
 ) -> GroupPoint:
     """Convenience constructor for vertical-subgroup points."""
-    return point(x=[Fraction(0)] * len(_vec(y)), y=y, t=t, r=0)
+    yv = _vec(y)
+    return GroupPoint((_FZERO,) * len(yv), yv, t if type(t) is Fraction else Fraction(t), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -232,11 +251,18 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
     width is controlled by depth through the norm width (2/3)**depth and
     by the widths the points' r slots already carry.
     """
-    if any(c != 0 for c in p.x) or any(c != 0 for c in q.x):
+    if any(p.x) or any(q.x):
         raise NotGraphPoints("cone gap is defined for graph points, which have x = 0")
     d = mul(inv(p), q)
     w_part = GroupPoint(d.x, d.y, d.t, _ZERO)
-    return hnorm(w_part, _TWO_THIRDS ** max(depth, 1)) - d.r.abs()
+    width = _norm_width(depth) if type(depth) is int else _norm_width.__wrapped__(depth)
+    return hnorm(w_part, width) - d.r.abs()
+
+
+@lru_cache(maxsize=64)
+def _norm_width(depth: int) -> Fraction:
+    """The norm width (2/3)**depth of cone_gap, at least one factor."""
+    return _TWO_THIRDS ** max(depth, 1)
 
 
 def blowup_profile(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .selfsim import Curve, MAX_LEVEL, OutOfDomain, UNIT_CURVE, reduce_domain
+from .selfsim import Curve, DepthTooLarge, MAX_DEPTH, MAX_LEVEL, OutOfDomain, UNIT_CURVE, reduce_domain
 from .carnot import w_point
 from .verify import (
     REFERENCE_SEED,
@@ -255,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="certified enclosure of the profile value")
     p_eval.add_argument("t", type=_rational, help="abscissa, any rational (folded into [0,1])")
-    p_eval.add_argument("--depth", type=int, default=60, help="descent depth (default 60)")
+    p_eval.add_argument(
+        "--depth", type=int, default=60, help=f"descent depth (default 60, at most {MAX_DEPTH})"
+    )
     p_eval.set_defaults(func=_cmd_eval)
 
     p_it = sub.add_parser("plot-iterates", help="polyline figure or table of iterates")
@@ -276,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--grid", type=int, default=10001, help="claim2: base point count")
     p_ver.add_argument("--samples", type=int, default=None, help="claim3/cone: sample count")
     p_ver.add_argument("--seed", type=int, default=REFERENCE_SEED)
-    p_ver.add_argument("--depth", type=int, default=None, help="cone/blowup: descent depth")
+    p_ver.add_argument(
+        "--depth", type=int, default=None, help=f"cone/blowup: descent depth (1 to {MAX_DEPTH})"
+    )
     p_ver.add_argument("--t-hat", dest="t_hat", type=_rational, default=Fraction(0))
     p_ver.add_argument("--scales", type=int, default=8, help="oscillation: scale count")
     p_ver.add_argument("--target1", type=_rational, default=Fraction(1))
@@ -315,6 +319,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except OutOfDomain as exc:
         print(f"argument out of domain: {exc}", file=sys.stderr)
+        return 2
+    except DepthTooLarge as exc:
+        print(f"argument over cap: {exc}", file=sys.stderr)
         return 2
 
 

@@ -46,8 +46,10 @@ def cmp_abs_sq(a: RationalLike, b: RationalLike) -> Ordering:
     decided without ever forming the root.  Both arguments are rationals;
     the comparison cross-multiplies integers and is always conclusive.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    if type(a) is not Fraction:
+        a = Fraction(a)
+    if type(b) is not Fraction:
+        b = Fraction(b)
     lhs = a.numerator * a.numerator * b.denominator
     rhs = abs(b.numerator) * a.denominator * a.denominator
     if lhs < rhs:
@@ -55,6 +57,9 @@ def cmp_abs_sq(a: RationalLike, b: RationalLike) -> Ordering:
     if lhs == rhs:
         return Ordering.EQUAL
     return Ordering.GREATER
+
+
+_ZERO = Fraction(0)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -86,7 +91,8 @@ class Interval:
 
     @classmethod
     def point(cls, q: RationalLike) -> "Interval":
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         return cls(q, q)
 
     def width(self) -> Fraction:
@@ -149,15 +155,19 @@ class Interval:
         return Interval(lo / (other.hi if lo >= 0 else other.lo), hi / (other.lo if hi >= 0 else other.hi))
 
     def abs(self) -> "Interval":
-        if self.lo >= 0:
+        lo, hi = self.lo, self.hi
+        if lo.numerator >= 0:
             return self
-        if self.hi <= 0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(Fraction(0), max(-self.lo, self.hi))
+        if hi.numerator <= 0:
+            return Interval(-hi, -lo)
+        return Interval(_ZERO, max(-lo, hi))
 
     @staticmethod
     def max_of(a: "Interval", b: "Interval") -> "Interval":
-        return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+        # An operand that dominates at both ends is the result itself.
+        if a.lo >= b.lo:
+            return a if a.hi >= b.hi else Interval(a.lo, b.hi)
+        return b if b.hi >= a.hi else Interval(b.lo, a.hi)
 
     @staticmethod
     def min_of(a: "Interval", b: "Interval") -> "Interval":
@@ -175,13 +185,15 @@ def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> I
     isqrt(p*q*4**k) / (2**k * q), with k chosen so the unit step of the
     integer square root is at most width/2.
     """
-    x = Fraction(x)
-    width = Fraction(width)
-    if x < 0:
-        raise NegativeInput(f"sqrt of negative rational {x}")
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if type(width) is not Fraction:
+        width = Fraction(width)
     p, q = x.numerator, x.denominator
+    if p < 0:
+        raise NegativeInput(f"sqrt of negative rational {x}")
+    if width.numerator <= 0:
+        raise ValueError("width must be positive")
     rp, rq = isqrt(p), isqrt(q)
     if rp * rp == p and rq * rq == q:
         return Interval.point(Fraction(rp, rq))

@@ -46,6 +46,12 @@ from .numerics import Interval, RationalLike, quotient_enclose, sqrt_enclose
 
 MAX_LEVEL = 12
 
+# Deepest descent eval_limit takes.  Cells of length delta need about
+# 4.4 * log_9(1/delta) levels, so window_witnesses at delta = 9**-400
+# asks for up to about 1 900 (its start depth plus five retries of 24);
+# past the cap a call is refused before any step is taken.
+MAX_DEPTH = 4096
+
 # Witness offsets live at distance between UNIT_MIN_OFFSET and 1 from the
 # base point at unit scale; after descending to a cell of length ell the
 # distances rescale to [ell/18, ell], and ell >= delta/9 for the first
@@ -234,8 +240,14 @@ def reduce_domain(t: RationalLike) -> Fraction:
     oscillation behaviour, so every evaluation funnels through this
     fold.
     """
-    t = Fraction(t) % 2
-    return 2 - t if t > 1 else t
+    if type(t) is not Fraction:
+        t = Fraction(t)
+    p, q = t.numerator, t.denominator
+    if 0 <= p <= q:
+        return t
+    # p/q mod 2 is (p mod 2q)/q, still in lowest terms; so is its reflection.
+    r = p % (2 * q)
+    return Fraction(r if r <= q else 2 * q - r, q)
 
 
 @dataclass(frozen=True)
@@ -387,7 +399,8 @@ class Curve:
         its width is the product of |y_scale| factors, at most
         (2/3)**depth for the standard system.  If the descent reaches an
         endpoint of [0, 1] the value is exact and the enclosure
-        degenerates to a point, whatever the requested depth.
+        degenerates to a point, whatever the requested depth.  A depth
+        above MAX_DEPTH raises DepthTooLarge.
 
         The Curve keeps the last descent of each point, so a call at the
         same depth does no step, a deeper call resumes where that descent
@@ -401,6 +414,8 @@ class Curve:
         if depth < 0:
             raise OutOfDomain("depth must be nonnegative")
         depth = index(depth)
+        if depth > MAX_DEPTH:
+            raise DepthTooLarge(f"depth {depth} exceeds cap {MAX_DEPTH}")
         kept = self._descents
         key = (p, q)
         st = kept.get(key)

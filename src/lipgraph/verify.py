@@ -47,6 +47,7 @@ from .selfsim import (
     Curve,
     DepthTooLarge,
     InvalidCurve,
+    MAX_DEPTH,
     UNIT_CURVE,
     UNIT_MIN_OFFSET,
     WINDOW_OFFSET_RATIO,
@@ -400,6 +401,14 @@ def hausdorff_distance(
 # cone campaign
 
 
+def _check_depth(depth: int) -> None:
+    """Refuse a campaign depth before any work: below 1, or above MAX_DEPTH."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if depth > MAX_DEPTH:
+        raise DepthTooLarge(f"depth {depth} exceeds cap {MAX_DEPTH}")
+
+
 def verify_cone(
     sample_count: int,
     depth: int = 30,
@@ -418,8 +427,7 @@ def verify_cone(
     started = time.perf_counter()
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _check_depth(depth)
     rng = random.Random(seed)
     breakpoint_betas = (Fraction(0), Fraction(4, 9), Fraction(5, 9), Fraction(1))
     pairs: list[tuple[GroupPoint, GroupPoint]] = []
@@ -439,25 +447,18 @@ def verify_cone(
         p2 = graph_point(w2, depth, curve)
         g = cone_gap(p1, p2, depth)
         min_gap_lo = g.lo if min_gap_lo is None else min(min_gap_lo, g.lo)
-        key = {
-            "index": idx,
-            "beta1": str(w1.t),
-            "beta2": str(w2.t),
-            "y1": str(w1.y[0]),
-            "y2": str(w2.y[0]),
-        }
         if g.hi < 0:
-            failures.append({"kind": "cone-gap-negative", "gap": _jsonable(g), **key})
+            failures.append({"kind": "cone-gap-negative", "gap": _jsonable(g), **_pair_key(idx, w1, w2)})
         dt = w2.t - w1.t
         if p1.r.is_point() and p2.r.is_point():
             exact_pairs += 1
             if dt != 0 or p1.r.lo != p2.r.lo:
                 if cmp_abs_sq(p2.r.lo - p1.r.lo, dt) is Ordering.GREATER:
-                    failures.append({"kind": "holder-chain-exact", **key})
+                    failures.append({"kind": "holder-chain-exact", **_pair_key(idx, w1, w2)})
         else:
             diff_lo = (p2.r - p1.r).abs().lo
             if cmp_abs_sq(diff_lo, dt) is Ordering.GREATER:
-                failures.append({"kind": "holder-chain-refuted", **key})
+                failures.append({"kind": "holder-chain-refuted", **_pair_key(idx, w1, w2)})
     params = {
         "sample_count": sample_count,
         "depth": depth,
@@ -467,6 +468,11 @@ def verify_cone(
         "cone_constant": Fraction(1),
     }
     return _finish("cone", params, len(pairs), failures, started)
+
+
+def _pair_key(idx: int, w1: GroupPoint, w2: GroupPoint) -> dict:
+    """The fields that name a cone pair in its failure records."""
+    return {"index": idx, "beta1": str(w1.t), "beta2": str(w2.t), "y1": str(w1.y[0]), "y2": str(w2.y[0])}
 
 
 # ----------------------------------------------------------------------
@@ -538,6 +544,7 @@ def blowup_divergence(
     exactly a point of blow-up divergence.
     """
     started = time.perf_counter()
+    _check_depth(depth)
     t_hat = Fraction(t_hat)
     target1 = Fraction(target1)
     target2 = Fraction(target2)

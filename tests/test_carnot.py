@@ -31,7 +31,7 @@ from lipgraph.carnot import (
     standard_splitting,
     w_point,
 )
-from lipgraph.numerics import Interval
+from lipgraph.numerics import Interval, sqrt_enclose
 from lipgraph.selfsim import UNIT_CURVE
 
 
@@ -277,3 +277,158 @@ class TestSolveQuotient:
     def test_tol_too_tight(self):
         with pytest.raises(TolTooTight):
             solve_quotient(0, F(46, 100), 1, (F(5, 9), F(3, 5)), F(1, 10**30), max_depth=6)
+
+
+# ----------------------------------------------------------------------
+# Reference bodies of the group law, the norm, the cone gap and the point
+# constructors, which coerce every coordinate and compute every twist
+# product: the fast paths must match them value for value (with the type
+# of every coordinate) and exception for exception.
+
+
+def ref_vec(v):
+    if isinstance(v, (int, F)):
+        return (F(v),)
+    return tuple(F(c) for c in v)
+
+
+def ref_point(x=0, y=0, t=0, r=0):
+    xv, yv = ref_vec(x), ref_vec(y)
+    if len(xv) != len(yv):
+        raise DimensionMismatch(f"x has {len(xv)} entries, y has {len(yv)}")
+    rv = r if isinstance(r, Interval) else Interval.point(r)
+    return GroupPoint(xv, yv, F(t), rv)
+
+
+def ref_w_point(y=0, t=0):
+    return ref_point(x=[F(0)] * len(ref_vec(y)), y=y, t=t, r=0)
+
+
+def ref_mul(p, q):
+    if len(p.x) != len(q.x):
+        raise DimensionMismatch(f"k={p.k} times k={q.k}")
+    twist = sum(a * b for a, b in zip(p.x, q.y)) - sum(a * b for a, b in zip(p.y, q.x))
+    return GroupPoint(
+        tuple(a + b for a, b in zip(p.x, q.x)),
+        tuple(a + b for a, b in zip(p.y, q.y)),
+        p.t + q.t + twist / 2,
+        p.r + q.r,
+    )
+
+
+def ref_inv(p):
+    return GroupPoint(tuple(-c for c in p.x), tuple(-c for c in p.y), -p.t, -p.r)
+
+
+def ref_hnorm(p, width=F(1, 2**30)):
+    width = F(width)
+    nx = sqrt_enclose(sum(c * c for c in p.x), width)
+    ny = sqrt_enclose(sum(c * c for c in p.y), width)
+    nt = sqrt_enclose(abs(p.t), width)
+    return Interval.max_of(Interval.max_of(nx, ny), Interval.max_of(nt, p.r.abs()))
+
+
+def ref_is_in_w(p):
+    return all(c == 0 for c in p.x) and p.r == Interval.point(0)
+
+
+def ref_beta(w):
+    if not ref_is_in_w(w):
+        raise NotInW(f"point has x={w.x}, r={w.r}")
+    return w.t
+
+
+def ref_cone_gap(p, q, depth):
+    if any(c != 0 for c in p.x) or any(c != 0 for c in q.x):
+        raise NotGraphPoints("cone gap is defined for graph points, which have x = 0")
+    d = ref_mul(ref_inv(p), q)
+    w_part = GroupPoint(d.x, d.y, d.t, Interval.point(0))
+    return ref_hnorm(w_part, F(2, 3) ** max(depth, 1)) - d.r.abs()
+
+
+def exact(value):
+    """A result with the type of every number in it, so 0, 0.0 and Fraction(0) differ."""
+    if isinstance(value, Interval):
+        return "I", type(value.lo), value.lo, type(value.hi), value.hi
+    if isinstance(value, GroupPoint):
+        return "P", exact(value.x), exact(value.y), exact(value.t), exact(value.r)
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return type(value), value
+
+
+def outcome(fn, *args):
+    try:
+        return exact(fn(*args))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class _Sub(F):
+    pass
+
+
+SCALARS = [F(-7, 3), -2, 0, F(0), False, True, F(1, 3), _Sub(1, 3), 1, F(5, 2), 0.5, 0.1, float("nan"), "2/7", None]
+VECTORS = SCALARS + [(), [F(1, 2)], (0, F(-3, 4)), [True, _Sub(2, 5), 0.25], (F(1), "1/9", -3), "12", [None]]
+_rng = random.Random(2026)
+GROUP_POINTS = [rand_point(_rng, k) for k in (2, 2, 2, 3, 3, 3) for _ in range(4)] + [identity(2), identity(3)]
+GRAPH_POINTS = [
+    graph_point(w, depth)
+    for w in [w_point(0, 0), w_point(1, 0), w_point(0, 1), w_point(0, F(4, 9)), w_point(F(2, 7), F(-5, 9))]
+    + [w_point(F(_rng.randrange(-2000, 2001), 1000), F(_rng.randrange(-2000, 2001), 1000)) for _ in range(6)]
+    + [w_point((F(1, 3), F(-2, 5)), F(1, 7)), w_point((0, 1), F(11, 13))]
+    for depth in (1, 30)
+]
+
+
+class TestFastPathReference:
+    def test_point_constructors(self):
+        for v in VECTORS:
+            assert outcome(w_point, v, F(1, 3)) == outcome(ref_w_point, v, F(1, 3))
+            for t in SCALARS:
+                assert outcome(point, v, v, t) == outcome(ref_point, v, v, t)
+                assert outcome(point, 0, v, t, t) == outcome(ref_point, 0, v, t, t)
+                assert outcome(w_point, v, t) == outcome(ref_w_point, v, t)
+            assert outcome(point, v, 0, 0, Interval(-1, 2)) == outcome(ref_point, v, 0, 0, Interval(-1, 2))
+
+    def test_mul_and_inv(self):
+        points = GROUP_POINTS + GRAPH_POINTS
+        assert any(a * b for p in points for q in points for a, b in zip(p.x, q.y))  # nonzero twists
+        for p in points:
+            assert outcome(inv, p) == outcome(ref_inv, p)
+            for q in points:
+                assert outcome(mul, p, q) == outcome(ref_mul, p, q)
+
+    def test_hnorm(self):
+        odd = [
+            GroupPoint((3,), (True,), F(1, 4), Interval(0, 0)),
+            GroupPoint((0.5,), (0.1,), F(2), Interval(-1, F(1, 2))),
+            GroupPoint((_Sub(1, 3),), (-2,), F(-9, 4), Interval(F(1, 3), 1)),
+            GroupPoint((), (), F(7), Interval(0, 0)),
+            GroupPoint((F(1),), (F(-2),), None, Interval(0, 0)),  # a bad width must win over a bad t
+        ]
+        for p in GROUP_POINTS + GRAPH_POINTS + odd:
+            for width in (F(1, 2**30), F(1, 10), 1, 0, -1, F(-1, 7), 0.25, "1/1000", _Sub(1, 8), None):
+                assert outcome(hnorm, p, width) == outcome(ref_hnorm, p, width)
+            assert outcome(hnorm, p) == outcome(ref_hnorm, p)
+
+    def test_cone_gap(self):
+        for p in GRAPH_POINTS + GROUP_POINTS[:3]:
+            for q in GRAPH_POINTS:
+                for depth in (0, 1, 2, 5, 30, 60, -3, True, F(3), 2.0):  # 2 is cached before 2.0
+                    assert outcome(cone_gap, p, q, depth) == outcome(ref_cone_gap, p, q, depth)
+
+    def test_is_in_w_and_beta(self):
+        class _Zero(Interval):
+            pass
+
+        rs = [Interval(0, 0), Interval.point(F(0)), _Zero(0, 0), Interval(0, 1), Interval(-1, 0), Interval(1, 1), 0]
+        xs = [(F(0),), (0,), (0.0,), (F(1, 3),), (float("nan"),), (F(0), F(0)), (F(0), F(1))]
+        for x in xs:
+            for r in rs:
+                p = GroupPoint(x, (F(1),) * len(x), F(2, 3), r)
+                assert is_in_w(p) == ref_is_in_w(p)
+                assert outcome(beta, p) == outcome(ref_beta, p)
+        for p in GROUP_POINTS + GRAPH_POINTS:
+            assert is_in_w(p) == ref_is_in_w(p)
+            assert outcome(beta, p) == outcome(ref_beta, p)

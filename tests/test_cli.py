@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import re
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lipgraph import cli
+from lipgraph import cli, verify
+from lipgraph.selfsim import MAX_DEPTH, Curve
 from lipgraph.verify import Report
 
 
@@ -179,6 +184,36 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.getvalue() == "cannot run campaign: samples must be at least 1\n"
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_blowup_depth_below_one_refused(self, depth):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["verify", "blowup-divergence", "--depth", depth])
+        assert code == 2 and out == ""
+        assert err.getvalue() == "cannot run campaign: depth must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "1/7", "--depth", str(MAX_DEPTH + 1)], f"argument over cap: depth {MAX_DEPTH + 1} exceeds cap {MAX_DEPTH}"),
+            (["eval", "1/7", "--depth", "10000000000"], f"argument over cap: depth 10000000000 exceeds cap {MAX_DEPTH}"),
+            (["verify", "cone", "--depth", str(MAX_DEPTH + 1)], f"cannot run campaign: depth {MAX_DEPTH + 1} exceeds cap {MAX_DEPTH}"),
+            (["verify", "blowup-divergence", "--depth", "10000000000"], f"cannot run campaign: depth 10000000000 exceeds cap {MAX_DEPTH}"),
+        ],
+    )
+    def test_depth_above_cap_refused_before_any_work(self, argv, message, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started above the depth cap")
+
+        monkeypatch.setattr(Curve, "_descend", no_work)
+        monkeypatch.setattr(verify, "w_point", no_work)
+        monkeypatch.setattr(verify, "solve_quotient", no_work)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(argv)
+        assert code == 2 and out == ""
+        assert err.getvalue() == message + "\n"
+
     def test_unknown_campaign_rejected(self):
         with pytest.raises(SystemExit) as exc:
             with contextlib.redirect_stderr(io.StringIO()):
@@ -193,3 +228,76 @@ class TestDecimalRendering:
         assert cli._dec(F(1, 2), 0) == "1"
         assert cli._dec(F(-1, 3), 3) == "-0.333"
         assert cli._dec(F(5, 4), 1) == "1.3"
+
+
+# ----------------------------------------------------------------------
+# Any argument vector ends in a documented exit code, never a traceback.
+# Sizes, levels, scales and depths come from small ranges (plus values
+# just past each cap), so no example starts a large campaign.
+
+_RATIONALS = st.sampled_from(["0", "1", "-1", "1/7", "7/2", "4/9", "-3/5", "1/3", "2.5", "1/0", "x", ""])
+# Where --out points; the test replaces the placeholders with paths.
+_OUT = st.sampled_from([[], ["--out", "@file"], ["--out", "@dir"], ["--out", "@missing/out"], ["--out"]])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _ints(lo, hi, *extra):
+    return st.one_of(st.integers(lo, hi), st.sampled_from(extra)) if extra else st.integers(lo, hi)
+
+
+_DEPTHS = _ints(-2, 40, MAX_DEPTH + 1, "x")
+_VERIFY_OPTIONS = {
+    "holder": [_opt("--level", _ints(-2, 7, 13, "x")), _opt("--refine", _ints(-2, 2))],
+    "claim2": [_opt("--grid", _ints(-2, 12))],
+    "claim3": [_opt("--samples", _ints(-2, 4)), _opt("--seed", _ints(-3, 3))],
+    # cone defaults to 10**4 samples, so a size is always given
+    "cone": [_ints(-2, 30).map(lambda v: ["--samples", str(v)]), _opt("--depth", _DEPTHS), _opt("--seed", _ints(-3, 3))],
+    "oscillation": [_opt("--t-hat", _RATIONALS), _opt("--scales", _ints(-2, 6))],
+    "blowup-divergence": [
+        _opt("--depth", _DEPTHS),
+        _opt("--t-hat", st.sampled_from(["0", "1/7", "-3", "7/2"])),
+        _opt("--target1", _RATIONALS),
+        _opt("--target2", _RATIONALS),
+        _opt("--radius", _RATIONALS),
+        _opt("--tol", st.sampled_from(["1/100", "1/10000", "1/100000000", "0", "-1/10", "x"])),
+        _opt("--offsets", st.sampled_from(["", "0", "-1,1", "1/4,1/2", "x,1"])),
+    ],
+    "nonsense": [],
+}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["eval", "plot-iterates", "plot-ifs", "verify", "nonsense"]))
+    if cmd == "eval":
+        return [cmd, draw(_RATIONALS), *draw(_opt("--depth", _ints(-3, 80, MAX_DEPTH + 1, "x")))]
+    if cmd == "plot-iterates":
+        levels = ",".join(map(str, draw(st.lists(_ints(-2, 5, 13, "x"), max_size=3))))
+        return [cmd, "--levels", levels, *draw(_opt("--format", st.sampled_from(["svg", "csv", "png"]))), *draw(_OUT)]
+    if cmd == "plot-ifs":
+        return [cmd, *draw(_opt("--depth", _ints(-2, 4, 9))), *draw(_OUT)]
+    if cmd == "nonsense":
+        return [cmd]
+    campaign = draw(st.sampled_from(sorted(_VERIFY_OPTIONS)))
+    argv = [cmd, campaign]
+    for option in _VERIFY_OPTIONS[campaign]:
+        argv += draw(option)
+    return argv + draw(st.sampled_from([[], ["--timing"]])) + draw(_OUT)
+
+
+class TestArgumentVectors:
+    @settings(max_examples=80, deadline=None)
+    @given(argv=_argv())
+    def test_documented_exit_code(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"@file": os.path.join(tmp, "out"), "@dir": tmp, "@missing/out": os.path.join(tmp, "no", "out")}
+            argv = [paths.get(a, a) for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2, 3)

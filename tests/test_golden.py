@@ -25,10 +25,16 @@ CASES = [
      "5db080f157aa7630e5c5ded51579913191d1d68e1389de5d4e11426e900913b7"),
     (["verify", "cone", "--samples", "200", "--depth", "30"], "stdout",
      "3ba2ae22a2d4e05d343c4a30f8dcbcc21addc2c3913bf0da8dd74553492cc484"),
+    (["verify", "cone", "--samples", "200", "--depth", "30", "--seed", "77"], "stdout",
+     "582e4ad09ab36517144d044c74698a1ff487f177cdaab1d2d6efc9fa7caecfcf"),
+    (["verify", "cone", "--samples", "200", "--depth", "60"], "stdout",
+     "19d79b76f84732d2a1fac5afcef19903727882bc2a07278a1237f98e04aa1625"),
     (["verify", "oscillation", "--t-hat", "7/2", "--scales", "12"], "stdout",
      "8a74961515cef38542f3d2ee0ef6972c406149a4a48936509a0e498de92c126f"),
     (["verify", "blowup-divergence"], "stdout",
      "579739364fe51e10ae97602544a869e56fb127384b2f396e14d7a68890cb98ff"),
+    (["verify", "blowup-divergence", "--depth", "30"], "stdout",
+     "9a1332f1458f9ee9ee5c5849ad9b60a11486e04655c110fd90d9e6667c6cb107"),
     (["plot-iterates", "--levels", "0,1,2,3,4"], "file",
      "b470ecc8e82b74575012ee1be92660510b30e4a80af5d0bc836b5288e2defda1"),
     (["plot-iterates", "--levels", "0,1,2,3,4", "--format", "csv"], "file",

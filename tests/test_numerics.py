@@ -260,3 +260,104 @@ class TestIntervalProperties:
         f = F(float(num) / math.sqrt(float(denom_sq)))
         slack = abs(f) * F(1, 2**50)
         assert e.lo - slack <= f <= e.hi + slack
+
+
+# ----------------------------------------------------------------------
+# Reference bodies of cmp_abs_sq, sqrt_enclose, Interval.point, abs and
+# max_of, which coerce every argument and compare Fractions: the fast
+# paths must match them value for value and exception for exception.
+
+
+def ref_cmp_abs_sq(a, b):
+    a, b = F(a), F(b)
+    lhs = a.numerator * a.numerator * b.denominator
+    rhs = abs(b.numerator) * a.denominator * a.denominator
+    if lhs < rhs:
+        return Ordering.LESS
+    if lhs == rhs:
+        return Ordering.EQUAL
+    return Ordering.GREATER
+
+
+def ref_sqrt_enclose(x, width=F(1, 2**30)):
+    x, width = F(x), F(width)
+    if x < 0:
+        raise NegativeInput(f"sqrt of negative rational {x}")
+    if width <= 0:
+        raise ValueError("width must be positive")
+    p, q = x.numerator, x.denominator
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp == p and rq * rq == q:
+        return Interval.point(F(rp, rq))
+    m = p * q
+    t = -((-2 * width.denominator) // (width.numerator * q))
+    k = (t - 1).bit_length() if t > 1 else 0
+    s = math.isqrt(m << (2 * k))
+    den = (1 << k) * q
+    if s * s == m << (2 * k):
+        return Interval.point(F(s, den))
+    return Interval(F(s, den), F(s + 1, den))
+
+
+def ref_point(q):
+    q = F(q)
+    return Interval(q, q)
+
+
+def ref_abs(i):
+    if i.lo >= 0:
+        return i
+    if i.hi <= 0:
+        return Interval(-i.hi, -i.lo)
+    return Interval(F(0), max(-i.lo, i.hi))
+
+
+def ref_max_of(a, b):
+    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def exact(value):
+    """A result with the type of every rational in it, so 1 and Fraction(1) differ."""
+    if isinstance(value, Interval):
+        return Interval, type(value.lo), value.lo, type(value.hi), value.hi
+    return value
+
+
+SCALARS = [F(-7, 3), -2, F(-1, 9), 0, F(0), False, True, F(1, 3), _Sub(1, 3), _Sub(4, 9), 1, F(4, 9), 2, F(5, 2),
+           9, 0.5, 0.1, -0.25, float("nan"), "2/7", "9/4", None]
+WIDTHS = [F(1, 2**30), F(1, 10), 1, F(3, 2), 0, F(0), -1, F(-1, 3), 0.25, "1/1000", _Sub(1, 8), True, False, None]
+
+
+class TestFastPathReference:
+    def test_cmp_abs_sq(self):
+        for a in SCALARS:
+            for b in SCALARS:
+                assert outcome(cmp_abs_sq, a, b) == outcome(ref_cmp_abs_sq, a, b)
+
+    def test_sqrt_enclose(self):
+        xs = SCALARS + [F(2), F(77, 81), F(10**30 + 1, 7**20), F(1, 10**40)]
+        for x in xs:
+            for width in WIDTHS:
+                got = outcome(sqrt_enclose, x, width)
+                assert exact(got) == exact(outcome(ref_sqrt_enclose, x, width))
+        for x in xs:
+            assert exact(outcome(sqrt_enclose, x)) == exact(outcome(ref_sqrt_enclose, x))
+
+    def test_point(self):
+        for q in SCALARS:
+            assert exact(outcome(Interval.point, q)) == exact(outcome(ref_point, q))
+
+    def test_abs_and_max_of(self):
+        ends = [F(-5, 2), F(-1, 3), 0, F(1, 7), F(4, 3)]
+        xs = [Interval(a, b) for a in ends for b in ends if a <= b]
+        for x in xs:
+            assert exact(x.abs()) == exact(ref_abs(x))
+            for y in xs:
+                assert exact(Interval.max_of(x, y)) == exact(ref_max_of(x, y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=rationals, b=rationals, c=rationals, d=rationals)
+    def test_max_of_and_abs_properties(self, a, b, c, d):
+        x, y = Interval(min(a, b), max(a, b)), Interval(min(c, d), max(c, d))
+        assert Interval.max_of(x, y) == ref_max_of(x, y) == Interval.max_of(y, x)
+        assert x.abs() == ref_abs(x)

@@ -12,6 +12,7 @@ from lipgraph.numerics import Interval, Ordering, ZeroDenominator, cmp_abs_sq, q
 from lipgraph.selfsim import (
     _DESCENTS_KEPT,
     BRANCHES,
+    MAX_DEPTH,
     MAX_LEVEL,
     UNIT_CURVE,
     UNIT_MIN_OFFSET,
@@ -300,6 +301,24 @@ class TestDomainFold:
             assert 0 <= r <= 1
             assert reduce_domain(-t) == r
             assert reduce_domain(t + 2) == r
+
+    def test_matches_fraction_reference(self):
+        def ref_reduce_domain(t):
+            t = F(t) % 2
+            return 2 - t if t > 1 else t
+
+        def typed(fn, t):
+            try:
+                r = fn(t)
+                return type(r), r, r.numerator, r.denominator
+            except (ArithmeticError, ValueError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        ts = [F(i, 1000) for i in range(-2000, 2001)] + [F(k, 7) for k in range(-30, 31)]
+        ts += [0, 1, 2, 3, -1, -4, 10**30 + 1, False, True, _SubF(5, 3), _SubF(1, 3), 0.75, -2.5, 1e300,
+               "17/7", "-1/3", float("nan"), float("inf"), None, F(-10**40 - 3, 10**20 + 7)]
+        for t in ts:
+            assert typed(reduce_domain, t) == typed(ref_reduce_domain, t)
 
 
 class TestDiffQuotient:
@@ -723,6 +742,37 @@ class TestResumableDescent:
             curve.eval_limit(F(i, 3 * _DESCENTS_KEPT), 8)
             assert len(curve._descents) <= _DESCENTS_KEPT
         assert curve == UNIT_CURVE and repr(curve) == repr(UNIT_CURVE)
+
+    def test_store_keeps_every_descent_until_full(self, monkeypatch):
+        curve = Curve()
+        grid = [F(i, _DESCENTS_KEPT - 1) for i in range(_DESCENTS_KEPT)]
+        for t in grid:
+            curve.eval_limit(t, 30)
+        assert len(curve._descents) == _DESCENTS_KEPT
+        steps = []
+        step = Curve.locate_branch
+        monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append(q) or step(self, pd, q))
+        for t in grid:
+            assert curve.eval_limit(t, 30) == fresh_eval_limit(UNIT_CURVE, t, 30)
+        steps.clear()
+        for t in grid:
+            curve.eval_limit(t, 30)
+        assert steps == [] and len(curve._descents) == _DESCENTS_KEPT
+        curve.eval_limit(F(1, 7), 30)  # one point more clears the store
+        assert list(curve._descents) == [(1, 7)]
+
+    def test_depth_cap(self, monkeypatch):
+        assert UNIT_CURVE.eval_limit(F(1, 2), MAX_DEPTH) == fresh_eval_limit(UNIT_CURVE, F(1, 2), MAX_DEPTH)
+        curve = Curve()
+
+        def no_descent(*args):
+            raise AssertionError("descent started above the depth cap")
+
+        monkeypatch.setattr(Curve, "_descend", no_descent)
+        for depth in (MAX_DEPTH + 1, 10**12):
+            with pytest.raises(DepthTooLarge, match=f"depth {depth} exceeds cap {MAX_DEPTH}"):
+                curve.eval_limit(F(1, 7), depth)
+        assert curve._descents == {}
 
     def test_non_integer_depth_refused_after_a_kept_descent(self):
         curve = Curve()
