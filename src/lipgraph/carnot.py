@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, neg
 from typing import Iterable, Optional, Sequence, Union
 
@@ -168,8 +167,7 @@ def _euclid(v: tuple[Fraction, ...], width: Fraction) -> Interval:
 
 
 def is_in_w(p: GroupPoint) -> bool:
-    r = p.r
-    return not any(p.x) and r.__class__ is Interval and not r.lo.numerator and not r.hi.numerator
+    return not any(p.x) and p.r == _ZERO
 
 
 def beta(w: GroupPoint) -> Fraction:
@@ -255,14 +253,7 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
         raise NotGraphPoints("cone gap is defined for graph points, which have x = 0")
     d = mul(inv(p), q)
     w_part = GroupPoint(d.x, d.y, d.t, _ZERO)
-    width = _norm_width(depth) if type(depth) is int else _norm_width.__wrapped__(depth)
-    return hnorm(w_part, width) - d.r.abs()
-
-
-@lru_cache(maxsize=64)
-def _norm_width(depth: int) -> Fraction:
-    """The norm width (2/3)**depth of cone_gap, at least one factor."""
-    return _TWO_THIRDS ** max(depth, 1)
+    return hnorm(w_part, _TWO_THIRDS ** max(depth, 1)) - d.r.abs()
 
 
 def blowup_profile(

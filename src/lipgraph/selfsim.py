@@ -61,7 +61,9 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 
 # Descents each Curve keeps for eval_limit to resume; the store is cleared
 # when full.  A claim2 base point needs 3 live points and a 64-scale
-# oscillation scan about 130.
+# oscillation scan about 130.  Cone's profile arguments fold onto the 1 003
+# points of a 1/1000 grid, more than this bound holds, so a cone campaign
+# repeats descents the store has dropped (ROADMAP item 2).
 _DESCENTS_KEPT = 256
 
 _TWO_THIRDS = Fraction(2, 3)

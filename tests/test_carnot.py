@@ -374,7 +374,7 @@ _rng = random.Random(2026)
 GROUP_POINTS = [rand_point(_rng, k) for k in (2, 2, 2, 3, 3, 3) for _ in range(4)] + [identity(2), identity(3)]
 GRAPH_POINTS = [
     graph_point(w, depth)
-    for w in [w_point(0, 0), w_point(1, 0), w_point(0, 1), w_point(0, F(4, 9)), w_point(F(2, 7), F(-5, 9))]
+    for w in [w_point(0, 0), w_point(1, 0), w_point(0, 1), w_point(0, 2), w_point(0, F(4, 9)), w_point(F(2, 7), F(-5, 9))]
     + [w_point(F(_rng.randrange(-2000, 2001), 1000), F(_rng.randrange(-2000, 2001), 1000)) for _ in range(6)]
     + [w_point((F(1, 3), F(-2, 5)), F(1, 7)), w_point((0, 1), F(11, 13))]
     for depth in (1, 30)
@@ -415,7 +415,7 @@ class TestFastPathReference:
     def test_cone_gap(self):
         for p in GRAPH_POINTS + GROUP_POINTS[:3]:
             for q in GRAPH_POINTS:
-                for depth in (0, 1, 2, 5, 30, 60, -3, True, F(3), 2.0):  # 2 is cached before 2.0
+                for depth in (0, 1, 2, 5, 30, 60, -3, True, F(3), 2.0):
                     assert outcome(cone_gap, p, q, depth) == outcome(ref_cone_gap, p, q, depth)
 
     def test_is_in_w_and_beta(self):
