@@ -11,7 +11,7 @@ homogeneous dilation scales t quadratically, and the max norm
 
     |(x, y, t, r)| = max(|x|_2, |y|_2, |t| ** (1/2), |r|)
 
-is used throughout; with it the splitting below has cone constant 1.
+is used throughout; under it the cone constant is 1 (see `cone_gap`).
 
 The vertical subgroup W is {x = 0, r = 0} and the horizontal line V is
 spanned by the unit r direction.  A point of W is named by its t
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .numerics import Interval, RationalLike, sqrt_enclose
 from .selfsim import Curve, UNIT_CURVE, reduce_domain
@@ -43,6 +43,7 @@ from .selfsim import Curve, UNIT_CURVE, reduce_domain
 _FZERO = Fraction(0)
 _ZERO = Interval.point(_FZERO)
 _TWO_THIRDS = Fraction(2, 3)
+_BISECTION_STEPS = 200
 
 
 class DimensionMismatch(ValueError):
@@ -84,11 +85,6 @@ class GroupPoint:
     t: Fraction
     r: Interval
 
-    @property
-    def k(self) -> int:
-        """Topological dimension parameter: x and y have k - 1 entries."""
-        return len(self.x) + 1
-
 
 def point(
     x: Union[RationalLike, Iterable[RationalLike]] = 0,
@@ -104,15 +100,10 @@ def point(
     return GroupPoint(xv, yv, t if type(t) is Fraction else Fraction(t), rv)
 
 
-def identity(k: int = 2) -> GroupPoint:
-    zeros = (_FZERO,) * (k - 1)
-    return GroupPoint(zeros, zeros, _FZERO, _ZERO)
-
-
 def mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:
     px, py, qx, qy = p.x, p.y, q.x, q.y
     if len(px) != len(qx):
-        raise DimensionMismatch(f"k={p.k} times k={q.k}")
+        raise DimensionMismatch(f"k={len(px) + 1} times k={len(qx) + 1}")
     t = p.t + q.t
     twist = 0
     for a, b in zip(px, qy):
@@ -183,50 +174,6 @@ def w_point(
     """Convenience constructor for vertical-subgroup points."""
     yv = _vec(y)
     return GroupPoint((_FZERO,) * len(yv), yv, t if type(t) is Fraction else Fraction(t), _ZERO)
-
-
-@dataclass(frozen=True)
-class Splitting:
-    """The complementary pair: vertical subgroup W and horizontal line V."""
-
-    k: int
-    v0: GroupPoint
-    w0: GroupPoint
-
-
-def standard_splitting(k: int = 2) -> Splitting:
-    """Unit directions: v0 spans V (the r axis), w0 is the unit t direction in W.
-
-    Both have homogeneous norm exactly 1.
-    """
-    if k < 2:
-        raise DimensionMismatch("need k >= 2")
-    zeros = (Fraction(0),) * (k - 1)
-    v0 = GroupPoint(zeros, zeros, Fraction(0), Interval.point(1))
-    w0 = GroupPoint(zeros, zeros, Fraction(1), _ZERO)
-    return Splitting(k, v0, w0)
-
-
-@dataclass(frozen=True)
-class ConeConstant:
-    """Cone parameters of the splitting under the max norm.
-
-    value is the intrinsic Lipschitz cone constant C; the graph built
-    here avoids translates of the open double cone of aperture
-    2 * C**(1/2) * |v0| = doubled_aperture.
-    """
-
-    value: Fraction
-
-    @property
-    def doubled_aperture(self) -> Fraction:
-        root = sqrt_enclose(self.value)
-        if not root.is_point():
-            raise ValueError("cone constant must be a rational square")
-        return 2 * root.lo
-
-
-CONE_CONSTANT = ConeConstant(Fraction(1))
 
 
 def graph_point(w: GroupPoint, depth: int, curve: Curve = UNIT_CURVE) -> GroupPoint:
@@ -317,7 +264,6 @@ def solve_quotient(
     bracket: tuple[RationalLike, RationalLike],
     tol: RationalLike,
     curve: Curve = UNIT_CURVE,
-    max_iter: int = 200,
     max_depth: int = 256,
 ) -> Fraction:
     """Offset s with certified |q(t_hat + s, t_hat) - target| <= tol.
@@ -368,7 +314,7 @@ def solve_quotient(
             f"target {target} not straddled: endpoints enclose {ea} and {eb}"
         )
     lo, hi = a, b
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_STEPS):
         m = (lo + hi) / 2
         em = enclose(m)
         if em.inside_ball(target, tol):
@@ -382,4 +328,4 @@ def solve_quotient(
             # implies acceptance above; reaching here means tol is
             # unreachable after all.
             raise TolTooTight("enclosure straddles target without meeting tol")
-    raise TolTooTight(f"no certified solution within {max_iter} bisection steps")
+    raise TolTooTight(f"no certified solution within {_BISECTION_STEPS} bisection steps")

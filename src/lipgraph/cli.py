@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
-from .selfsim import Curve, DepthTooLarge, MAX_DEPTH, MAX_LEVEL, OutOfDomain, UNIT_CURVE, reduce_domain
+from .selfsim import DepthTooLarge, MAX_DEPTH, MAX_LEVEL, OutOfDomain, UNIT_CURVE
+from .selfsim import reduce_domain, window_start_depth
 from .carnot import w_point
 from .verify import (
     REFERENCE_SEED,
@@ -66,9 +66,15 @@ def _dec(q: Fraction, places: int = 6) -> str:
     return sign + s
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_text(path: str, text: str) -> bool:
+    """Write text to path; False, after saying why on stderr, if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -85,55 +91,46 @@ _SVG_HEADER = (
 )
 
 
-def svg_iterates(levels: Sequence[int], curve: Curve = UNIT_CURVE) -> str:
+def _polyline(breakpoints, color: str, width: str) -> str:
+    """SVG polyline through an iterate's breakpoints, with v = 1 at the top."""
+    pts = " ".join(f"{_dec(t)},{_dec(1 - v)}" for t, v in breakpoints)
+    return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{pts}" />\n'
+
+
+def svg_iterates(levels: Sequence[int]) -> str:
     """SVG with one polyline per requested iterate level."""
     parts = [_SVG_HEADER]
     for idx, n in enumerate(levels):
-        pl = curve.iterate(n)
-        pts = " ".join(f"{_dec(t)},{_dec(1 - v)}" for t, v in pl.breakpoints)
-        color = _PALETTE[idx % len(_PALETTE)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="0.004" '
-            f'points="{pts}" />\n'
-        )
+        parts.append(_polyline(UNIT_CURVE.iterate(n).breakpoints, _PALETTE[idx % len(_PALETTE)], "0.004"))
     parts.append("</svg>\n")
     return "".join(parts)
 
 
-def csv_iterates(levels: Sequence[int], curve: Curve = UNIT_CURVE) -> str:
+def csv_iterates(levels: Sequence[int]) -> str:
     rows = ["level,t,u"]
     for n in levels:
-        pl = curve.iterate(n)
+        pl = UNIT_CURVE.iterate(n)
         for t, v in pl.breakpoints:
             rows.append(f"{n},{t},{v}")
     return "\n".join(rows) + "\n"
 
 
-def svg_ifs(depth: int, curve: Curve = UNIT_CURVE) -> str:
+def svg_ifs(depth: int) -> str:
     """SVG of the depth-level cell rectangles with the iterate overlaid.
 
-    Each cell is the image of the unit square under one branch word:
-    horizontally the composed x map, vertically the composed y map.
+    Each cell is the image of the unit square under one branch word, and
+    the iterate at the same level runs from one corner of each cell to
+    the opposite one; so two consecutive breakpoints span a cell.
     """
+    bps = UNIT_CURVE.iterate(depth).breakpoints
     parts = [_SVG_HEADER]
-    for word in product(curve.branches, repeat=depth):
-        xa, xb = Fraction(1), Fraction(0)
-        ya, yb = Fraction(1), Fraction(0)
-        for br in word:
-            xa, xb = xa * br.x_scale, xa * br.x_offset + xb
-            ya, yb = ya * br.y_scale, ya * br.y_offset + yb
-        y_lo, y_hi = (yb, ya + yb) if ya >= 0 else (ya + yb, yb)
+    for (t0, v0), (t1, v1) in zip(bps, bps[1:]):
         parts.append(
-            f'<rect x="{_dec(xb)}" y="{_dec(1 - y_hi)}" width="{_dec(xa)}" '
-            f'height="{_dec(y_hi - y_lo)}" fill="#a8c7e0" fill-opacity="0.35" '
+            f'<rect x="{_dec(t0)}" y="{_dec(1 - max(v0, v1))}" width="{_dec(t1 - t0)}" '
+            f'height="{_dec(abs(v1 - v0))}" fill="#a8c7e0" fill-opacity="0.35" '
             f'stroke="#35506b" stroke-width="0.0015" />\n'
         )
-    pl = curve.iterate(depth)
-    pts = " ".join(f"{_dec(t)},{_dec(1 - v)}" for t, v in pl.breakpoints)
-    parts.append(
-        f'<polyline fill="none" stroke="#c1533e" stroke-width="0.003" '
-        f'points="{pts}" />\n'
-    )
+    parts.append(_polyline(bps, "#c1533e", "0.003"))
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -164,10 +161,7 @@ def _cmd_plot_iterates(args: argparse.Namespace) -> int:
     text = (
         svg_iterates(args.levels) if args.format == "svg" else csv_iterates(args.levels)
     )
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+    if not _write_text(args.out, text):
         return 3
     print(f"wrote {args.out} ({len(text)} bytes, levels {args.levels})")
     return 0
@@ -178,10 +172,7 @@ def _cmd_plot_ifs(args: argparse.Namespace) -> int:
         print(f"depth {args.depth} outside [1, {_MAX_IFS_DEPTH}]", file=sys.stderr)
         return 2
     text = svg_ifs(args.depth)
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+    if not _write_text(args.out, text):
         return 3
     print(f"wrote {args.out} ({len(text)} bytes, depth {args.depth})")
     return 0
@@ -202,6 +193,11 @@ def _run_campaign(args: argparse.Namespace) -> Report:
         depth = args.depth if args.depth is not None else 30
         return verify_cone(count, depth, args.seed)
     if name == "oscillation":
+        cap = 0  # the largest j whose window at delta = 9**-j can start within MAX_DEPTH
+        while window_start_depth(2 * (cap + 1)) <= MAX_DEPTH:
+            cap += 1
+        if args.scales > cap:
+            raise DepthTooLarge(f"{args.scales} scales exceed cap {cap}")
         return oscillation_scan(args.t_hat, [Fraction(1, 9**j) for j in range(1, args.scales + 1)])
     if name == "blowup-divergence":
         depth = args.depth if args.depth is not None else 40
@@ -228,10 +224,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     text = report.to_json(include_timing=args.timing)
     if args.out:
-        try:
-            _write_text(args.out, text)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        if not _write_text(args.out, text):
             return 3
         print(
             f"campaign={report.campaign} checked={report.checked} "

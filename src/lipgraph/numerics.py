@@ -4,9 +4,9 @@ Everything downstream reduces numeric truth to two primitives:
 
 * exact order tests between a rational and the square root of a rational,
   decided by integer cross multiplication (`cmp_abs_sq`), and
-* certified enclosures of square roots and of quotients by square roots,
-  produced from `math.isqrt` at a caller-chosen width (`sqrt_enclose`,
-  `quotient_enclose`).
+* certified enclosures of square roots, produced from `math.isqrt` at a
+  caller-chosen width (`sqrt_enclose`); a quotient by a root is the
+  Interval division `num / sqrt_enclose(...)`.
 
 No floating point enters any verdict.  Floats appear only in display
 helpers and performance heuristics elsewhere in the package.
@@ -104,13 +104,6 @@ class Interval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, q: RationalLike) -> bool:
-        q = Fraction(q)
-        return self.lo <= q <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)
 
@@ -205,43 +198,3 @@ def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> I
     if s * s == m << (2 * k):
         return Interval.point(Fraction(s, den))
     return Interval(Fraction(s, den), Fraction(s + 1, den))
-
-
-def quotient_enclose(
-    num: RationalLike,
-    denom_sq: RationalLike,
-    width: RationalLike = Fraction(1, 2**30),
-) -> Interval:
-    """Enclosure of ``num / denom_sq ** (1/2)`` of width at most ``width``.
-
-    denom_sq must be strictly positive.  Exact whenever denom_sq is the
-    square of a rational (then the quotient is rational).
-    """
-    num = Fraction(num)
-    denom_sq = Fraction(denom_sq)
-    width = Fraction(width)
-    if denom_sq == 0:
-        raise ZeroDenominator("quotient by sqrt(0)")
-    if denom_sq < 0:
-        raise NegativeInput(f"sqrt of negative rational {denom_sq}")
-    if width <= 0:
-        raise ValueError("width must be positive")
-    p, q = denom_sq.numerator, denom_sq.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Interval.point(num / Fraction(rp, rq))
-    if num == 0:
-        return Interval.point(0)
-    # First guess sized so one pass usually suffices; halve until sound
-    # division through the root enclosure meets the requested width.
-    w = width * denom_sq / abs(num)
-    while True:
-        root = sqrt_enclose(denom_sq, w)
-        if root.lo > 0:
-            if num > 0:
-                cand = Interval(num / root.hi, num / root.lo)
-            else:
-                cand = Interval(num / root.lo, num / root.hi)
-            if cand.width() <= width:
-                return cand
-        w = w / 4

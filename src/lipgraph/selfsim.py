@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
-from typing import Optional, Sequence
+from typing import Iterable
 
-from .numerics import Interval, RationalLike, quotient_enclose, sqrt_enclose
+from .numerics import Interval, RationalLike, sqrt_enclose
 
 MAX_LEVEL = 12
 
@@ -75,7 +75,7 @@ class OutOfDomain(ValueError):
 
 
 class DepthTooLarge(ValueError):
-    """Requested level or pair count exceeds the configured cap."""
+    """Requested iterate level, descent depth, pair count or scale count exceeds its cap."""
 
 
 class CoincidentPoints(ValueError):
@@ -117,15 +117,6 @@ class Branch:
     @property
     def x_hi(self) -> Fraction:
         return self.x_offset + self.x_scale
-
-    def x_map(self, t: RationalLike) -> Fraction:
-        return self.x_scale * Fraction(t) + self.x_offset
-
-    def y_map(self, v: RationalLike) -> Fraction:
-        return self.y_scale * Fraction(v) + self.y_offset
-
-    def x_inverse(self, t: RationalLike) -> Fraction:
-        return (Fraction(t) - self.x_offset) / self.x_scale
 
 
 BRANCHES: tuple[Branch, ...] = (
@@ -198,9 +189,6 @@ class PiecewiseLinear:
         if pts[-1] != (1, 1):
             raise InvalidCurve(f"curve must end at (1, 1), got {pts[-1]}")
 
-    def __len__(self) -> int:
-        return len(self.breakpoints)
-
     def value(self, t: RationalLike) -> Fraction:
         """Exact value at t by linear interpolation."""
         t = Fraction(t)
@@ -271,7 +259,6 @@ class Curve:
     """
 
     branches: tuple[Branch, ...] = BRANCHES
-    max_level: int = MAX_LEVEL
 
     def __post_init__(self) -> None:
         dx = math.lcm(*(f.denominator for br in self.branches for f in (br.x_scale, br.x_offset)))
@@ -353,8 +340,8 @@ class Curve:
         """
         if n < 0:
             raise OutOfDomain("level must be nonnegative")
-        if n > self.max_level:
-            raise DepthTooLarge(f"level {n} exceeds cap {self.max_level}")
+        if n > MAX_LEVEL:
+            raise DepthTooLarge(f"level {n} exceeds cap {MAX_LEVEL}")
         dx, ey = self._dx, self._ey
         pts: list[tuple[int, int]] = [(0, 0), (1, 1)]
         xd = yd = 1  # dx**k and ey**k at level k
@@ -383,8 +370,8 @@ class Curve:
             raise OutOfDomain(f"t={t} outside [0, 1]")
         if n < 0:
             raise OutOfDomain("level must be nonnegative")
-        if n > self.max_level:
-            raise DepthTooLarge(f"level {n} exceeds cap {self.max_level}")
+        if n > MAX_LEVEL:
+            raise DepthTooLarge(f"level {n} exceeds cap {MAX_LEVEL}")
         p, q, a, b, k = self._descend((t.numerator, t.denominator, 1, 0, 0), n, False)
         return Fraction(a * p + b * q, q * self._ey**k)
 
@@ -461,20 +448,15 @@ class Curve:
         return q if s > t else -q
 
     def diff_quotient_within(
-        self,
-        s: RationalLike,
-        t: RationalLike,
-        width: RationalLike,
-        start_depth: int = 16,
-        max_depth: int = 256,
+        self, s: RationalLike, t: RationalLike, width: RationalLike, max_depth: int = 256
     ) -> Interval:
-        """Quotient enclosure no wider than width, deepening as needed.
+        """Quotient enclosure no wider than width, deepening from depth 16 as needed.
 
         Returns the best enclosure found if max_depth is reached first;
         the caller decides whether an overwide result is a failure.
         """
         width = Fraction(width)
-        depth = max(4, start_depth)
+        depth = 16
         best = self.diff_quotient(s, t, depth)
         while best.width() > width and depth < max_depth:
             depth = min(max_depth, depth * 2)
@@ -540,40 +522,34 @@ class Curve:
             return Fraction(5, 9), Fraction(1), 1
         return Fraction(0), Fraction(4, 9), -1
 
-    def unit_witnesses(
-        self,
-        t0: RationalLike,
-        floor: Optional[Interval] = None,
-        depths: Sequence[int] = (16, 24, 32, 48, 64, 96),
+    def _deepen(
+        self, s1: Fraction, s2: Fraction, t: Fraction, side: int, depths: Iterable[int]
     ) -> QuotientWitness:
+        """Witness for the probes s1, s2 at t at the first of depths whose gap clears the floor.
+
+        If none does, the last gap is returned for the caller to judge.
+        """
+        floor_hi = quotient_gap_floor().hi
+        for depth in depths:
+            gap = (self.diff_quotient(s1, t, depth) - self.diff_quotient(s2, t, depth)).abs()
+            if gap.lo >= floor_hi:
+                break
+        return QuotientWitness(s1, s2, gap, side)
+
+    def unit_witnesses(self, t0: RationalLike) -> QuotientWitness:
         """Probe pair at unit scale with a certified quotient gap.
 
         The returned gap_lower_bound encloses |q(s1,t0) - q(s2,t0)|.
-        Depth increases until the lower endpoint clears the requested
-        floor (default: the guaranteed gap floor); if the schedule is
-        exhausted the best enclosure is returned for the caller to
-        judge.
+        Depth runs through 16, 24, 32, 48, 64 and 96 until the lower
+        endpoint clears the guaranteed gap floor.
         """
         t0 = Fraction(t0)
         if not 0 <= t0 <= 1:
             raise OutOfDomain(f"t0={t0} outside [0, 1]")
         s1, s2, side = self._unit_probe(t0)
-        floor_hi = (floor or quotient_gap_floor()).hi
-        gap = None
-        for depth in depths:
-            q1 = self.diff_quotient(s1, t0, depth)
-            q2 = self.diff_quotient(s2, t0, depth)
-            gap = (q1 - q2).abs()
-            if gap.lo >= floor_hi:
-                break
-        return QuotientWitness(s1, s2, gap, side)
+        return self._deepen(s1, s2, t0, side, (16, 24, 32, 48, 64, 96))
 
-    def window_witnesses(
-        self,
-        t: RationalLike,
-        delta: RationalLike,
-        floor: Optional[Interval] = None,
-    ) -> QuotientWitness:
+    def window_witnesses(self, t: RationalLike, delta: RationalLike) -> QuotientWitness:
         """Probe pair at scale delta with a certified quotient gap.
 
         Descends to the first cell of length at most delta containing t,
@@ -586,35 +562,31 @@ class Curve:
         cell = self.locate_cell(t, delta)
         t0 = cell.inverse(t)
         b1, b2, side = self._unit_probe(t0)
-        s1, s2 = cell(b1), cell(b2)
-        floor_hi = (floor or quotient_gap_floor()).hi
         # Probe values are exact breakpoint images, so enclosure width is
         # driven by u(t) alone; size the starting depth to the cell scale.
-        start = 16
-        if cell.a < 1:
-            try:
-                start += max(0, int(2.2 * math.log(1 / float(cell.a), 3)))
-            except (OverflowError, ZeroDivisionError):
-                # 1/a overflows a float once a < 5.6e-309 (from about
-                # delta = 9**-323): take the logarithms of the integers.
-                start += int(2.2 * (math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3)))
-        gap = None
-        depth = start
-        for _ in range(6):
-            q1 = self.diff_quotient(s1, t, depth)
-            q2 = self.diff_quotient(s2, t, depth)
-            gap = (q1 - q2).abs()
-            if gap.lo >= floor_hi:
-                break
-            depth += 24
-        return QuotientWitness(s1, s2, gap, side)
+        try:
+            start = window_start_depth(math.log(1 / float(cell.a), 3))
+        except (OverflowError, ZeroDivisionError):
+            # 1/a overflows a float once a < 5.6e-309 (from about
+            # delta = 9**-323): take the logarithms of the integers.
+            start = window_start_depth(math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3))
+        return self._deepen(cell(b1), cell(b2), t, side, range(start, start + 6 * 24, 24))
+
+
+def window_start_depth(log3_inv_a: float) -> int:
+    """First depth window_witnesses tries in a cell of length a, given log_3(1/a).
+
+    A window at delta has a cell of length a <= delta, so it starts at
+    window_start_depth(log_3(1/delta)) or deeper.
+    """
+    return 16 + max(0, int(2.2 * log3_inv_a))
 
 
 UNIT_CURVE = Curve()
 
 
 @lru_cache(maxsize=None)
-def quotient_gap_floor(width: Fraction = Fraction(1, 10**12)) -> Interval:
+def quotient_gap_floor() -> Interval:
     """Certified enclosure of the guaranteed witness gap constant.
 
     The constant is the minimum of three closed-form terms:
@@ -623,11 +595,14 @@ def quotient_gap_floor(width: Fraction = Fraction(1, 10**12)) -> Interval:
 
     The first and third are irrational, so the minimum is returned as an
     enclosure; its value is about 0.0085484 and the first term attains
-    the minimum.
+    the minimum.  Each root term 1 / d ** (1/2) divides through a root
+    enclosure of width 10**-12 * d, so its own width is about 10**-12.
     """
-    t1 = (quotient_enclose(1, Fraction(77, 81), width) - 1).scale(Fraction(1, 3))
+    width = Fraction(1, 10**12)
+    d1, d3 = Fraction(77, 81), Fraction(5)
+    t1 = (Interval.point(1) / sqrt_enclose(d1, width * d1) - 1).scale(Fraction(1, 3))
     t2 = Interval.point(Fraction(7, 9) - Fraction(3, 5))
-    t3 = quotient_enclose(1, Fraction(5), width)
+    t3 = Interval.point(1) / sqrt_enclose(d3, width * d3)
     lo = min(t1.lo, t2.lo, t3.lo)
     hi = min(t1.hi, t2.hi, t3.hi)
     return Interval(lo, hi)

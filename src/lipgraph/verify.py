@@ -18,13 +18,14 @@ byte-stable.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .carnot import (
     GroupPoint,
@@ -53,6 +54,7 @@ from .selfsim import (
     WINDOW_OFFSET_RATIO,
     quotient_gap_floor,
     reduce_domain,
+    window_start_depth,
 )
 
 MAX_PAIRS = 2_000_000
@@ -91,7 +93,7 @@ class Report:
     wall_time_s: float
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
+        return {
             "campaign": self.campaign,
             "parameters": _jsonable(self.parameters),
             "checked": self.checked,
@@ -99,7 +101,6 @@ class Report:
             "certified": self.certified,
             "wall_time_s": self.wall_time_s if include_timing else None,
         }
-        return d
 
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(
@@ -198,6 +199,45 @@ def verify_holder(
 # witness campaigns
 
 
+def _check_witnesses(
+    campaign: str, params: dict, bases: Iterable, build: Callable, started: float
+) -> Report:
+    """The witness checks of claim2 and claim3.
+
+    bases yields (t, near, delta, key): a base point, the probe distances
+    [near, delta] its scale admits and the fields that name it in failure
+    records.  build(t, delta) makes the witness, whose probes must sit on
+    one side of t within those distances, with quotient gap certified
+    above the guaranteed gap floor.
+    """
+    floor = quotient_gap_floor()
+    failures = []
+    checked = 0
+    min_gap: Optional[Fraction] = None
+    for t, near, delta, key in bases:
+        checked += 1
+        try:
+            w = build(t, delta)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            failures.append({"kind": "construction", "detail": str(exc), **key})
+            continue
+        for s in (w.s1, w.s2):
+            dist = abs(s - t)
+            if not near <= dist <= delta:
+                failures.append({"kind": "offset-range", "s": str(s), "distance": str(dist), **key})
+            if (s - t) * w.side <= 0:
+                failures.append({"kind": "side", "s": str(s), **key})
+        lo = w.gap_lower_bound.lo
+        min_gap = lo if min_gap is None else min(min_gap, lo)
+        if lo < floor.hi:
+            failures.append(
+                {"kind": "gap-below-floor", "gap_lo": str(lo), "floor_hi": str(floor.hi), **key}
+            )
+    params["gap_floor"] = floor
+    params["min_gap_lo"] = min_gap
+    return _finish(campaign, params, checked, failures, started)
+
+
 def verify_unit_gap(grid_size: int, curve: Curve = UNIT_CURVE) -> Report:
     """Certify the unit-scale witness pair over a uniform base-point grid.
 
@@ -209,43 +249,11 @@ def verify_unit_gap(grid_size: int, curve: Curve = UNIT_CURVE) -> Report:
     started = time.perf_counter()
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
-    floor = quotient_gap_floor()
-    params = {
-        "grid_size": grid_size,
-        "min_offset": UNIT_MIN_OFFSET,
-        "gap_floor": floor,
-    }
+    params = {"grid_size": grid_size, "min_offset": UNIT_MIN_OFFSET}
     den = grid_size - 1 if grid_size > 1 else 1
-    failures = []
-    min_gap: Optional[Fraction] = None
-    for i in range(grid_size):
-        t0 = Fraction(i, den)
-        try:
-            w = curve.unit_witnesses(t0, floor=floor)
-        except (ValueError, ZeroDivisionError) as exc:
-            failures.append({"kind": "construction", "t0": str(t0), "detail": str(exc)})
-            continue
-        for s in (w.s1, w.s2):
-            dist = abs(s - t0)
-            if not UNIT_MIN_OFFSET <= dist <= 1:
-                failures.append(
-                    {"kind": "offset-range", "t0": str(t0), "s": str(s), "distance": str(dist)}
-                )
-            if (s - t0) * w.side <= 0:
-                failures.append({"kind": "side", "t0": str(t0), "s": str(s)})
-        lo = w.gap_lower_bound.lo
-        min_gap = lo if min_gap is None else min(min_gap, lo)
-        if lo < floor.hi:
-            failures.append(
-                {
-                    "kind": "gap-below-floor",
-                    "t0": str(t0),
-                    "gap_lo": str(lo),
-                    "floor_hi": str(floor.hi),
-                }
-            )
-    params["min_gap_lo"] = min_gap
-    return _finish("claim2", params, grid_size, failures, started)
+    t0s = (Fraction(i, den) for i in range(grid_size))
+    bases = ((t0, UNIT_MIN_OFFSET, 1, {"t0": str(t0)}) for t0 in t0s)
+    return _check_witnesses("claim2", params, bases, lambda t0, _: curve.unit_witnesses(t0), started)
 
 
 def window_gap_samples(
@@ -275,39 +283,12 @@ def verify_window_gap(
     started = time.perf_counter()
     if not samples:
         raise ValueError("samples must be at least 1")
-    floor = quotient_gap_floor()
-    params = {
-        "samples": len(samples),
-        "offset_ratio": WINDOW_OFFSET_RATIO,
-        "gap_floor": floor,
-    }
-    failures = []
-    min_gap: Optional[Fraction] = None
-    for t, delta in samples:
-        t = Fraction(t)
-        delta = Fraction(delta)
-        key = {"t": str(t), "delta": str(delta)}
-        try:
-            w = curve.window_witnesses(t, delta, floor=floor)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            failures.append({"kind": "construction", "detail": str(exc), **key})
-            continue
-        for s in (w.s1, w.s2):
-            dist = abs(s - t)
-            if not WINDOW_OFFSET_RATIO * delta <= dist <= delta:
-                failures.append(
-                    {"kind": "offset-range", "s": str(s), "distance": str(dist), **key}
-                )
-            if (s - t) * w.side <= 0:
-                failures.append({"kind": "side", "s": str(s), **key})
-        lo = w.gap_lower_bound.lo
-        min_gap = lo if min_gap is None else min(min_gap, lo)
-        if lo < floor.hi:
-            failures.append(
-                {"kind": "gap-below-floor", "gap_lo": str(lo), "floor_hi": str(floor.hi), **key}
-            )
-    params["min_gap_lo"] = min_gap
-    return _finish("claim3", params, len(samples), failures, started)
+    params = {"samples": len(samples), "offset_ratio": WINDOW_OFFSET_RATIO}
+    pairs = ((Fraction(t), Fraction(delta)) for t, delta in samples)
+    bases = (
+        (t, WINDOW_OFFSET_RATIO * delta, delta, {"t": str(t), "delta": str(delta)}) for t, delta in pairs
+    )
+    return _check_witnesses("claim3", params, bases, curve.window_witnesses, started)
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +309,9 @@ def oscillation_scan(
     lie inside it.  t_hat may be any rational on the line; evaluation
     folds it into [0, 1] and offsets are reflected back, which preserves
     both their magnitudes and the certified gap.  A window that fails to
-    clear the gap floor is a failure record, not a proof of absence.
+    clear the gap floor is a failure record, not a proof of absence.  A
+    delta whose window would start deeper than MAX_DEPTH is refused
+    before the first window.
     """
     started = time.perf_counter()
     if not deltas:
@@ -338,10 +321,15 @@ def oscillation_scan(
     reflected = (t_hat % 2) > 1
     floor = quotient_gap_floor()
     deltas = [Fraction(d) for d in deltas]
+    for k, delta in enumerate(deltas, 1):
+        if delta > 0:
+            start = window_start_depth(math.log(delta.denominator, 3) - math.log(delta.numerator, 3))
+            if start > MAX_DEPTH:
+                raise DepthTooLarge(f"scale {k} would start at depth {start}, over cap {MAX_DEPTH}")
     windows = []
     failures = []
     for delta in deltas:
-        w = curve.window_witnesses(t_red, delta, floor=floor)
+        w = curve.window_witnesses(t_red, delta)
         o1, o2 = w.s1 - t_red, w.s2 - t_red
         if reflected:
             o1, o2 = -o1, -o2
@@ -485,7 +473,6 @@ def _rationalized_scale(
     target: Fraction,
     tol: Fraction,
     curve: Curve,
-    max_tries: int = 8,
 ) -> tuple[Fraction, Fraction, Interval]:
     """Rational dilation factor lam close to |s| ** (-1/2), recertified.
 
@@ -493,6 +480,7 @@ def _rationalized_scale(
     the enclosure of q(t_hat + s_real, t_hat) certified inside the ball
     of radius 2 * tol around the target.  Exact when 1/|s| is a rational
     square, so the canonical offsets 4/9 and 1 rationalise losslessly.
+    Eight candidates are tried, each denominator 2**8 times finer.
     """
     sigma = 1 if s > 0 else -1
     inv_abs = 1 / abs(s)
@@ -500,7 +488,7 @@ def _rationalized_scale(
     rp, rq = isqrt(p), isqrt(q)
     exact = rp * rp == p and rq * rq == q
     den = 2**32
-    for _ in range(max_tries):
+    for _ in range(8):
         if exact:
             lam = Fraction(rp, rq)
             exact = False

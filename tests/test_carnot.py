@@ -6,14 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from lipgraph.carnot import (
-    CONE_CONSTANT,
     DimensionMismatch,
     GroupPoint,
     NonPositiveLambda,
     NotBracketed,
     NotGraphPoints,
     NotInW,
-    Splitting,
     TolTooTight,
     beta,
     blowup_graph_sample,
@@ -22,13 +20,11 @@ from lipgraph.carnot import (
     dilate,
     graph_point,
     hnorm,
-    identity,
     inv,
     is_in_w,
     mul,
     point,
     solve_quotient,
-    standard_splitting,
     w_point,
 )
 from lipgraph.numerics import Interval, sqrt_enclose
@@ -60,6 +56,11 @@ def unembed(mat, r):
     return point(x, y, t, r)
 
 
+def unit(k):
+    """The group identity, with k - 1 entries in x and in y."""
+    return point((0,) * (k - 1), (0,) * (k - 1), 0, 0)
+
+
 def rand_point(rng, k=2, den=60):
     coords = lambda: tuple(F(rng.randrange(-3 * den, 3 * den + 1), den) for _ in range(k - 1))
     return point(coords(), coords(), F(rng.randrange(-3 * den, 3 * den + 1), den), 0)
@@ -86,7 +87,7 @@ class TestGroupLaw:
         for _ in range(40):
             p, q, s = (rand_point(rng, 3) for _ in range(3))
             assert mul(mul(p, q), s) == mul(p, mul(q, s))
-            e = identity(p.k)
+            e = unit(len(p.x) + 1)
             assert mul(p, e) == p and mul(e, p) == p
             assert mul(p, inv(p)) == e and mul(inv(p), p) == e
 
@@ -126,7 +127,7 @@ class TestDilationsAndNorm:
         assert hnorm(point(0, 0, F(1, 4))) == Interval.point(F(1, 2))
         assert hnorm(point(F(3, 4), F(1, 2), 0)) == Interval.point(F(3, 4))
         assert hnorm(point(0, 0, 0, F(-2, 3))) == Interval.point(F(2, 3))
-        assert hnorm(identity(2)) == Interval.point(0)
+        assert hnorm(unit(2)) == Interval.point(0)
 
     def test_norm_symmetric_and_homogeneous(self):
         rng = random.Random(10)
@@ -157,16 +158,11 @@ class TestSplitting:
             beta(point(1, 0, 0))
 
     def test_standard_splitting_units(self):
-        s = standard_splitting(2)
-        assert isinstance(s, Splitting)
-        assert hnorm(s.v0) == Interval.point(1)
-        assert hnorm(s.w0) == Interval.point(1)
-        assert s.v0.r == Interval.point(1) and s.v0.t == 0
-        assert s.w0.t == 1 and s.w0.r == Interval.point(0)
-
-    def test_cone_constant(self):
-        assert CONE_CONSTANT.value == 1
-        assert CONE_CONSTANT.doubled_aperture == 2
+        # v0 spans V (the r axis), w0 is the unit t direction in W; both have norm exactly 1
+        v0, w0 = point(0, 0, 0, 1), w_point(0, 1)
+        assert hnorm(v0) == Interval.point(1)
+        assert hnorm(w0) == Interval.point(1)
+        assert not is_in_w(v0) and is_in_w(w0)
 
 
 class TestGraphMap:
@@ -221,7 +217,8 @@ class TestBlowup:
         assert blowup_profile(0, 1, F(4, 9), 20) == Interval.point(F(2, 3))
 
     def test_profile_vanishes_at_zero_offset(self):
-        assert blowup_profile(F(1, 3), F(5, 2), 0, 30).contains(0)
+        enc = blowup_profile(F(1, 3), F(5, 2), 0, 30)
+        assert enc.lo <= 0 <= enc.hi
 
     def test_profile_scaling_identity(self):
         # lam * (u(t + h / lam**2) - u(t)) computed two ways must agree
@@ -306,7 +303,7 @@ def ref_w_point(y=0, t=0):
 
 def ref_mul(p, q):
     if len(p.x) != len(q.x):
-        raise DimensionMismatch(f"k={p.k} times k={q.k}")
+        raise DimensionMismatch(f"k={len(p.x) + 1} times k={len(q.x) + 1}")
     twist = sum(a * b for a, b in zip(p.x, q.y)) - sum(a * b for a, b in zip(p.y, q.x))
     return GroupPoint(
         tuple(a + b for a, b in zip(p.x, q.x)),
@@ -371,7 +368,7 @@ class _Sub(F):
 SCALARS = [F(-7, 3), -2, 0, F(0), False, True, F(1, 3), _Sub(1, 3), 1, F(5, 2), 0.5, 0.1, float("nan"), "2/7", None]
 VECTORS = SCALARS + [(), [F(1, 2)], (0, F(-3, 4)), [True, _Sub(2, 5), 0.25], (F(1), "1/9", -3), "12", [None]]
 _rng = random.Random(2026)
-GROUP_POINTS = [rand_point(_rng, k) for k in (2, 2, 2, 3, 3, 3) for _ in range(4)] + [identity(2), identity(3)]
+GROUP_POINTS = [rand_point(_rng, k) for k in (2, 2, 2, 3, 3, 3) for _ in range(4)] + [unit(2), unit(3)]
 GRAPH_POINTS = [
     graph_point(w, depth)
     for w in [w_point(0, 0), w_point(1, 0), w_point(0, 1), w_point(0, 2), w_point(0, F(4, 9)), w_point(F(2, 7), F(-5, 9))]

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipgraph import cli, verify
-from lipgraph.selfsim import MAX_DEPTH, Curve
-from lipgraph.verify import Report
+from lipgraph.carnot import NotBracketed, TolTooTight
+from lipgraph.selfsim import MAX_DEPTH, Curve, DepthTooLarge, OutOfDomain
+from lipgraph.verify import EmptyAfterRestriction, Report
 
 
 def run(args):
@@ -92,6 +93,28 @@ class TestPlots:
         with contextlib.redirect_stderr(io.StringIO()):
             code, _ = run(["plot-iterates", "--levels", "1", "--out", "/nonexistent-dir/x.svg"])
         assert code == 3
+
+
+# The exit-code table: each exception class a campaign raises on an argument
+# vector the parser accepts, with one such vector.  Every class is a
+# ValueError, which `verify` reports on stderr and maps to exit 2.
+EXIT_2_TABLE = [
+    (["verify", "holder", "--level", "-1"], OutOfDomain, "cannot run campaign: level must be nonnegative"),
+    (["verify", "holder", "--level", "13"], DepthTooLarge, "cannot run campaign: level 13 exceeds cap 12"),
+    (["verify", "holder", "--refine", "-1"], ValueError, "cannot run campaign: refine must be nonnegative"),
+    (["verify", "claim2", "--grid", "0"], ValueError, "cannot run campaign: grid_size must be at least 1"),
+    (["verify", "claim3", "--samples", "0"], ValueError, "cannot run campaign: samples must be at least 1"),
+    (["verify", "cone", "--samples", "0"], ValueError, "cannot run campaign: sample_count must be at least 1"),
+    (["verify", "cone", "--depth", "4097"], DepthTooLarge, "cannot run campaign: depth 4097 exceeds cap"),
+    (["verify", "oscillation", "--scales", "0"], ValueError, "cannot run campaign: scales must be at least 1"),
+    (["verify", "oscillation", "--scales", "928"], DepthTooLarge, "cannot run campaign: 928 scales exceed cap"),
+    (["verify", "blowup-divergence", "--tol", "0"], ValueError, "cannot run campaign: tol must be positive"),
+    (["verify", "blowup-divergence", "--depth", "4097"], DepthTooLarge, "cannot run campaign: depth 4097 exceeds cap"),
+    (["verify", "blowup-divergence", "--target1", "2"], NotBracketed, "cannot run campaign: target 2 not straddled"),
+    (["verify", "blowup-divergence", "--tol", f"1/{10**60}"], TolTooTight, "cannot run campaign: cannot reach quotient width"),
+    (["verify", "blowup-divergence", "--radius", "-1"], EmptyAfterRestriction,
+     "cannot run campaign: radius -1 keeps 0 of 6"),
+]
 
 
 class TestVerifyCommand:
@@ -199,6 +222,8 @@ class TestVerifyCommand:
             (["eval", "1/7", "--depth", "10000000000"], f"argument over cap: depth 10000000000 exceeds cap {MAX_DEPTH}"),
             (["verify", "cone", "--depth", str(MAX_DEPTH + 1)], f"cannot run campaign: depth {MAX_DEPTH + 1} exceeds cap {MAX_DEPTH}"),
             (["verify", "blowup-divergence", "--depth", "10000000000"], f"cannot run campaign: depth 10000000000 exceeds cap {MAX_DEPTH}"),
+            (["verify", "oscillation", "--scales", "928"], "cannot run campaign: 928 scales exceed cap 927"),
+            (["verify", "oscillation", "--scales", "10000000000"], "cannot run campaign: 10000000000 scales exceed cap 927"),
         ],
     )
     def test_depth_above_cap_refused_before_any_work(self, argv, message, monkeypatch):
@@ -208,11 +233,23 @@ class TestVerifyCommand:
         monkeypatch.setattr(Curve, "_descend", no_work)
         monkeypatch.setattr(verify, "w_point", no_work)
         monkeypatch.setattr(verify, "solve_quotient", no_work)
+        monkeypatch.setattr(cli, "oscillation_scan", no_work)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, out = run(argv)
         assert code == 2 and out == ""
         assert err.getvalue() == message + "\n"
+
+    @pytest.mark.parametrize("argv, exc_type, prefix", EXIT_2_TABLE, ids=[" ".join(row[0][1:]) for row in EXIT_2_TABLE])
+    def test_exit_code_table(self, argv, exc_type, prefix):
+        with pytest.raises(exc_type) as raised:
+            cli._run_campaign(cli.build_parser().parse_args(argv))
+        assert type(raised.value) is exc_type
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(argv)
+        assert code == 2 and out == ""
+        assert err.getvalue().startswith(prefix)
 
     def test_unknown_campaign_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -255,7 +292,8 @@ _VERIFY_OPTIONS = {
     "claim3": [_opt("--samples", _ints(-2, 4)), _opt("--seed", _ints(-3, 3))],
     # cone defaults to 10**4 samples, so a size is always given
     "cone": [_ints(-2, 30).map(lambda v: ["--samples", str(v)]), _opt("--depth", _DEPTHS), _opt("--seed", _ints(-3, 3))],
-    "oscillation": [_opt("--t-hat", _RATIONALS), _opt("--scales", _ints(-2, 6))],
+    # scale counts past the cap (928 and up) are refused before any work
+    "oscillation": [_opt("--t-hat", _RATIONALS), _opt("--scales", _ints(-2, 6, 928, 10**10))],
     "blowup-divergence": [
         _opt("--depth", _DEPTHS),
         _opt("--t-hat", st.sampled_from(["0", "1/7", "-3", "7/2"])),

@@ -41,6 +41,10 @@ CASES = [
      "ad38725e48ade9fe522a7b135665e40ee1741b0a2e271ec987147d733239d85e"),
     (["plot-ifs", "--depth", "3"], "file",
      "7610ef16ed37667447202f9c5058c6455b048e0997fdbe3459813778cc9de393"),
+    (["plot-ifs", "--depth", "5"], "file",
+     "ba3a7f513229c3c201359bfa48a61affc520bbb2cab0a682bca4cce557a379af"),
+    (["plot-ifs", "--depth", "8"], "file",
+     "0d2ccfeae511c453f7c7cfe423557eeff135b4d842493bee15559fb7b7dcbca7"),
     (["eval", "1/7", "--depth", "40"], "stdout",
      "a0c6e9593a313f84590fe943b0d50e33fea972e6dbf35d0ce5546066493b1277"),
 ]

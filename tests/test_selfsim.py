@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipgraph.numerics import Interval, Ordering, ZeroDenominator, cmp_abs_sq, quotient_enclose, sqrt_enclose
+from lipgraph.numerics import Interval, Ordering, ZeroDenominator, cmp_abs_sq, sqrt_enclose
 from lipgraph.selfsim import (
     _DESCENTS_KEPT,
     BRANCHES,
@@ -29,8 +29,14 @@ from lipgraph.selfsim import (
     UncoveredPoint,
     quotient_gap_floor,
     reduce_domain,
+    window_start_depth,
 )
 from lipgraph.verify import MUTABLE_FIELDS, perturbed_branches
+
+
+def inside(enc, q):
+    """Whether the exact value q lies in the enclosure enc."""
+    return enc.lo <= q <= enc.hi
 
 
 def u_float(t, iters=80):
@@ -69,12 +75,6 @@ class TestBranches:
         # the vertical contraction is the square root of the horizontal one
         for b in BRANCHES:
             assert b.y_scale**2 == b.x_scale
-
-    def test_affine_map_round_trip(self):
-        for b in BRANCHES:
-            assert b.x_map(0) == b.x_lo and b.x_map(1) == b.x_hi
-            assert b.y_map(0) == b.y_offset
-            assert b.x_inverse(b.x_map(F(1, 3))) == F(1, 3)
 
     def test_intervals_tile_the_domain(self):
         assert [(b.x_lo, b.x_hi) for b in BRANCHES] == [
@@ -240,9 +240,9 @@ class TestLimitFunction:
 
     def test_frozen_enclosures(self):
         assert UNIT_CURVE.eval_limit(F(2, 9), 2) == Interval(F(2, 9), F(4, 9))
-        assert UNIT_CURVE.eval_limit(F(2, 9), 2).contains(F(1, 3))
+        assert inside(UNIT_CURVE.eval_limit(F(2, 9), 2), F(1, 3))
         assert UNIT_CURVE.eval_limit(F(2, 9), 4) == Interval(F(26, 81), F(28, 81))
-        assert UNIT_CURVE.eval_limit(F(1, 2), 8).contains(F(1, 2))
+        assert inside(UNIT_CURVE.eval_limit(F(1, 2), 8), F(1, 2))
 
     def test_width_bound_and_nesting(self):
         rng = random.Random(22)
@@ -253,7 +253,7 @@ class TestLimitFunction:
                 enc = UNIT_CURVE.eval_limit(t, depth)
                 assert enc.width() <= F(2, 3) ** depth
                 if prev is not None:
-                    assert prev.encloses(enc)
+                    assert prev.lo <= enc.lo and enc.hi <= prev.hi
                 prev = enc
 
     def test_iterate_value_within_enclosure(self):
@@ -261,7 +261,7 @@ class TestLimitFunction:
         for _ in range(40):
             t = F(rng.randrange(0, 1001), 1000)
             for n in (2, 5):
-                assert UNIT_CURVE.eval_limit(t, n).contains(UNIT_CURVE.eval_iterate(n, t))
+                assert inside(UNIT_CURVE.eval_limit(t, n), UNIT_CURVE.eval_iterate(n, t))
 
     def test_against_float_oracle(self):
         rng = random.Random(44)
@@ -329,7 +329,7 @@ class TestDiffQuotient:
 
     def test_inverse_root_five(self):
         got = UNIT_CURVE.diff_quotient(F(5, 9), F(0), 30)
-        ref = quotient_enclose(F(1, 3), F(5, 9), F(1, 10**9))
+        ref = Interval.point(F(1, 3)) / sqrt_enclose(F(5, 9), F(1, 10**9))
         assert got.intersects(ref)
         assert got.width() < F(1, 10**6)
 
@@ -359,7 +359,7 @@ class TestDiffQuotient:
         for branch in BRANCHES:
             for _ in range(40):
                 (s, us), (t, ut) = rng.sample(pts, 2)
-                ms, mt = branch.x_map(s), branch.x_map(t)
+                ms, mt = branch.x_scale * s + branch.x_offset, branch.x_scale * t + branch.x_offset
                 vs = UNIT_CURVE.eval_limit(ms, 16)
                 vt = UNIT_CURVE.eval_limit(mt, 16)
                 assert vs.is_point() and vt.is_point()
@@ -375,13 +375,14 @@ class TestDiffQuotient:
             for _ in range(25):
                 (s, _), (t, _) = rng.sample(pts, 2)
                 base = UNIT_CURVE.diff_quotient(s, t, 30)
-                mapped = UNIT_CURVE.diff_quotient(branch.x_map(s), branch.x_map(t), 30)
+                ms, mt = branch.x_scale * s + branch.x_offset, branch.x_scale * t + branch.x_offset
+                mapped = UNIT_CURVE.diff_quotient(ms, mt, 30)
                 assert mapped.intersects(base.scale(sign))
 
     def test_fold_enters_quotient(self):
         # u(3/2) = u(1/2): values fold, the horizontal gap does not
         enc = UNIT_CURVE.diff_quotient(F(3, 2), F(1, 2), 40)
-        assert enc.contains(0)
+        assert inside(enc, 0)
         assert enc.abs().hi < F(1, 10**6)
 
 
@@ -393,13 +394,16 @@ class TestGapFloor:
         assert floor.width() < F(1, 10**9)
 
     def test_first_term_attains_minimum(self):
-        # term 1: (1/3) * ((1 - 4/81) ** (-1/2) - 1); term 2: 7/9 - 3/5; term 3: 5 ** (-1/2)
-        t1 = (quotient_enclose(1, 1 - F(4, 81), F(1, 10**12)) - 1).scale(F(1, 3))
-        t2 = Interval.point(F(7, 9) - F(3, 5))
-        t3 = quotient_enclose(1, 5, F(1, 10**12))
-        assert t1.hi < t2.lo
-        assert t1.hi < t3.lo
-        assert quotient_gap_floor().intersects(t1)
+        # term 1: (1/3) * ((77/81) ** (-1/2) - 1); term 2: 7/9 - 3/5; term 3: 5 ** (-1/2)
+        floor = quotient_gap_floor()
+        assert (floor.lo, floor.hi) == (F(11598247159, 1356774662427), F(69589482955, 8140647974559))
+        # lo <= term 1 <= hi  iff  77 * (3*lo + 1)**2 <= 81 <= 77 * (3*hi + 1)**2, cross-multiplied
+        lo, hi = floor.lo, floor.hi
+        assert 77 * (3 * lo.numerator + lo.denominator) ** 2 <= 81 * lo.denominator**2
+        assert 81 * hi.denominator**2 <= 77 * (3 * hi.numerator + hi.denominator) ** 2
+        # both other terms lie above the enclosure
+        assert hi < F(7, 9) - F(3, 5)
+        assert 5 * hi.numerator**2 < hi.denominator**2
 
 
 class TestUnitWitnesses:
@@ -505,6 +509,20 @@ class TestWindowWitnesses:
             assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
         assert w.gap_lower_bound.lo >= quotient_gap_floor().hi
 
+    def test_start_depth_at_the_scale_cap(self):
+        # log_3(9**j) = 2j: the window at 9**-927 may start within MAX_DEPTH, at 9**-928 it cannot
+        assert window_start_depth(0) == 16
+        assert window_start_depth(2 * 927) == 4094 <= MAX_DEPTH
+        assert window_start_depth(2 * 928) == 4099 > MAX_DEPTH
+
+    @pytest.mark.parametrize("j", [1, 40, 322, 323, 400])
+    def test_start_depth_bounds_the_first_depth_tried(self, j, monkeypatch):
+        depths = []
+        step = Curve.diff_quotient
+        monkeypatch.setattr(Curve, "diff_quotient", lambda self, s, t, d: depths.append(d) or step(self, s, t, d))
+        UNIT_CURVE.window_witnesses(F(1, 7), F(1, 9**j))
+        assert depths[0] >= window_start_depth(2 * j)
+
 
 class TestCurveValidation:
     def test_uncovered_point(self):
@@ -559,7 +577,7 @@ def ref_eval_limit(curve, t, depth):
             break
         br = ref_locate_branch(curve, t)
         a, b = a * br.y_scale, a * br.y_offset + b
-        t = br.x_inverse(t)
+        t = (t - br.x_offset) / br.x_scale
     if t == 0 or t == 1:
         return Interval.point(a * t + b)
     lo, hi = (b, a + b) if a >= 0 else (a + b, b)
@@ -572,12 +590,12 @@ def ref_eval_iterate(curve, n, t):
         raise OutOfDomain(f"t={t} outside [0, 1]")
     if n < 0:
         raise OutOfDomain("level must be nonnegative")
-    if n > curve.max_level:
-        raise DepthTooLarge(f"level {n} exceeds cap {curve.max_level}")
+    if n > MAX_LEVEL:
+        raise DepthTooLarge(f"level {n} exceeds cap {MAX_LEVEL}")
     if n == 0:
         return t
     br = ref_locate_branch(curve, t)
-    return br.y_map(ref_eval_iterate(curve, n - 1, br.x_inverse(t)))
+    return br.y_scale * ref_eval_iterate(curve, n - 1, (t - br.x_offset) / br.x_scale) + br.y_offset
 
 
 def ref_locate_cell(curve, t, delta):
@@ -601,14 +619,14 @@ def ref_locate_cell(curve, t, delta):
 def ref_iterate(curve, n):
     if n < 0:
         raise OutOfDomain("level must be nonnegative")
-    if n > curve.max_level:
-        raise DepthTooLarge(f"level {n} exceeds cap {curve.max_level}")
+    if n > MAX_LEVEL:
+        raise DepthTooLarge(f"level {n} exceeds cap {MAX_LEVEL}")
     pts = [(F(0), F(0)), (F(1), F(1))]
     for _ in range(n):
         nxt = []
         for br in curve.branches:
             for t, v in pts:
-                p = (br.x_map(t), br.y_map(v))
+                p = (br.x_scale * t + br.x_offset, br.y_scale * v + br.y_offset)
                 if nxt and nxt[-1] == p:
                     continue
                 nxt.append(p)
@@ -692,7 +710,7 @@ class TestFractionOracle:
 
 
 def fresh_eval_limit(curve, t, depth):
-    return Curve(branches=curve.branches, max_level=curve.max_level).eval_limit(t, depth)
+    return Curve(branches=curve.branches).eval_limit(t, depth)
 
 
 def ref_diff_quotient(curve, s, t, depth):
@@ -803,13 +821,14 @@ class TestDescentProperties:
     @settings(max_examples=150, deadline=None)
     @given(t=unit_points, depth=st.integers(0, 80))
     def test_deeper_enclosure_nests(self, t, depth):
-        assert UNIT_CURVE.eval_limit(t, depth).encloses(UNIT_CURVE.eval_limit(t, depth + 1))
+        outer, inner = UNIT_CURVE.eval_limit(t, depth), UNIT_CURVE.eval_limit(t, depth + 1)
+        assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
     @settings(max_examples=150, deadline=None)
     @given(t=unit_points, n=st.integers(0, MAX_LEVEL), data=st.data())
     def test_iterate_value_inside_enclosure(self, t, n, data):
         depth = data.draw(st.integers(0, n))
-        assert UNIT_CURVE.eval_limit(t, depth).contains(UNIT_CURVE.eval_iterate(n, t))
+        assert inside(UNIT_CURVE.eval_limit(t, depth), UNIT_CURVE.eval_iterate(n, t))
 
     @settings(max_examples=150, deadline=None)
     @given(

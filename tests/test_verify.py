@@ -12,6 +12,7 @@ from lipgraph.numerics import Interval
 from lipgraph.selfsim import (
     BRANCHES,
     BranchTag,
+    MAX_DEPTH,
     Curve,
     DepthTooLarge,
     quotient_gap_floor,
@@ -162,6 +163,15 @@ class TestOscillation:
         with pytest.raises(ValueError, match="scales must be at least 1"):
             oscillation_scan(F(1, 2), [])
 
+    def test_scale_past_the_depth_cap_refused_before_any_window(self, monkeypatch):
+        def no_window(*args):
+            raise AssertionError("a window started before the refusal")
+
+        monkeypatch.setattr(Curve, "locate_cell", no_window)
+        deltas = [F(1, 9), F(1, 9**927), F(1, 9**928)]
+        with pytest.raises(DepthTooLarge, match=f"scale 3 would start at depth 4099, over cap {MAX_DEPTH}"):
+            oscillation_scan(F(1, 7), deltas)
+
     def test_flat_mid_branch_leaves_windows_uncertified(self):
         # with a flat mid branch the probes no longer separate the quotients
         flat = Curve(branches=perturbed_branches(BranchTag.MID, "y_scale", 0))
@@ -231,7 +241,8 @@ class TestBlowupDivergence:
     def test_equal_targets_give_identical_blowups(self):
         r = blowup_divergence(0, 1, 1, 1, self.GRID, 30, bracket2=(F(4, 9), F(1, 2)))
         assert r.certified
-        assert r.parameters["profile_gap"].contains(0)
+        gap = r.parameters["profile_gap"]
+        assert gap.lo <= 0 <= gap.hi
         assert r.parameters["hausdorff"].lo <= 0
 
     def test_realized_quotients_near_targets(self):
