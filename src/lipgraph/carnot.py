@@ -1,15 +1,15 @@
-"""Exponential-coordinate arithmetic for a Heisenberg group times a line.
+"""Exponential-coordinate arithmetic for the first Heisenberg group times a line.
 
-Points carry coordinates (x, y, t, r) with x, y in Q**(k-1), t in Q and
-r an Interval; the group law is
+Points of H¹ × ℝ carry four scalar coordinates (x, y, t, r), with x, y
+and t in Q and r an Interval; the group law is
 
     (x, y, t, r) * (x', y', t', r')
-        = (x + x', y + y', t + t' + (<x, y'> - <y, x'>) / 2, r + r')
+        = (x + x', y + y', t + t' + (x y' - y x') / 2, r + r')
 
 so r is a central coordinate and inversion negates everything.  The
 homogeneous dilation scales t quadratically, and the max norm
 
-    |(x, y, t, r)| = max(|x|_2, |y|_2, |t| ** (1/2), |r|)
+    |(x, y, t, r)| = max(|x|, |y|, |t| ** (1/2), |r|)
 
 is used throughout; under it the cone constant is 1 (see `cone_gap`).
 
@@ -24,30 +24,25 @@ points carry certified enclosures of the profile; group operations
 propagate those enclosures soundly and exactly cancel the rational
 coordinates, which is what makes the blow-up sampler rigorous.
 
-On graph points x = 0, so the twist <x, y'> - <y, x'> of a product of
-graph points vanishes and the Euclidean norm of a 1-vector y is |y|;
-`mul` skips products with a zero factor and `hnorm` takes that norm
-exactly, so the cone campaign does no arithmetic on terms that are 0.
+On graph points x = 0, so the twist x y' - y x' of a product of graph
+points vanishes; `mul` skips a twist product with a zero factor, and
+`hnorm` takes |x| and |y| exactly, so the cone campaign does no
+arithmetic on terms that are 0 and roots only |t|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 from .numerics import Interval, RationalLike, sqrt_enclose
-from .selfsim import Curve, UNIT_CURVE, reduce_domain
+from .selfsim import QUOTIENT_MAX_DEPTH, UNIT_CURVE, reduce_domain
 
 _FZERO = Fraction(0)
 _ZERO = Interval.point(_FZERO)
 _TWO_THIRDS = Fraction(2, 3)
 _BISECTION_STEPS = 200
-
-
-class DimensionMismatch(ValueError):
-    """Operands live in groups of different dimension."""
 
 
 class NotInW(ValueError):
@@ -67,123 +62,77 @@ class NotBracketed(ValueError):
 
 
 class TolTooTight(ValueError):
-    """Requested tolerance unreachable at the configured depth cap."""
-
-
-def _vec(v: Union[RationalLike, Iterable[RationalLike]]) -> tuple[Fraction, ...]:
-    if isinstance(v, (int, Fraction)):
-        return (v if type(v) is Fraction else Fraction(v),)
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in v)
+    """Requested tolerance unreachable within QUOTIENT_MAX_DEPTH."""
 
 
 @dataclass(frozen=True)
 class GroupPoint:
     """Group element in exponential coordinates; see module docstring."""
 
-    x: tuple[Fraction, ...]
-    y: tuple[Fraction, ...]
+    x: Fraction
+    y: Fraction
     t: Fraction
     r: Interval
 
 
-def point(
-    x: Union[RationalLike, Iterable[RationalLike]] = 0,
-    y: Union[RationalLike, Iterable[RationalLike]] = 0,
-    t: RationalLike = 0,
-    r: Union[Interval, RationalLike] = 0,
-) -> GroupPoint:
-    """Build a GroupPoint, coercing scalars to 1-vectors and exact r to a point interval."""
-    xv, yv = _vec(x), _vec(y)
-    if len(xv) != len(yv):
-        raise DimensionMismatch(f"x has {len(xv)} entries, y has {len(yv)}")
-    rv = r if isinstance(r, Interval) else Interval.point(r)
-    return GroupPoint(xv, yv, t if type(t) is Fraction else Fraction(t), rv)
-
-
 def mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:
     px, py, qx, qy = p.x, p.y, q.x, q.y
-    if len(px) != len(qx):
-        raise DimensionMismatch(f"k={len(px) + 1} times k={len(qx) + 1}")
     t = p.t + q.t
-    twist = 0
-    for a, b in zip(px, qy):
-        if a and b:
-            twist += a * b
-    for a, b in zip(py, qx):
-        if a and b:
-            twist -= a * b
+    twist = (px * qy if px and qy else 0) - (py * qx if py and qx else 0)
     if twist:
         t += twist / 2
-    return GroupPoint(tuple(map(add, px, qx)), tuple(map(add, py, qy)), t, p.r + q.r)
+    return GroupPoint(px + qx, py + qy, t, p.r + q.r)
 
 
 def inv(p: GroupPoint) -> GroupPoint:
-    return GroupPoint(tuple(map(neg, p.x)), tuple(map(neg, p.y)), -p.t, -p.r)
+    return GroupPoint(-p.x, -p.y, -p.t, -p.r)
 
 
 def dilate(lam: RationalLike, p: GroupPoint) -> GroupPoint:
     lam = Fraction(lam)
     if lam <= 0:
         raise NonPositiveLambda(f"dilation factor must be positive, got {lam}")
-    return GroupPoint(
-        tuple(lam * c for c in p.x),
-        tuple(lam * c for c in p.y),
-        lam * lam * p.t,
-        p.r.scale(lam),
-    )
+    return GroupPoint(lam * p.x, lam * p.y, lam * lam * p.t, p.r.scale(lam))
 
 
 def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
     """Enclosure of the homogeneous max norm of p.
 
-    Exact whenever the Euclidean norms of x and y and the root of |t|
-    are rational (in particular for points with one nonzero coordinate
-    of rational norm).
+    |x| and |y| are exact; only the root of |t| is enclosed, with width
+    at most width, and it is exact whenever |t| is a rational square.
     """
     if type(width) is not Fraction:
         width = Fraction(width)
-    nx = _euclid(p.x, width)
-    ny = _euclid(p.y, width)
+    if width.numerator <= 0:
+        raise ValueError("width must be positive")
+    nxy = Interval.point(max(abs(p.x), abs(p.y)))
     nt = sqrt_enclose(abs(p.t), width)
-    return Interval.max_of(Interval.max_of(nx, ny), Interval.max_of(nt, p.r.abs()))
-
-
-def _euclid(v: tuple[Fraction, ...], width: Fraction) -> Interval:
-    """Enclosure of |v|_2 as sqrt_enclose gives it; a rational 1-vector's norm is exact."""
-    if len(v) == 1 and isinstance(v[0], (int, Fraction)):
-        if width.numerator <= 0:
-            raise ValueError("width must be positive")
-        return Interval.point(abs(v[0]))
-    return sqrt_enclose(sum(c * c for c in v), width)
-
-
-def is_in_w(p: GroupPoint) -> bool:
-    return not any(p.x) and p.r == _ZERO
+    return Interval.max_of(Interval.max_of(nxy, nt), p.r.abs())
 
 
 def beta(w: GroupPoint) -> Fraction:
     """The t coordinate of a vertical-subgroup point, its profile argument."""
-    if not is_in_w(w):
+    if w.x or w.r != _ZERO:
         raise NotInW(f"point has x={w.x}, r={w.r}")
     return w.t
 
 
-def w_point(
-    y: Union[RationalLike, Iterable[RationalLike]] = 0, t: RationalLike = 0
-) -> GroupPoint:
+def w_point(y: RationalLike = 0, t: RationalLike = 0) -> GroupPoint:
     """Convenience constructor for vertical-subgroup points."""
-    yv = _vec(y)
-    return GroupPoint((_FZERO,) * len(yv), yv, t if type(t) is Fraction else Fraction(t), _ZERO)
+    if type(y) is not Fraction:
+        y = Fraction(y)
+    if type(t) is not Fraction:
+        t = Fraction(t)
+    return GroupPoint(_FZERO, y, t, _ZERO)
 
 
-def graph_point(w: GroupPoint, depth: int, curve: Curve = UNIT_CURVE) -> GroupPoint:
+def graph_point(w: GroupPoint, depth: int) -> GroupPoint:
     """Intrinsic graph point over w: fill the r slot with an enclosure of u(beta(w)).
 
     The profile argument is folded into [0, 1] by the even, 2-periodic
     extension, so w may sit anywhere on the vertical subgroup.
     """
-    b = beta(w)
-    enc = curve.eval_limit(reduce_domain(b), depth)
+    enc = UNIT_CURVE.eval_limit(reduce_domain(beta(w)), depth)
     return GroupPoint(w.x, w.y, w.t, enc)
 
 
@@ -196,7 +145,7 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
     width is controlled by depth through the norm width (2/3)**depth and
     by the widths the points' r slots already carry.
     """
-    if any(p.x) or any(q.x):
+    if p.x or q.x:
         raise NotGraphPoints("cone gap is defined for graph points, which have x = 0")
     d = mul(inv(p), q)
     w_part = GroupPoint(d.x, d.y, d.t, _ZERO)
@@ -208,7 +157,6 @@ def blowup_profile(
     lam: RationalLike,
     h: RationalLike,
     depth: int,
-    curve: Curve = UNIT_CURVE,
 ) -> Interval:
     """Enclosure of the rescaled profile lam * (u(t_hat + h / lam**2) - u(t_hat)).
 
@@ -220,8 +168,8 @@ def blowup_profile(
     h = Fraction(h)
     if lam <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
-    us = curve.eval_limit(reduce_domain(t_hat + h / (lam * lam)), depth)
-    ut = curve.eval_limit(reduce_domain(t_hat), depth)
+    us = UNIT_CURVE.eval_limit(reduce_domain(t_hat + h / (lam * lam)), depth)
+    ut = UNIT_CURVE.eval_limit(reduce_domain(t_hat), depth)
     return (us - ut).scale(lam)
 
 
@@ -230,7 +178,6 @@ def blowup_graph_sample(
     lam: RationalLike,
     grid: Sequence[GroupPoint],
     depth: int,
-    curve: Curve = UNIT_CURVE,
 ) -> list[GroupPoint]:
     """Sample the graph blown up at p_hat with factor lam over a W grid.
 
@@ -243,7 +190,7 @@ def blowup_graph_sample(
     lam = Fraction(lam)
     if lam <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
-    if any(c != 0 for c in p_hat.x):
+    if p_hat.x:
         raise NotGraphPoints("blow-up base point must be a graph point")
     w_hat = GroupPoint(p_hat.x, p_hat.y, p_hat.t, _ZERO)
     p_inv = inv(p_hat)
@@ -252,7 +199,7 @@ def blowup_graph_sample(
     for w in grid:
         beta(w)
         base = mul(w_hat, dilate(inv_lam, w))
-        g = graph_point(base, depth, curve)
+        g = graph_point(base, depth)
         out.append(dilate(lam, mul(p_inv, g)))
     return out
 
@@ -263,8 +210,6 @@ def solve_quotient(
     side: int,
     bracket: tuple[RationalLike, RationalLike],
     tol: RationalLike,
-    curve: Curve = UNIT_CURVE,
-    max_depth: int = 256,
 ) -> Fraction:
     """Offset s with certified |q(t_hat + s, t_hat) - target| <= tol.
 
@@ -292,10 +237,10 @@ def solve_quotient(
         raise NotBracketed(f"bracket {bracket} is not strictly of sign {side}")
 
     def enclose(s: Fraction) -> Interval:
-        enc = curve.diff_quotient_within(t_hat + s, t_hat, tol / 2, max_depth=max_depth)
+        enc = UNIT_CURVE.diff_quotient_within(t_hat + s, t_hat, tol / 2)
         if enc.width() > tol / 2:
             raise TolTooTight(
-                f"cannot reach quotient width {tol}/2 within depth {max_depth}"
+                f"cannot reach quotient width {tol}/2 within depth {QUOTIENT_MAX_DEPTH}"
             )
         return enc
 

@@ -52,6 +52,9 @@ MAX_LEVEL = 12
 # past the cap a call is refused before any step is taken.
 MAX_DEPTH = 4096
 
+# Deepest descent diff_quotient_within takes to meet a requested width.
+QUOTIENT_MAX_DEPTH = 256
+
 # Witness offsets live at distance between UNIT_MIN_OFFSET and 1 from the
 # base point at unit scale; after descending to a cell of length ell the
 # distances rescale to [ell/18, ell], and ell >= delta/9 for the first
@@ -297,7 +300,7 @@ class Curve:
         raise UncoveredPoint(f"no branch cell contains t={Fraction(pd, q * self._dx)}")
 
     def _descend(
-        self, state: tuple[int, int, int, int, int], depth: int, stop_at_ends: bool
+        self, state: tuple[int, int, int, int, int], depth: int
     ) -> tuple[int, int, int, int, int]:
         """Continue a descent from state (p, q, a, b, k) until k reaches depth.
 
@@ -306,14 +309,14 @@ class Curve:
         starts at (t.numerator, t.denominator, 1, 0, 0).  One step
         through a branch maps p/q to (p*dx - x_offset*q) / (q*x_scale),
         which keeps q > 0 since only branches with x_lo <= x_hi can
-        contain a point.  With stop_at_ends the descent stops early once
-        the point is 0 or 1.
+        contain a point.  The descent stops early once the point is 0 or
+        1, where the value is exact.
         """
         dx, ey = self._dx, self._ey
         locate = self.locate_branch
         p, q, a, b, k = state
         for _ in range(depth - k):
-            if stop_at_ends and (p == 0 or p == q):
+            if p == 0 or p == q:
                 break
             pd = p * dx
             _, _, xs, xo, ys, yo = locate(pd, q)
@@ -359,22 +362,6 @@ class Curve:
             yd *= ey
         return PiecewiseLinear(tuple((Fraction(t, xd), Fraction(v, yd)) for t, v in pts))
 
-    def eval_iterate(self, n: int, t: RationalLike) -> Fraction:
-        """Exact value of the n-th iterate at t, without building it.
-
-        The descent takes all n steps, also once t reaches 0 or 1, and
-        applies the composed vertical map to the point it ends at.
-        """
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise OutOfDomain(f"t={t} outside [0, 1]")
-        if n < 0:
-            raise OutOfDomain("level must be nonnegative")
-        if n > MAX_LEVEL:
-            raise DepthTooLarge(f"level {n} exceeds cap {MAX_LEVEL}")
-        p, q, a, b, k = self._descend((t.numerator, t.denominator, 1, 0, 0), n, False)
-        return Fraction(a * p + b * q, q * self._ey**k)
-
     # ------------------------------------------------------------------
     # the limit
 
@@ -413,7 +400,7 @@ class Curve:
         if st is None or st[4] > depth:
             st = (p, q, 1, 0, 0)
         if st[4] != depth:
-            st = self._descend(st, depth, True)
+            st = self._descend(st, depth)
             kept[key] = st
         p, q, a, b, k = st
         den = self._ey**k
@@ -447,19 +434,17 @@ class Curve:
         q = (us - ut) / sqrt_enclose(gap, min(gap, Fraction(1)) * _TWO_THIRDS**depth)
         return q if s > t else -q
 
-    def diff_quotient_within(
-        self, s: RationalLike, t: RationalLike, width: RationalLike, max_depth: int = 256
-    ) -> Interval:
-        """Quotient enclosure no wider than width, deepening from depth 16 as needed.
+    def diff_quotient_within(self, s: RationalLike, t: RationalLike, width: RationalLike) -> Interval:
+        """Quotient enclosure no wider than width, doubling the depth from 16 as needed.
 
-        Returns the best enclosure found if max_depth is reached first;
-        the caller decides whether an overwide result is a failure.
+        Returns the best enclosure found if QUOTIENT_MAX_DEPTH is reached
+        first; the caller decides whether an overwide result is a failure.
         """
         width = Fraction(width)
         depth = 16
         best = self.diff_quotient(s, t, depth)
-        while best.width() > width and depth < max_depth:
-            depth = min(max_depth, depth * 2)
+        while best.width() > width and depth < QUOTIENT_MAX_DEPTH:
+            depth *= 2
             best = self.diff_quotient(s, t, depth)
         return best
 

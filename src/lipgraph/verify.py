@@ -118,12 +118,7 @@ def _finish(campaign: str, parameters: dict, checked: int, failures: list, start
 # Hölder sweep
 
 
-def verify_holder(
-    level: int,
-    refine: int = 0,
-    curve: Curve = UNIT_CURVE,
-    max_pairs: int = MAX_PAIRS,
-) -> Report:
+def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Report:
     """Square-root Hölder sweep with constant 1 over an iterate's grid.
 
     Checks (v(s) - v(t))**2 <= |s - t| exactly for every pair of grid
@@ -133,6 +128,8 @@ def verify_holder(
     follows from self-similarity, which the witness campaigns probe from
     the other side.  Failure to construct the iterate at all is reported
     as a failure, not raised, so perturbed branch systems flow through.
+    A grid with more than MAX_PAIRS pairs is refused before any refined
+    point is built.
     """
     started = time.perf_counter()
     params = {
@@ -153,6 +150,10 @@ def verify_holder(
             started,
         )
     pts = list(pl.breakpoints)
+    m = len(pts) + (len(pts) - 1) * refine
+    npairs = m * (m - 1) // 2
+    if npairs > MAX_PAIRS:
+        raise DepthTooLarge(f"{npairs} pairs exceed cap {MAX_PAIRS}")
     if refine:
         extra = []
         step = refine + 1
@@ -160,10 +161,6 @@ def verify_holder(
             for j in range(1, step):
                 extra.append((t0 + (t1 - t0) * j / step, v0 + (v1 - v0) * j / step))
         pts = sorted(pts + extra)
-    m = len(pts)
-    npairs = m * (m - 1) // 2
-    if npairs > max_pairs:
-        raise DepthTooLarge(f"{npairs} pairs exceed cap {max_pairs}")
     params["points"] = m
 
     # Clear denominators once so the pair loop runs on plain integers:
@@ -352,7 +349,6 @@ def hausdorff_distance(
     a_pts: Sequence[GroupPoint],
     b_pts: Sequence[GroupPoint],
     radius: RationalLike,
-    width: RationalLike = Fraction(1, 2**30),
 ) -> Interval:
     """Enclosure of the Hausdorff distance between two finite sample sets.
 
@@ -364,8 +360,8 @@ def hausdorff_distance(
     upper endpoint.
     """
     radius = Fraction(radius)
-    a = [p for p in a_pts if hnorm(p, width).lo <= radius]
-    b = [q for q in b_pts if hnorm(q, width).lo <= radius]
+    a = [p for p in a_pts if hnorm(p).lo <= radius]
+    b = [q for q in b_pts if hnorm(q).lo <= radius]
     if not a or not b:
         raise EmptyAfterRestriction(
             f"radius {radius} keeps {len(a)} of {len(a_pts)} and {len(b)} of {len(b_pts)} points"
@@ -377,7 +373,7 @@ def hausdorff_distance(
             p_inv = inv(p)
             nearest: Optional[Interval] = None
             for q in dst:
-                d = hnorm(mul(p_inv, q), width)
+                d = hnorm(mul(p_inv, q))
                 nearest = d if nearest is None else Interval.min_of(nearest, d)
             worst = nearest if worst is None else Interval.max_of(worst, nearest)
         return worst
@@ -397,12 +393,7 @@ def _check_depth(depth: int) -> None:
         raise DepthTooLarge(f"depth {depth} exceeds cap {MAX_DEPTH}")
 
 
-def verify_cone(
-    sample_count: int,
-    depth: int = 30,
-    seed: int = REFERENCE_SEED,
-    curve: Curve = UNIT_CURVE,
-) -> Report:
+def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) -> Report:
     """Cone condition with constant 1 over graph point pairs.
 
     Every pair must satisfy |w-part| >= |v-part| for the displacement
@@ -431,8 +422,8 @@ def verify_cone(
     exact_pairs = 0
     min_gap_lo: Optional[Fraction] = None
     for idx, (w1, w2) in enumerate(pairs):
-        p1 = graph_point(w1, depth, curve)
-        p2 = graph_point(w2, depth, curve)
+        p1 = graph_point(w1, depth)
+        p2 = graph_point(w2, depth)
         g = cone_gap(p1, p2, depth)
         min_gap_lo = g.lo if min_gap_lo is None else min(min_gap_lo, g.lo)
         if g.hi < 0:
@@ -460,7 +451,7 @@ def verify_cone(
 
 def _pair_key(idx: int, w1: GroupPoint, w2: GroupPoint) -> dict:
     """The fields that name a cone pair in its failure records."""
-    return {"index": idx, "beta1": str(w1.t), "beta2": str(w2.t), "y1": str(w1.y[0]), "y2": str(w2.y[0])}
+    return {"index": idx, "beta1": str(w1.t), "beta2": str(w2.t), "y1": str(w1.y), "y2": str(w2.y)}
 
 
 # ----------------------------------------------------------------------
@@ -472,7 +463,6 @@ def _rationalized_scale(
     s: Fraction,
     target: Fraction,
     tol: Fraction,
-    curve: Curve,
 ) -> tuple[Fraction, Fraction, Interval]:
     """Rational dilation factor lam close to |s| ** (-1/2), recertified.
 
@@ -499,7 +489,7 @@ def _rationalized_scale(
                 lam = enc_root.hi
             den <<= 8
         s_real = Fraction(sigma) / (lam * lam)
-        enc = curve.diff_quotient_within(t_hat + s_real, t_hat, tol / 2)
+        enc = UNIT_CURVE.diff_quotient_within(t_hat + s_real, t_hat, tol / 2)
         if enc.inside_ball(target, 2 * tol):
             return lam, s_real, enc
     raise TolTooTight(f"could not rationalise a dilation for target {target}")
@@ -514,9 +504,7 @@ def blowup_divergence(
     depth: int,
     bracket1: tuple[RationalLike, RationalLike] = (Fraction(4, 9), Fraction(1, 2)),
     bracket2: tuple[RationalLike, RationalLike] = (Fraction(5, 9), Fraction(3, 5)),
-    side: int = 1,
     tol: RationalLike = Fraction(1, 10**4),
-    curve: Curve = UNIT_CURVE,
 ) -> Report:
     """Exhibit two blow-up scales whose rescaled graphs stay apart.
 
@@ -525,11 +513,12 @@ def blowup_divergence(
     samples both rescaled graphs over the same W grid.  The report
     certifies, by intervals end to end: the realised quotients are
     within 2*tol of their targets, both sampling routes agree at every
-    grid point, the profile gap at offset h = side is positive (its
+    grid point, the profile gap at offset h = 1 is positive (its
     enclosure is close to |target1 - target2|), and the sample-set
     Hausdorff distance inside the radius is positive when the targets
     differ.  One base point with two non-collapsing rescaling limits is
-    exactly a point of blow-up divergence.
+    exactly a point of blow-up divergence.  Both brackets hold positive
+    offsets.
     """
     started = time.perf_counter()
     _check_depth(depth)
@@ -538,10 +527,10 @@ def blowup_divergence(
     target2 = Fraction(target2)
     radius = Fraction(radius)
     tol = Fraction(tol)
-    s1 = solve_quotient(t_hat, target1, side, bracket1, tol, curve)
-    s2 = solve_quotient(t_hat, target2, side, bracket2, tol, curve)
-    lam1, s1_real, enc1 = _rationalized_scale(t_hat, s1, target1, tol, curve)
-    lam2, s2_real, enc2 = _rationalized_scale(t_hat, s2, target2, tol, curve)
+    s1 = solve_quotient(t_hat, target1, 1, bracket1, tol)
+    s2 = solve_quotient(t_hat, target2, 1, bracket2, tol)
+    lam1, s1_real, enc1 = _rationalized_scale(t_hat, s1, target1, tol)
+    lam2, s2_real, enc2 = _rationalized_scale(t_hat, s2, target2, tol)
 
     failures = []
     checked = 0
@@ -554,16 +543,16 @@ def blowup_divergence(
             )
 
     base_w = w_point(0, t_hat)
-    p_hat = graph_point(base_w, depth, curve)
-    sample_a = blowup_graph_sample(p_hat, lam1, grid, depth, curve)
-    sample_b = blowup_graph_sample(p_hat, lam2, grid, depth, curve)
+    p_hat = graph_point(base_w, depth)
+    sample_a = blowup_graph_sample(p_hat, lam1, grid, depth)
+    sample_b = blowup_graph_sample(p_hat, lam2, grid, depth)
 
     # Cross-route check: every sampled r slot must agree with the closed
     # profile formula evaluated independently.
     for label, lam, sample in (("1", lam1, sample_a), ("2", lam2, sample_b)):
         for w, p in zip(grid, sample):
             checked += 1
-            prof = blowup_profile(t_hat, lam, w.t, depth, curve)
+            prof = blowup_profile(t_hat, lam, w.t, depth)
             if not p.r.intersects(prof) or p.y != w.y or p.t != w.t:
                 failures.append(
                     {
@@ -599,7 +588,7 @@ def blowup_divergence(
     params = {
         "t_hat": t_hat,
         "targets": [target1, target2],
-        "side": side,
+        "side": 1,
         "tol": tol,
         "depth": depth,
         "radius": radius,

@@ -30,10 +30,11 @@ def report(n, elapsed, detail):
 def test_criterion_1_pinned_values():
     start = time.perf_counter()
     for n in range(1, 9):
-        assert UNIT_CURVE.eval_iterate(n, F(0)) == 0
-        assert UNIT_CURVE.eval_iterate(n, F(1)) == 1
-        assert UNIT_CURVE.eval_iterate(n, F(4, 9)) == F(2, 3)
-        assert UNIT_CURVE.eval_iterate(n, F(5, 9)) == F(1, 3)
+        values = dict(UNIT_CURVE.iterate(n).breakpoints)
+        assert values[F(0)] == 0
+        assert values[F(1)] == 1
+        assert values[F(4, 9)] == F(2, 3)
+        assert values[F(5, 9)] == F(1, 3)
     elapsed = time.perf_counter() - start
     assert elapsed < 1
     report(1, elapsed, "iterates 1..8 pinned at 0, 1, 4/9, 5/9 exactly")

@@ -35,6 +35,10 @@ CASES = [
      "579739364fe51e10ae97602544a869e56fb127384b2f396e14d7a68890cb98ff"),
     (["verify", "blowup-divergence", "--depth", "30"], "stdout",
      "9a1332f1458f9ee9ee5c5849ad9b60a11486e04655c110fd90d9e6667c6cb107"),
+    (["verify", "blowup-divergence", "--target1", "9/10", "--target2", "1/2", "--offsets=-1,-1/3,1/5,1,3/2"], "stdout",
+     "8bce49c89f7115fdf0a85e705b8277349cfeb409a0d62abeec3692879e81073b"),
+    (["verify", "blowup-divergence", "--t-hat", "2", "--radius", "2", "--offsets=-1,-1/3,1/5,1"], "stdout",
+     "47d9328ffa5e20bf9fa8c2cf3093f3e309c8f919032fe6f2640e49d915f51ab6"),
     (["plot-iterates", "--levels", "0,1,2,3,4"], "file",
      "b470ecc8e82b74575012ee1be92660510b30e4a80af5d0bc836b5288e2defda1"),
     (["plot-iterates", "--levels", "0,1,2,3,4", "--format", "csv"], "file",

@@ -189,10 +189,11 @@ class TestIterates:
 
     def test_pinned_values(self):
         for n in range(1, 9):
-            assert UNIT_CURVE.eval_iterate(n, F(0)) == 0
-            assert UNIT_CURVE.eval_iterate(n, F(1)) == 1
-            assert UNIT_CURVE.eval_iterate(n, F(4, 9)) == F(2, 3)
-            assert UNIT_CURVE.eval_iterate(n, F(5, 9)) == F(1, 3)
+            values = dict(UNIT_CURVE.iterate(n).breakpoints)
+            assert values[F(0)] == 0
+            assert values[F(1)] == 1
+            assert values[F(4, 9)] == F(2, 3)
+            assert values[F(5, 9)] == F(1, 3)
 
     def test_symmetry_at_breakpoints(self):
         for n in range(5):
@@ -207,26 +208,26 @@ class TestIterates:
             assert cur <= F(2, 3) * prev
 
     def test_eval_iterate_matches_breakpoint_interpolation(self):
+        # the Fraction descent ref_eval_iterate, an oracle below, against the polyline
         rng = random.Random(11)
         for n in (2, 4, 6):
             pl = UNIT_CURVE.iterate(n)
             for _ in range(50):
                 t = F(rng.randrange(0, 3**n + 1), 3**n)
-                assert UNIT_CURVE.eval_iterate(n, t) == pl.value(t)
+                assert ref_eval_iterate(UNIT_CURVE, n, t) == pl.value(t)
 
     def test_eval_iterate_frozen(self):
-        assert UNIT_CURVE.eval_iterate(2, F(1, 2)) == F(1, 2)
-        assert UNIT_CURVE.eval_iterate(2, F(2, 9)) == F(1, 3)
+        pl = UNIT_CURVE.iterate(2)
+        assert pl.value(F(1, 2)) == F(1, 2)
+        assert pl.value(F(2, 9)) == F(1, 3)
 
     def test_depth_cap(self):
         with pytest.raises(DepthTooLarge):
             UNIT_CURVE.iterate(MAX_LEVEL + 1)
-        with pytest.raises(DepthTooLarge):
-            UNIT_CURVE.eval_iterate(MAX_LEVEL + 1, F(1, 2))
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            UNIT_CURVE.eval_iterate(1, F(-1, 9))
+            UNIT_CURVE.iterate(1).value(F(-1, 9))
         with pytest.raises(OutOfDomain):
             UNIT_CURVE.iterate(-1)
 
@@ -261,7 +262,7 @@ class TestLimitFunction:
         for _ in range(40):
             t = F(rng.randrange(0, 1001), 1000)
             for n in (2, 5):
-                assert inside(UNIT_CURVE.eval_limit(t, n), UNIT_CURVE.eval_iterate(n, t))
+                assert inside(UNIT_CURVE.eval_limit(t, n), ref_eval_iterate(UNIT_CURVE, n, t))
 
     def test_against_float_oracle(self):
         rng = random.Random(44)
@@ -685,12 +686,6 @@ class TestFractionOracle:
             assert outcome(curve.eval_limit, t, 300) == outcome(ref_eval_limit, curve, t, 300)
 
     @pytest.mark.parametrize("curve", ORACLE_CURVES)
-    def test_eval_iterate(self, curve):
-        for t in ORACLE_TS:
-            for n in (-1, 0, 1, 2, 5, MAX_LEVEL, MAX_LEVEL + 1):
-                assert outcome(curve.eval_iterate, n, t) == outcome(ref_eval_iterate, curve, n, t)
-
-    @pytest.mark.parametrize("curve", ORACLE_CURVES)
     def test_locate_cell(self, curve):
         deltas = [F(1, 9**d) for d in ORACLE_DEPTHS] + [F(3, 10), F(1, 7), F(0), F(2)]
         for t in ORACLE_TS:
@@ -828,7 +823,7 @@ class TestDescentProperties:
     @given(t=unit_points, n=st.integers(0, MAX_LEVEL), data=st.data())
     def test_iterate_value_inside_enclosure(self, t, n, data):
         depth = data.draw(st.integers(0, n))
-        assert inside(UNIT_CURVE.eval_limit(t, depth), UNIT_CURVE.eval_iterate(n, t))
+        assert inside(UNIT_CURVE.eval_limit(t, depth), ref_eval_iterate(UNIT_CURVE, n, t))
 
     @settings(max_examples=150, deadline=None)
     @given(

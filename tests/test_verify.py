@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from lipgraph.selfsim import (
     BRANCHES,
     BranchTag,
     MAX_DEPTH,
+    UNIT_CURVE,
     Curve,
     DepthTooLarge,
     quotient_gap_floor,
@@ -86,8 +88,20 @@ class TestHolderCampaign:
         assert r.failures[0]["kind"] == "construction"
 
     def test_pair_budget_enforced(self):
-        with pytest.raises(DepthTooLarge):
-            verify_holder(6, 0, max_pairs=1000)
+        class Unrefinable(F):
+            def __sub__(self, other):
+                raise AssertionError("a refined point was built")
+
+        class IterateOnly:
+            """The standard curve's iterate, with abscissas that refuse the arithmetic of refinement."""
+
+            def iterate(self, n):
+                pts = UNIT_CURVE.iterate(n).breakpoints
+                return SimpleNamespace(breakpoints=[(Unrefinable(t), v) for t, v in pts])
+
+        with pytest.raises(DepthTooLarge) as exc:
+            verify_holder(7, 100, curve=IterateOnly())
+        assert str(exc.value) == "24395643828 pairs exceed cap 2000000"
 
 
 class TestUnitGapCampaign:
@@ -208,8 +222,8 @@ class TestHausdorff:
             a = [w_point(F(rng.randrange(-8, 9), 3), 0) for _ in range(4)]
             b = [w_point(F(rng.randrange(-8, 9), 3), 0) for _ in range(4)]
             got = hausdorff_distance(a, b, 100)
-            da = max(min(abs(float(p.y[0] - q.y[0])) for q in b) for p in a)
-            db = max(min(abs(float(p.y[0] - q.y[0])) for q in a) for p in b)
+            da = max(min(abs(float(p.y - q.y)) for q in b) for p in a)
+            db = max(min(abs(float(p.y - q.y)) for q in a) for p in b)
             expect = max(da, db)
             assert float(got.lo) - 1e-9 <= expect <= float(got.hi) + 1e-9
 
