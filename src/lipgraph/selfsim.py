@@ -30,17 +30,25 @@ integer products with no gcd; a Fraction is built only for the
 result.  The limit u is never materialised: `eval_limit` returns an
 Interval whose width contracts like (2/3)**depth, and quotient
 enclosures divide through certified root enclosures from `numerics`.
+
+A scan over shrinking scales at one point walks one chain of nested
+cells: `locate_cell` continues from the cell it returned for the scale
+before, and each cell carries its integer descent state and composed
+vertical map.  On a branch system that passes `continuous_tiling`,
+u(cell(b)) = Y_cell(u(b)), so the descent of a window probe cell(b)
+starts at the cell instead of at the top.  Descent work then grows
+linearly in the number of scales, not quadratically.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .numerics import Interval, RationalLike, sqrt_enclose
 
@@ -63,10 +71,12 @@ UNIT_MIN_OFFSET = Fraction(1, 18)
 WINDOW_OFFSET_RATIO = Fraction(1, 162)
 
 # Descents each Curve keeps for eval_limit to resume; the store is cleared
-# when full.  A claim2 base point needs 3 live points and a 64-scale
-# oscillation scan about 130.  Cone's profile arguments fold onto the 1 003
-# points of a 1/1000 grid, more than this bound holds, so a cone campaign
-# repeats descents the store has dropped (ROADMAP item 2).
+# when full.  A claim2 base point needs 3 live points, and so does an
+# oscillation scan at any length: u(t) plus the two probes of the current
+# window, which window_witnesses seeds at the cell and drops afterwards.
+# Cone's profile arguments fold onto the 1 003 points of a 1/1000 grid,
+# more than this bound holds, so a cone campaign repeats descents the store
+# has dropped (ROADMAP item 3).
 _DESCENTS_KEPT = 256
 
 _TWO_THIRDS = Fraction(2, 3)
@@ -131,10 +141,16 @@ BRANCHES: tuple[Branch, ...] = (
 
 @dataclass(frozen=True)
 class AffineMap1D:
-    """Increasing affine map t -> a*t + b used for cell coordinates."""
+    """Increasing affine map t -> a*t + b used for cell coordinates.
+
+    A cell that Curve.locate_cell returns also carries the descent that
+    found it, for the next locate_cell to continue; descent takes no part
+    in equality or repr.
+    """
 
     a: Fraction
     b: Fraction
+    descent: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", Fraction(self.a))
@@ -243,6 +259,41 @@ def reduce_domain(t: RationalLike) -> Fraction:
     return Fraction(r if r <= q else 2 * q - r, q)
 
 
+def continuous_tiling(branches: tuple[Branch, ...]) -> bool:
+    """Whether the branches glue into one continuous graph from (0, 0) to (1, 1).
+
+    Exact checks on the constants:
+
+    - the x cells tile [0, 1] in order with positive scales: the first
+      starts at 0, each starts where the one before ends, the last ends
+      at 1;
+    - adjacent y maps agree at every seam: each sends 1 where the next
+      sends 0;
+    - the first y map fixes 0 and the last fixes 1.
+
+    Then u(0) = 0, u(1) = 1, and for every nested cell X with composed
+    vertical map Y, u(X(b)) = Y(u(b)) for every b in [0, 1]: the leftmost
+    descent of X(b) follows the cell's branches, and where it leaves them
+    at a seam, the seam agreement and the fixed ends give the same value.
+    Seams alone are not enough: right.y_scale + 1/100 keeps them but
+    moves u(1).  No single-constant drift of the standard system passes.
+    """
+    if not branches:
+        return False
+    first, last = branches[0], branches[-1]
+    return (
+        all(br.x_scale > 0 for br in branches)
+        and first.x_lo == 0
+        and last.x_hi == 1
+        and first.y_offset == 0
+        and last.y_scale + last.y_offset == 1
+        and all(
+            l.x_hi == r.x_lo and l.y_scale + l.y_offset == r.y_offset
+            for l, r in zip(branches, branches[1:])
+        )
+    )
+
+
 @dataclass(frozen=True)
 class Curve:
     """A branch system together with evaluation and witness machinery.
@@ -280,6 +331,7 @@ class Curve:
         object.__setattr__(self, "_dx", dx)
         object.__setattr__(self, "_ey", ey)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_tiled", continuous_tiling(self.branches))
         # (t.numerator, t.denominator) -> last eval_limit state of t, keyed
         # by ints because hashing a Fraction costs a modular inverse.
         object.__setattr__(self, "_descents", {})
@@ -451,7 +503,9 @@ class Curve:
     # ------------------------------------------------------------------
     # cell location
 
-    def locate_cell(self, t: RationalLike, delta: RationalLike) -> AffineMap1D:
+    def locate_cell(
+        self, t: RationalLike, delta: RationalLike, resume: Optional[AffineMap1D] = None
+    ) -> AffineMap1D:
         """First nested cell containing t whose length is at most delta.
 
         Returns the increasing affine map from [0, 1] onto the cell.  Ties
@@ -463,6 +517,15 @@ class Curve:
         instead of a step count.  A step through a branch with x_scale
         >= 1 would not shrink the cell, so it raises UncoveredPoint;
         every other step shrinks it, so the descent ends at any delta.
+
+        The cell carries its descent as `cell.descent`, the tuple (curve,
+        t, delta, p, q, k, dk, ya, yb): after k steps t sits at p/q in the
+        cell's coordinates, dk = dx**k, and the composed vertical map is
+        y -> (ya*y + yb) / ey**k, built as in `_descend`.  If resume is a
+        cell this Curve returned for the same t at some delta' >= delta,
+        the descent continues from it: every cell above it is longer than
+        delta' >= delta.  Any other resume starts from t, so the result
+        always equals locate_cell(t, delta).
         """
         t = Fraction(t)
         delta = Fraction(delta)
@@ -470,26 +533,33 @@ class Curve:
             raise OutOfDomain(f"t={t} outside [0, 1]")
         if not 0 < delta <= 1:
             raise OutOfDomain(f"delta={delta} outside (0, 1]")
-        dx = self._dx
+        dx, ey = self._dx, self._ey
         locate = self.locate_branch
         p0, q0 = t.numerator, t.denominator
-        p, q = p0, q0
-        # After k steps p/q = (t*dx**k - b_k) / a_k, where the cell map is
-        # x -> (a_k*x + b_k) / dx**k; so a_k = q/q0, and the length test
-        # a_k/dx**k > delta reads q*dd > delta.numerator*q0*dx**k = cut.
+        st = resume.descent if resume is not None else None
+        if st is not None and st[0] is self and st[1] == t and delta <= st[2]:
+            p, q, k, dk, ya, yb = st[3:]
+        else:
+            p, q, k, dk, ya, yb = p0, q0, 0, 1, 1, 0
+        # After k steps p/q = (t*dk - b_k) / a_k, where the cell map is
+        # x -> (a_k*x + b_k) / dk; so a_k = q/q0, and the length test
+        # a_k/dk > delta reads q*dd > delta.numerator*q0*dk = dn*dk.
         dd = delta.denominator
-        cut = delta.numerator * q0
-        k = 0
-        while q * dd > cut:
+        dn = delta.numerator * q0
+        while q * dd > dn * dk:
             pd = p * dx
-            _, _, xs, xo, _, _ = locate(pd, q)
+            _, _, xs, xo, ys, yo = locate(pd, q)
             if xs >= dx:
                 raise UncoveredPoint("descent does not contract; branch system broken")
             p, q = pd - xo * q, q * xs
-            cut *= dx
+            ya, yb = ya * ys, ya * yo + yb * ey
+            dk *= dx
             k += 1
-        den = dx**k
-        return AffineMap1D(Fraction(q // q0, den), Fraction((p0 * den - p) // q0, den))
+        return AffineMap1D(
+            Fraction(q // q0, dk),
+            Fraction((p0 * dk - p) // q0, dk),
+            (self, t, delta, p, q, k, dk, ya, yb),
+        )
 
     # ------------------------------------------------------------------
     # witnesses
@@ -534,28 +604,47 @@ class Curve:
         s1, s2, side = self._unit_probe(t0)
         return self._deepen(s1, s2, t0, side, (16, 24, 32, 48, 64, 96))
 
-    def window_witnesses(self, t: RationalLike, delta: RationalLike) -> QuotientWitness:
+    def window_witnesses(
+        self, t: RationalLike, delta: RationalLike, resume: Optional[AffineMap1D] = None
+    ) -> QuotientWitness:
         """Probe pair at scale delta with a certified quotient gap.
 
         Descends to the first cell of length at most delta containing t,
         replays the unit-scale probe construction inside that cell, and
         certifies the gap directly at the small scale.  Probe distances
-        from t are guaranteed to lie in [delta/162, delta].
+        from t are guaranteed to lie in [delta/162, delta].  resume goes
+        to locate_cell, so a scan over shrinking delta at one t walks one
+        chain of cells.
+
+        If the branches pass `continuous_tiling`, the descent of each
+        probe cell(b) starts at the cell: its first k steps follow the
+        cell's branches, so the store holds (b, ya, yb, k) for it while
+        the witness is built, and eval_limit resumes from there.  The
+        probes are dropped afterwards, so a scan's store keeps u(t) and
+        does not fill.  Any other Curve descends the probes from the top.
         """
         t = Fraction(t)
         delta = Fraction(delta)
-        cell = self.locate_cell(t, delta)
-        t0 = cell.inverse(t)
-        b1, b2, side = self._unit_probe(t0)
-        # Probe values are exact breakpoint images, so enclosure width is
-        # driven by u(t) alone; size the starting depth to the cell scale.
+        cell = self.locate_cell(t, delta, resume)
+        b1, b2, side = self._unit_probe(cell.inverse(t))
+        s1, s2 = cell(b1), cell(b2)
+        start = cell_start_depth(cell)
+        depths = range(start, start + 6 * 24, 24)
+        if not self._tiled:
+            return self._deepen(s1, s2, t, side, depths)
+        k, _, ya, yb = cell.descent[5:]
+        kept = self._descents
+        if len(kept) > _DESCENTS_KEPT - 2:
+            kept.clear()
+        probes = {
+            (s.numerator, s.denominator): (b.numerator, b.denominator, ya, yb, k) for s, b in ((s1, b1), (s2, b2))
+        }
+        kept.update(probes)
         try:
-            start = window_start_depth(math.log(1 / float(cell.a), 3))
-        except (OverflowError, ZeroDivisionError):
-            # 1/a overflows a float once a < 5.6e-309 (from about
-            # delta = 9**-323): take the logarithms of the integers.
-            start = window_start_depth(math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3))
-        return self._deepen(cell(b1), cell(b2), t, side, range(start, start + 6 * 24, 24))
+            return self._deepen(s1, s2, t, side, depths)
+        finally:
+            for key in probes:
+                kept.pop(key, None)
 
 
 def window_start_depth(log3_inv_a: float) -> int:
@@ -565,6 +654,20 @@ def window_start_depth(log3_inv_a: float) -> int:
     window_start_depth(log_3(1/delta)) or deeper.
     """
     return 16 + max(0, int(2.2 * log3_inv_a))
+
+
+def cell_start_depth(cell: AffineMap1D) -> int:
+    """First depth window_witnesses tries in cell.
+
+    Probe values are exact breakpoint images, so enclosure width is
+    driven by u(t) alone; the depth is sized to the cell scale.
+    """
+    try:
+        return window_start_depth(math.log(1 / float(cell.a), 3))
+    except (OverflowError, ZeroDivisionError):
+        # 1/a overflows a float once a < 5.6e-309 (from about
+        # delta = 9**-323): take the logarithms of the integers.
+        return window_start_depth(math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3))
 
 
 UNIT_CURVE = Curve()

@@ -52,6 +52,7 @@ from .selfsim import (
     UNIT_CURVE,
     UNIT_MIN_OFFSET,
     WINDOW_OFFSET_RATIO,
+    cell_start_depth,
     quotient_gap_floor,
     reduce_domain,
     window_start_depth,
@@ -308,7 +309,9 @@ def oscillation_scan(
     both their magnitudes and the certified gap.  A window that fails to
     clear the gap floor is a failure record, not a proof of absence.  A
     delta whose window would start deeper than MAX_DEPTH is refused
-    before the first window.
+    before the first window: first by the least start depth its delta
+    allows, then by the start depth of its own cell.  The cells are one
+    chain: each delta's locate_cell continues from the cell before.
     """
     started = time.perf_counter()
     if not deltas:
@@ -323,10 +326,18 @@ def oscillation_scan(
             start = window_start_depth(math.log(delta.denominator, 3) - math.log(delta.numerator, 3))
             if start > MAX_DEPTH:
                 raise DepthTooLarge(f"scale {k} would start at depth {start}, over cap {MAX_DEPTH}")
+    cells = []
+    cell = None
+    for k, delta in enumerate(deltas, 1):
+        cell = curve.locate_cell(t_red, delta, cell)
+        start = cell_start_depth(cell)
+        if start > MAX_DEPTH:
+            raise DepthTooLarge(f"scale {k} would start at depth {start}, over cap {MAX_DEPTH}")
+        cells.append(cell)
     windows = []
     failures = []
-    for delta in deltas:
-        w = curve.window_witnesses(t_red, delta)
+    for delta, cell in zip(deltas, cells):
+        w = curve.window_witnesses(t_red, delta, cell)
         o1, o2 = w.s1 - t_red, w.s2 - t_red
         if reflected:
             o1, o2 = -o1, -o2

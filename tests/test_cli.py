@@ -240,6 +240,18 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.getvalue() == message + "\n"
 
+    def test_cell_past_the_depth_cap_refused_before_any_witness(self, monkeypatch):
+        # at 1/7 the cell at 9**-927 is shorter than the scale, so its window would start at 4098
+        def no_witness(*args):
+            raise AssertionError("a witness was built before the refusal")
+
+        monkeypatch.setattr(Curve, "window_witnesses", no_witness)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["verify", "oscillation", "--t-hat", "1/7", "--scales", "927"])
+        assert code == 2 and out == ""
+        assert err.getvalue() == f"cannot run campaign: scale 927 would start at depth 4098, over cap {MAX_DEPTH}\n"
+
     @pytest.mark.parametrize("argv, exc_type, prefix", EXIT_2_TABLE, ids=[" ".join(row[0][1:]) for row in EXIT_2_TABLE])
     def test_exit_code_table(self, argv, exc_type, prefix):
         with pytest.raises(exc_type) as raised:

@@ -31,6 +31,10 @@ CASES = [
      "19d79b76f84732d2a1fac5afcef19903727882bc2a07278a1237f98e04aa1625"),
     (["verify", "oscillation", "--t-hat", "7/2", "--scales", "12"], "stdout",
      "8a74961515cef38542f3d2ee0ef6972c406149a4a48936509a0e498de92c126f"),
+    (["verify", "oscillation", "--t-hat", "1/7", "--scales", "340"], "stdout",
+     "00c0bbf2a8e8f2f6b742132a165931d31a5d4e0b6b17634744ae81c89fdb1d89"),
+    (["verify", "oscillation", "--t-hat", "123457/1000000", "--scales", "200"], "stdout",
+     "efff60234c830b6443071049403a39a8af2d9c0bf93aca9e95c6ea88c2aa7ef1"),
     (["verify", "blowup-divergence"], "stdout",
      "579739364fe51e10ae97602544a869e56fb127384b2f396e14d7a68890cb98ff"),
     (["verify", "blowup-divergence", "--depth", "30"], "stdout",

@@ -26,12 +26,15 @@ from lipgraph.selfsim import (
     InvalidCurve,
     OutOfDomain,
     PiecewiseLinear,
+    QuotientWitness,
     UncoveredPoint,
+    cell_start_depth,
+    continuous_tiling,
     quotient_gap_floor,
     reduce_domain,
     window_start_depth,
 )
-from lipgraph.verify import MUTABLE_FIELDS, perturbed_branches
+from lipgraph.verify import MUTABLE_FIELDS, oscillation_scan, perturbed_branches
 
 
 def inside(enc, q):
@@ -804,6 +807,155 @@ class TestResumableDescent:
             for t in points:
                 for depth in (0, 5, 30):
                     assert outcome(curve.diff_quotient, s, t, depth) == outcome(ref_diff_quotient, curve, s, t, depth)
+
+
+# ----------------------------------------------------------------------
+# An oscillation scan walks one chain of cells, and on a curve that
+# passes continuous_tiling the probe descents start at the cell: checked
+# against ref_locate_cell and against windows built as before, with each
+# cell located from t and each probe descended from the top.
+
+
+def ref_window_witnesses(curve, t, delta):
+    t, delta = F(t), F(delta)
+    cell = ref_locate_cell(curve, t, delta)
+    b1, b2, side = Curve._unit_probe(cell.inverse(t))
+    s1, s2 = cell(b1), cell(b2)
+    start = cell_start_depth(cell)
+    floor_hi = quotient_gap_floor().hi
+    for depth in range(start, start + 6 * 24, 24):
+        gap = (ref_diff_quotient(curve, s1, t, depth) - ref_diff_quotient(curve, s2, t, depth)).abs()
+        if gap.lo >= floor_hi:
+            break
+    return QuotientWitness(s1, s2, gap, side)
+
+
+def chained_windows(curve, t, deltas):
+    """Each delta's window, or what it raises, with every cell continuing the one before."""
+    out, cell = [], None
+    for delta in deltas:
+        try:
+            cell = curve.locate_cell(t, delta, cell)
+        except (ArithmeticError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+            cell = None
+            continue
+        out.append(outcome(curve.window_witnesses, t, delta, cell))
+    return out
+
+
+def scan_steps(monkeypatch, t, scales):
+    """Branch steps of an oscillation scan on a Curve whose store starts empty."""
+    steps = []
+    step = Curve.locate_branch
+    monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append(q) or step(self, pd, q))
+    assert oscillation_scan(t, [F(1, 9**j) for j in range(1, scales + 1)], Curve()).certified
+    return len(steps)
+
+
+_chain_rng = random.Random(7)
+CHAIN_TS = [F(0), F(1, 2), F(4, 9), F(5, 9), F(1), F(1, 7)] + [
+    F(_chain_rng.randrange(10**6 + 1), 10**6) for _ in range(20)
+]
+CHAIN_DELTAS = [F(1, 9**j) for j in range(1, 41)]
+
+
+class TestCellChain:
+    def test_premise(self):
+        assert continuous_tiling(BRANCHES) and UNIT_CURVE._tiled
+        assert not continuous_tiling(())
+        # every drift of the mutation probe, and every broken tuple of the oracle
+        assert not any(curve._tiled or continuous_tiling(curve.branches) for curve in ORACLE_CURVES[1:])
+        # right.y_scale + 1/100 tiles and keeps its seams, but moves u(1)
+        branches = _drifted(BranchTag.RIGHT, "y_scale", F(1, 100)).branches
+        assert all(br.x_scale > 0 for br in branches)
+        assert branches[0].x_lo == 0 and branches[-1].x_hi == 1 and branches[0].y_offset == 0
+        for l, r in zip(branches, branches[1:]):
+            assert l.x_hi == r.x_lo and l.y_scale + l.y_offset == r.y_offset
+        assert branches[-1].y_scale + branches[-1].y_offset != 1
+        assert not continuous_tiling(branches)
+
+    def test_resumed_cells_match_the_reference(self):
+        ey = UNIT_CURVE._ey
+        u_probe = {F(0): F(0), F(4, 9): F(2, 3), F(5, 9): F(1, 3), F(1): F(1)}
+        for t in CHAIN_TS:
+            cell = None
+            for j, delta in enumerate(CHAIN_DELTAS, 1):
+                cell = UNIT_CURVE.locate_cell(t, delta, cell)
+                assert cell == ref_locate_cell(UNIT_CURVE, t, delta)
+                curve, t_, _, p, q, k, dk, ya, yb = cell.descent
+                assert curve is UNIT_CURVE and t_ == t
+                assert F(p, q) == cell.inverse(t) and dk == UNIT_CURVE._dx**k
+                # the identity the probe descents rest on: u(cell(b)) = Y_cell(u(b))
+                if j % 8 == 0:
+                    for b, ub in u_probe.items():
+                        assert fresh_eval_limit(UNIT_CURVE, cell(b), k + 1) == Interval.point((ya * ub + yb) / ey**k)
+
+    def test_chain_takes_the_steps_of_one_descent(self, monkeypatch):
+        steps = []
+        step = Curve.locate_branch
+        monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append(q) or step(self, pd, q))
+        for t in CHAIN_TS:
+            steps.clear()
+            UNIT_CURVE.locate_cell(t, CHAIN_DELTAS[-1])
+            one = len(steps)
+            steps.clear()
+            cell = None
+            for delta in CHAIN_DELTAS:
+                cell = UNIT_CURVE.locate_cell(t, delta, cell)
+            assert len(steps) == one
+
+    def test_resume_only_from_the_same_curve_point_and_a_larger_scale(self):
+        t = F(1, 7)
+        cell = UNIT_CURVE.locate_cell(t, F(1, 81))
+        assert UNIT_CURVE.locate_cell(t, F(1, 81), cell) == cell
+        assert UNIT_CURVE.locate_cell(t, F(1, 100), cell) == ref_locate_cell(UNIT_CURVE, t, F(1, 100))
+        assert UNIT_CURVE.locate_cell(t, F(1, 9), cell) == ref_locate_cell(UNIT_CURVE, t, F(1, 9))
+        assert UNIT_CURVE.locate_cell(F(1, 5), F(1, 729), cell) == ref_locate_cell(UNIT_CURVE, F(1, 5), F(1, 729))
+        other = Curve(branches=UNIT_CURVE.branches)
+        again = other.locate_cell(t, F(1, 729), cell)
+        assert again == ref_locate_cell(UNIT_CURVE, t, F(1, 729)) and again.descent[0] is other
+        drift = _drifted(BranchTag.LEFT, "x_scale", F(1, 100))
+        assert drift.locate_cell(t, F(1, 729), cell) == ref_locate_cell(drift, t, F(1, 729))
+        plain = AffineMap1D(cell.a, cell.b)
+        assert UNIT_CURVE.locate_cell(t, F(1, 729), plain) == ref_locate_cell(UNIT_CURVE, t, F(1, 729))
+        for bad in (F(0), F(2)):
+            assert outcome(UNIT_CURVE.locate_cell, t, bad, cell) == outcome(ref_locate_cell, UNIT_CURVE, t, bad)
+
+    def test_windows_match_a_new_curve_and_the_reference(self):
+        kept = Curve()
+        for t in CHAIN_TS:
+            for delta, w in zip(CHAIN_DELTAS, chained_windows(kept, t, CHAIN_DELTAS)):
+                assert w == Curve().window_witnesses(t, delta)
+                assert w == ref_window_witnesses(UNIT_CURVE, t, delta)
+                # the probes' seeded descents are dropped once the witness is built
+                assert (w.s1.numerator, w.s1.denominator) not in kept._descents
+                assert (w.s2.numerator, w.s2.denominator) not in kept._descents
+            assert len(kept._descents) <= _DESCENTS_KEPT
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES[1:25])
+    def test_curves_failing_the_premise_keep_the_top_down_probes(self, curve):
+        assert not curve._tiled
+        kept = Curve(branches=curve.branches)
+        for t in CHAIN_TS[:10]:
+            assert chained_windows(kept, t, CHAIN_DELTAS[:6]) == [
+                outcome(ref_window_witnesses, curve, t, delta) for delta in CHAIN_DELTAS[:6]
+            ]
+
+    def test_non_decreasing_scales_restart_from_t(self):
+        deltas = [F(1, 81), F(1, 9), F(1, 9), F(1, 729), F(1, 3), F(1, 6561)]
+        for t in (F(1, 7), F(4, 9), F(123457, 10**6), F(7, 2)):
+            windows = oscillation_scan(t, deltas, Curve()).parameters["windows"]
+            assert windows == [oscillation_scan(t, [d], Curve()).parameters["windows"][0] for d in deltas]
+            t_red = reduce_domain(t)
+            assert chained_windows(Curve(), t_red, deltas) == [
+                outcome(ref_window_witnesses, UNIT_CURVE, t_red, d) for d in deltas
+            ]
+
+    def test_scan_descent_work_is_linear_in_the_scales(self, monkeypatch):
+        # before one chain per scan: 386 603 and 13 691 steps
+        assert scan_steps(monkeypatch, F(1, 7), 340) <= 3000
+        assert scan_steps(monkeypatch, F(123457, 10**6), 64) <= 600
 
 
 # ----------------------------------------------------------------------
