@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .selfsim import DepthTooLarge, MAX_DEPTH, MAX_LEVEL, OutOfDomain, UNIT_CURVE
-from .selfsim import reduce_domain, window_start_depth
+from .selfsim import reduce_domain
 from .carnot import w_point
 from .verify import (
     REFERENCE_SEED,
@@ -193,12 +193,7 @@ def _run_campaign(args: argparse.Namespace) -> Report:
         depth = args.depth if args.depth is not None else 30
         return verify_cone(count, depth, args.seed)
     if name == "oscillation":
-        cap = 0  # the largest j whose window at delta = 9**-j can start within MAX_DEPTH
-        while window_start_depth(2 * (cap + 1)) <= MAX_DEPTH:
-            cap += 1
-        if args.scales > cap:
-            raise DepthTooLarge(f"{args.scales} scales exceed cap {cap}")
-        return oscillation_scan(args.t_hat, [Fraction(1, 9**j) for j in range(1, args.scales + 1)])
+        return oscillation_scan(args.t_hat, args.scales)
     if name == "blowup-divergence":
         depth = args.depth if args.depth is not None else 40
         grid = [w_point(0, h) for h in args.offsets]

@@ -208,38 +208,6 @@ class PiecewiseLinear:
         if pts[-1] != (1, 1):
             raise InvalidCurve(f"curve must end at (1, 1), got {pts[-1]}")
 
-    def value(self, t: RationalLike) -> Fraction:
-        """Exact value at t by linear interpolation."""
-        t = Fraction(t)
-        pts = self.breakpoints
-        if t < pts[0][0] or t > pts[-1][0]:
-            raise OutOfDomain(f"t={t} outside [{pts[0][0]}, {pts[-1][0]}]")
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        (t0, v0), (t1, v1) = pts[lo], pts[hi]
-        if t == t0:
-            return v0
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def sup_diff(self, other: "PiecewiseLinear") -> Fraction:
-        """Exact sup norm of self - other.
-
-        Both curves are piecewise linear, so the sup over [0, 1] is
-        attained at a breakpoint of one of them; the union of abscissas
-        is checked.
-        """
-        best = Fraction(0)
-        for t, v in self.breakpoints:
-            best = max(best, abs(v - other.value(t)))
-        for t, v in other.breakpoints:
-            best = max(best, abs(self.value(t) - v))
-        return best
-
 
 def reduce_domain(t: RationalLike) -> Fraction:
     """Fold t into [0, 1] using evenness about 0 and period 2.

@@ -18,7 +18,6 @@ byte-stable.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from dataclasses import dataclass, replace
@@ -49,17 +48,22 @@ from .selfsim import (
     DepthTooLarge,
     InvalidCurve,
     MAX_DEPTH,
+    OutOfDomain,
     UNIT_CURVE,
     UNIT_MIN_OFFSET,
     WINDOW_OFFSET_RATIO,
     cell_start_depth,
     quotient_gap_floor,
     reduce_domain,
-    window_start_depth,
 )
 
 MAX_PAIRS = 2_000_000
 REFERENCE_SEED = 20259
+
+# Most scales an oscillation scan takes: the window at 9**-927 may start
+# within MAX_DEPTH, but the one at 9**-928 starts at selfsim's window
+# start depth for log_3(9**928) = 1856, which is 4099 > MAX_DEPTH.
+MAX_SCALES = 927
 
 
 class EmptyAfterRestriction(ValueError):
@@ -206,7 +210,9 @@ def _check_witnesses(
     [near, delta] its scale admits and the fields that name it in failure
     records.  build(t, delta) makes the witness, whose probes must sit on
     one side of t within those distances, with quotient gap certified
-    above the guaranteed gap floor.
+    above the guaranteed gap floor.  A witness that cannot be built is a
+    "construction" failure record, except that OutOfDomain and
+    DepthTooLarge are refusals of the arguments and propagate.
     """
     floor = quotient_gap_floor()
     failures = []
@@ -216,6 +222,8 @@ def _check_witnesses(
         checked += 1
         try:
             w = build(t, delta)
+        except (OutOfDomain, DepthTooLarge):
+            raise
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             failures.append({"kind": "construction", "detail": str(exc), **key})
             continue
@@ -293,12 +301,8 @@ def verify_window_gap(
 # oscillation scan
 
 
-def oscillation_scan(
-    t_hat: RationalLike,
-    deltas: Sequence[RationalLike],
-    curve: Curve = UNIT_CURVE,
-) -> Report:
-    """Witness oscillation of difference quotients at every requested scale.
+def oscillation_scan(t_hat: RationalLike, scales: int, curve: Curve = UNIT_CURVE) -> Report:
+    """Witness oscillation of difference quotients at the scales 9**-1 .. 9**-scales.
 
     For each delta, parameters["windows"] records the witness offsets
     from t_hat, with magnitudes in [delta/162, delta], and
@@ -307,25 +311,22 @@ def oscillation_scan(
     lie inside it.  t_hat may be any rational on the line; evaluation
     folds it into [0, 1] and offsets are reflected back, which preserves
     both their magnitudes and the certified gap.  A window that fails to
-    clear the gap floor is a failure record, not a proof of absence.  A
-    delta whose window would start deeper than MAX_DEPTH is refused
-    before the first window: first by the least start depth its delta
-    allows, then by the start depth of its own cell.  The cells are one
-    chain: each delta's locate_cell continues from the cell before.
+    clear the gap floor is a failure record, not a proof of absence.
+    scales must lie in 1 .. MAX_SCALES, which is checked before any
+    work.  The cells are one chain: each delta's locate_cell continues
+    from the cell before.  A delta whose own cell would start its window
+    deeper than MAX_DEPTH is refused before the first window.
     """
     started = time.perf_counter()
-    if not deltas:
+    if scales < 1:
         raise ValueError("scales must be at least 1")
+    if scales > MAX_SCALES:
+        raise DepthTooLarge(f"{scales} scales exceed cap {MAX_SCALES}")
     t_hat = Fraction(t_hat)
     t_red = reduce_domain(t_hat)
     reflected = (t_hat % 2) > 1
     floor = quotient_gap_floor()
-    deltas = [Fraction(d) for d in deltas]
-    for k, delta in enumerate(deltas, 1):
-        if delta > 0:
-            start = window_start_depth(math.log(delta.denominator, 3) - math.log(delta.numerator, 3))
-            if start > MAX_DEPTH:
-                raise DepthTooLarge(f"scale {k} would start at depth {start}, over cap {MAX_DEPTH}")
+    deltas = [Fraction(1, 9**j) for j in range(1, scales + 1)]
     cells = []
     cell = None
     for k, delta in enumerate(deltas, 1):

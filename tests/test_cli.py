@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -233,7 +234,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(Curve, "_descend", no_work)
         monkeypatch.setattr(verify, "w_point", no_work)
         monkeypatch.setattr(verify, "solve_quotient", no_work)
-        monkeypatch.setattr(cli, "oscillation_scan", no_work)
+        monkeypatch.setattr(Curve, "locate_cell", no_work)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, out = run(argv)
@@ -251,6 +252,11 @@ class TestVerifyCommand:
             code, out = run(["verify", "oscillation", "--t-hat", "1/7", "--scales", "927"])
         assert code == 2 and out == ""
         assert err.getvalue() == f"cannot run campaign: scale 927 would start at depth 4098, over cap {MAX_DEPTH}\n"
+
+    def test_readme_lists_the_exit_code_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([\w-]+)` \| `(\w+)` \|", readme, re.MULTILINE)
+        assert rows == [(argv[1], exc_type.__name__) for argv, exc_type, _ in EXIT_2_TABLE]
 
     @pytest.mark.parametrize("argv, exc_type, prefix", EXIT_2_TABLE, ids=[" ".join(row[0][1:]) for row in EXIT_2_TABLE])
     def test_exit_code_table(self, argv, exc_type, prefix):

@@ -17,9 +17,11 @@ from lipgraph.selfsim import (
     UNIT_CURVE,
     Curve,
     DepthTooLarge,
+    OutOfDomain,
     quotient_gap_floor,
 )
 from lipgraph.verify import (
+    MAX_SCALES,
     MUTABLE_FIELDS,
     EmptyAfterRestriction,
     Report,
@@ -78,8 +80,8 @@ class TestHolderCampaign:
         s, t, q2 = F(f["s"]), F(f["t"]), F(f["quotient_sq"])
         assert q2 > 1
         # failure records are self-consistent against the mutated iterate
-        pl = bad.iterate(4)
-        assert (pl.value(s) - pl.value(t)) ** 2 == q2 * abs(s - t)
+        values = dict(bad.iterate(4).breakpoints)
+        assert (values[s] - values[t]) ** 2 == q2 * abs(s - t)
 
     def test_construction_failure_reported(self):
         bad = Curve(branches=perturbed_branches(BranchTag.MID, "y_scale", F(-7, 20)))
@@ -141,6 +143,26 @@ class TestWindowGapCampaign:
         with pytest.raises(ValueError, match="samples must be at least 1"):
             verify_window_gap([])
 
+    @pytest.mark.parametrize(
+        "sample, exc_type, message",
+        [
+            ((F(1, 7), F(1, 9**1000)), DepthTooLarge, "depth 4416 exceeds cap 4096"),
+            ((F(3, 2), F(1, 9)), OutOfDomain, "t=3/2 outside [0, 1]"),
+            ((F(1, 2), 2), OutOfDomain, "delta=2 outside (0, 1]"),
+        ],
+    )
+    def test_refused_arguments_raise_instead_of_failing(self, sample, exc_type, message):
+        with pytest.raises(exc_type) as raised:
+            verify_window_gap([window_gap_samples(1)[0], sample])
+        assert str(raised.value) == message
+
+    def test_broken_branch_system_is_a_construction_failure(self):
+        gap = Curve(branches=perturbed_branches(BranchTag.LEFT, "x_scale", F(43, 100)))
+        # left now ends at 43/100, short of mid's 4/9
+        r = verify_window_gap([(F(87, 200), F(1, 9))], curve=gap)
+        assert not r.certified
+        assert r.failures == [{"kind": "construction", "detail": "no branch cell contains t=87/200", "t": "87/200", "delta": "1/9"}]
+
     def test_start_depth_beyond_floats_certified(self):
         r = verify_window_gap([(F(1, 7), F(1, 9**330))])
         assert r.certified and r.failures == []
@@ -149,7 +171,7 @@ class TestWindowGapCampaign:
 class TestOscillation:
     def test_windows_certified_at_half(self):
         deltas = [F(1, 9) ** j for j in range(1, 5)]
-        r = oscillation_scan(F(1, 2), deltas)
+        r = oscillation_scan(F(1, 2), 4)
         floor = quotient_gap_floor()
         assert r.campaign == "oscillation"
         assert r.certified and r.failures == [] and r.checked == len(deltas)
@@ -165,8 +187,8 @@ class TestOscillation:
 
     def test_reflected_window_keeps_magnitudes(self):
         # 7/2 folds to 1/2 through a reflection: offsets flip sign only
-        base = oscillation_scan(F(1, 2), [F(1, 9)]).parameters["windows"][0]
-        refl = oscillation_scan(F(7, 2), [F(1, 9)]).parameters["windows"][0]
+        base = oscillation_scan(F(1, 2), 1).parameters["windows"][0]
+        refl = oscillation_scan(F(7, 2), 1).parameters["windows"][0]
         assert refl["certified"]
         assert abs(refl["offset1"]) == abs(base["offset1"])
         assert abs(refl["offset2"]) == abs(base["offset2"])
@@ -174,23 +196,25 @@ class TestOscillation:
         assert refl["osc_lower_bound"] == base["osc_lower_bound"]
 
     def test_no_scales_refused(self):
-        with pytest.raises(ValueError, match="scales must be at least 1"):
-            oscillation_scan(F(1, 2), [])
+        for scales in (0, -3):
+            with pytest.raises(ValueError, match="scales must be at least 1"):
+                oscillation_scan(F(1, 2), scales)
 
     def test_scale_past_the_depth_cap_refused_before_any_window(self, monkeypatch):
-        def no_window(*args):
-            raise AssertionError("a window started before the refusal")
+        def no_work(*args):
+            raise AssertionError("a descent started before the refusal")
 
-        monkeypatch.setattr(Curve, "locate_cell", no_window)
-        deltas = [F(1, 9), F(1, 9**927), F(1, 9**928)]
-        with pytest.raises(DepthTooLarge, match=f"scale 3 would start at depth 4099, over cap {MAX_DEPTH}"):
-            oscillation_scan(F(1, 7), deltas)
+        monkeypatch.setattr(Curve, "locate_cell", no_work)
+        monkeypatch.setattr(Curve, "_descend", no_work)
+        for scales in (MAX_SCALES + 1, 10**10):
+            with pytest.raises(DepthTooLarge) as raised:
+                oscillation_scan(F(1, 7), scales)
+            assert str(raised.value) == f"{scales} scales exceed cap {MAX_SCALES}"
 
     def test_flat_mid_branch_leaves_windows_uncertified(self):
         # with a flat mid branch the probes no longer separate the quotients
         flat = Curve(branches=perturbed_branches(BranchTag.MID, "y_scale", 0))
-        deltas = [F(1, 9) ** j for j in range(1, 4)]
-        r = oscillation_scan(F(1, 2), deltas, flat)
+        r = oscillation_scan(F(1, 2), 3, flat)
         assert not r.certified and r.checked == 3
         assert not any(w["certified"] for w in r.parameters["windows"])
         assert [f["kind"] for f in r.failures] == ["window-uncertified"] * 3
