@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from .numerics import Interval, RationalLike, sqrt_enclose
-from .selfsim import QUOTIENT_MAX_DEPTH, UNIT_CURVE, reduce_domain
+from .selfsim import UNIT_CURVE, reduce_domain
 
 _FZERO = Fraction(0)
 _ZERO = Interval.point(_FZERO)
@@ -62,7 +63,11 @@ class NotBracketed(ValueError):
 
 
 class TolTooTight(ValueError):
-    """Requested tolerance unreachable within QUOTIENT_MAX_DEPTH."""
+    """No quotient enclosure or rational blow-up scale meets tol within QUOTIENT_MAX_DEPTH."""
+
+
+# Deepest descent _quotient_within takes to meet a requested width.
+QUOTIENT_MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -204,28 +209,37 @@ def blowup_graph_sample(
     return out
 
 
+def _quotient_within(t_hat: Fraction, s: Fraction, width: Fraction) -> Interval:
+    """Enclosure of q(t_hat + s, t_hat) no wider than width, doubling the depth from 16.
+
+    Past QUOTIENT_MAX_DEPTH the last, overwide enclosure is returned.
+    """
+    depth = 16
+    best = UNIT_CURVE.diff_quotient(t_hat + s, t_hat, depth)
+    while best.width() > width and depth < QUOTIENT_MAX_DEPTH:
+        depth *= 2
+        best = UNIT_CURVE.diff_quotient(t_hat + s, t_hat, depth)
+    return best
+
+
 def solve_quotient(
     t_hat: RationalLike,
     target: RationalLike,
-    side: int,
     bracket: tuple[RationalLike, RationalLike],
     tol: RationalLike,
 ) -> Fraction:
-    """Offset s with certified |q(t_hat + s, t_hat) - target| <= tol.
+    """Positive offset s with certified |q(t_hat + s, t_hat) - target| <= tol.
 
-    side fixes the sign of every admissible offset; the bracket holds
-    two offsets of that sign.  Endpoints are tried first, then certified
-    bisection runs on enclosures of width at most tol / 2, so every
-    branch decision and the final acceptance are interval-sound.
+    The bracket holds two positive offsets.  Endpoints are tried first,
+    then certified bisection runs on enclosures of width at most tol / 2,
+    so every branch decision and the final acceptance are interval-sound.
     Raises NotBracketed when neither endpoint qualifies and their
-    enclosures do not straddle the target; raises TolTooTight when the
-    evaluation depth cap cannot deliver the needed enclosure width.
+    enclosures do not straddle the target; raises TolTooTight when
+    QUOTIENT_MAX_DEPTH cannot deliver the needed enclosure width.
     """
     t_hat = Fraction(t_hat)
     target = Fraction(target)
     tol = Fraction(tol)
-    if side not in (-1, 1):
-        raise ValueError("side must be +1 or -1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, b = Fraction(bracket[0]), Fraction(bracket[1])
@@ -233,15 +247,13 @@ def solve_quotient(
         a, b = b, a
     if a == b:
         raise NotBracketed("bracket endpoints coincide")
-    if not (a * side > 0 and b * side > 0):
-        raise NotBracketed(f"bracket {bracket} is not strictly of sign {side}")
+    if a <= 0:
+        raise NotBracketed(f"bracket {bracket} is not strictly positive")
 
     def enclose(s: Fraction) -> Interval:
-        enc = UNIT_CURVE.diff_quotient_within(t_hat + s, t_hat, tol / 2)
+        enc = _quotient_within(t_hat, s, tol / 2)
         if enc.width() > tol / 2:
-            raise TolTooTight(
-                f"cannot reach quotient width {tol}/2 within depth {QUOTIENT_MAX_DEPTH}"
-            )
+            raise TolTooTight(f"cannot reach quotient width {tol}/2 within depth {QUOTIENT_MAX_DEPTH}")
         return enc
 
     ea = enclose(a)
@@ -274,3 +286,37 @@ def solve_quotient(
             # unreachable after all.
             raise TolTooTight("enclosure straddles target without meeting tol")
     raise TolTooTight(f"no certified solution within {_BISECTION_STEPS} bisection steps")
+
+
+def rationalized_scale(
+    t_hat: Fraction, s: Fraction, target: Fraction, tol: Fraction
+) -> tuple[Fraction, Fraction, Interval]:
+    """Rational dilation factor lam close to |s| ** (-1/2), recertified.
+
+    Returns (lam, s_real, enclosure) with s_real = sign(s) / lam**2 and
+    the enclosure of q(t_hat + s_real, t_hat) certified inside the ball
+    of radius 2 * tol around the target.  Exact when 1/|s| is a rational
+    square, so the canonical offsets 4/9 and 1 rationalise losslessly.
+    Eight candidates are tried, each denominator 2**8 times finer.
+    """
+    sigma = 1 if s > 0 else -1
+    inv_abs = 1 / abs(s)
+    p, q = inv_abs.numerator, inv_abs.denominator
+    rp, rq = isqrt(p), isqrt(q)
+    exact = rp * rp == p and rq * rq == q
+    den = 2**32
+    for _ in range(8):
+        if exact:
+            lam = Fraction(rp, rq)
+            exact = False
+        else:
+            enc_root = sqrt_enclose(inv_abs, Fraction(1, den))
+            lam = enc_root.midpoint().limit_denominator(den)
+            if lam <= 0:
+                lam = enc_root.hi
+            den <<= 8
+        s_real = Fraction(sigma) / (lam * lam)
+        enc = _quotient_within(t_hat, s_real, tol / 2)
+        if enc.inside_ball(target, 2 * tol):
+            return lam, s_real, enc
+    raise TolTooTight(f"could not rationalise a dilation for target {target}")

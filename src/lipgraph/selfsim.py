@@ -60,9 +60,6 @@ MAX_LEVEL = 12
 # past the cap a call is refused before any step is taken.
 MAX_DEPTH = 4096
 
-# Deepest descent diff_quotient_within takes to meet a requested width.
-QUOTIENT_MAX_DEPTH = 256
-
 # Witness offsets live at distance between UNIT_MIN_OFFSET and 1 from the
 # base point at unit scale; after descending to a cell of length ell the
 # distances rescale to [ell/18, ell], and ell >= delta/9 for the first
@@ -70,10 +67,11 @@ QUOTIENT_MAX_DEPTH = 256
 UNIT_MIN_OFFSET = Fraction(1, 18)
 WINDOW_OFFSET_RATIO = Fraction(1, 162)
 
-# Descents each Curve keeps for eval_limit to resume; the store is cleared
-# when full.  A claim2 base point needs 3 live points, and so does an
-# oscillation scan at any length: u(t) plus the two probes of the current
-# window, which window_witnesses seeds at the cell and drops afterwards.
+# Descents each Curve keeps for eval_limit to resume; only eval_limit reads
+# the bound, and clears the store when a new point finds it full.  A claim2
+# base point needs 3 live points, and so does an oscillation scan at any
+# length: u(t) plus the two probes of the current window, which
+# window_witnesses seeds at the cell (even into a full store) and drops.
 # Cone's profile arguments fold onto the 1 003 points of a 1/1000 grid,
 # more than this bound holds, so a cone campaign repeats descents the store
 # has dropped (ROADMAP item 3).
@@ -454,20 +452,6 @@ class Curve:
         q = (us - ut) / sqrt_enclose(gap, min(gap, Fraction(1)) * _TWO_THIRDS**depth)
         return q if s > t else -q
 
-    def diff_quotient_within(self, s: RationalLike, t: RationalLike, width: RationalLike) -> Interval:
-        """Quotient enclosure no wider than width, doubling the depth from 16 as needed.
-
-        Returns the best enclosure found if QUOTIENT_MAX_DEPTH is reached
-        first; the caller decides whether an overwide result is a failure.
-        """
-        width = Fraction(width)
-        depth = 16
-        best = self.diff_quotient(s, t, depth)
-        while best.width() > width and depth < QUOTIENT_MAX_DEPTH:
-            depth *= 2
-            best = self.diff_quotient(s, t, depth)
-        return best
-
     # ------------------------------------------------------------------
     # cell location
 
@@ -602,8 +586,6 @@ class Curve:
             return self._deepen(s1, s2, t, side, depths)
         k, _, ya, yb = cell.descent[5:]
         kept = self._descents
-        if len(kept) > _DESCENTS_KEPT - 2:
-            kept.clear()
         probes = {
             (s.numerator, s.denominator): (b.numerator, b.denominator, ya, yb, k) for s, b in ((s1, b1), (s2, b2))
         }

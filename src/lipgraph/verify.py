@@ -22,13 +22,12 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
-from math import isqrt, lcm
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import combinations, islice
+from math import lcm
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .carnot import (
     GroupPoint,
-    TolTooTight,
     blowup_graph_sample,
     blowup_profile,
     cone_gap,
@@ -36,10 +35,11 @@ from .carnot import (
     hnorm,
     inv,
     mul,
+    rationalized_scale,
     solve_quotient,
     w_point,
 )
-from .numerics import Interval, Ordering, RationalLike, cmp_abs_sq, sqrt_enclose
+from .numerics import Interval, Ordering, RationalLike, cmp_abs_sq
 from .selfsim import (
     BRANCHES,
     Branch,
@@ -301,7 +301,7 @@ def verify_window_gap(
 # oscillation scan
 
 
-def oscillation_scan(t_hat: RationalLike, scales: int, curve: Curve = UNIT_CURVE) -> Report:
+def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     """Witness oscillation of difference quotients at the scales 9**-1 .. 9**-scales.
 
     For each delta, parameters["windows"] records the witness offsets
@@ -330,7 +330,7 @@ def oscillation_scan(t_hat: RationalLike, scales: int, curve: Curve = UNIT_CURVE
     cells = []
     cell = None
     for k, delta in enumerate(deltas, 1):
-        cell = curve.locate_cell(t_red, delta, cell)
+        cell = UNIT_CURVE.locate_cell(t_red, delta, cell)
         start = cell_start_depth(cell)
         if start > MAX_DEPTH:
             raise DepthTooLarge(f"scale {k} would start at depth {start}, over cap {MAX_DEPTH}")
@@ -338,7 +338,7 @@ def oscillation_scan(t_hat: RationalLike, scales: int, curve: Curve = UNIT_CURVE
     windows = []
     failures = []
     for delta, cell in zip(deltas, cells):
-        w = curve.window_witnesses(t_red, delta, cell)
+        w = UNIT_CURVE.window_witnesses(t_red, delta, cell)
         o1, o2 = w.s1 - t_red, w.s2 - t_red
         if reflected:
             o1, o2 = -o1, -o2
@@ -405,51 +405,48 @@ def _check_depth(depth: int) -> None:
         raise DepthTooLarge(f"depth {depth} exceeds cap {MAX_DEPTH}")
 
 
+def _cone_pairs(seed: int) -> Iterator[tuple[GroupPoint, GroupPoint]]:
+    """The 12 breakpoint pairs, then pairs drawn from random.Random(seed), without end."""
+    rng = random.Random(seed)
+    breakpoint_betas = (Fraction(0), Fraction(4, 9), Fraction(5, 9), Fraction(1))
+    for b1, b2 in combinations(breakpoint_betas, 2):
+        yield w_point(0, b1), w_point(0, b2)
+        yield w_point(0, b1), w_point(1, b2)
+    while True:
+        y1, t1, y2, t2 = (Fraction(rng.randrange(-2000, 2001), 1000) for _ in range(4))
+        yield w_point(y1, t1), w_point(y2, t2)
+
+
 def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) -> Report:
     """Cone condition with constant 1 over graph point pairs.
 
     Every pair must satisfy |w-part| >= |v-part| for the displacement
     between its graph points.  A pair fails only when the enclosure
-    refutes the inequality outright (gap upper bound below zero, or an
-    exact profile-difference comparison that exceeds the root).  Pairs
-    whose profile arguments are breakpoint values evaluate exactly and
-    are counted in parameters["exact_pairs"].
+    refutes the inequality outright (gap upper bound below zero, or a
+    profile difference above the root of the abscissa gap).  Pairs whose
+    profile arguments are breakpoint values evaluate exactly and are
+    counted in parameters["exact_pairs"].  Pairs are drawn as checked.
     """
     started = time.perf_counter()
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     _check_depth(depth)
-    rng = random.Random(seed)
-    breakpoint_betas = (Fraction(0), Fraction(4, 9), Fraction(5, 9), Fraction(1))
-    pairs: list[tuple[GroupPoint, GroupPoint]] = []
-    for b1, b2 in combinations(breakpoint_betas, 2):
-        pairs.append((w_point(0, b1), w_point(0, b2)))
-        pairs.append((w_point(0, b1), w_point(1, b2)))
-    while len(pairs) < sample_count:
-        y1, t1, y2, t2 = (Fraction(rng.randrange(-2000, 2001), 1000) for _ in range(4))
-        pairs.append((w_point(y1, t1), w_point(y2, t2)))
-    pairs = pairs[:sample_count]
-
     failures = []
     exact_pairs = 0
     min_gap_lo: Optional[Fraction] = None
-    for idx, (w1, w2) in enumerate(pairs):
+    for idx, (w1, w2) in enumerate(islice(_cone_pairs(seed), sample_count)):
         p1 = graph_point(w1, depth)
         p2 = graph_point(w2, depth)
         g = cone_gap(p1, p2, depth)
         min_gap_lo = g.lo if min_gap_lo is None else min(min_gap_lo, g.lo)
         if g.hi < 0:
             failures.append({"kind": "cone-gap-negative", "gap": _jsonable(g), **_pair_key(idx, w1, w2)})
-        dt = w2.t - w1.t
-        if p1.r.is_point() and p2.r.is_point():
-            exact_pairs += 1
-            if dt != 0 or p1.r.lo != p2.r.lo:
-                if cmp_abs_sq(p2.r.lo - p1.r.lo, dt) is Ordering.GREATER:
-                    failures.append({"kind": "holder-chain-exact", **_pair_key(idx, w1, w2)})
-        else:
-            diff_lo = (p2.r - p1.r).abs().lo
-            if cmp_abs_sq(diff_lo, dt) is Ordering.GREATER:
-                failures.append({"kind": "holder-chain-refuted", **_pair_key(idx, w1, w2)})
+        # On exact points the lower bound is the exact |u(beta2) - u(beta1)|.
+        exact = p1.r.is_point() and p2.r.is_point()
+        exact_pairs += exact
+        if cmp_abs_sq((p2.r - p1.r).abs().lo, w2.t - w1.t) is Ordering.GREATER:
+            kind = "holder-chain-exact" if exact else "holder-chain-refuted"
+            failures.append({"kind": kind, **_pair_key(idx, w1, w2)})
     params = {
         "sample_count": sample_count,
         "depth": depth,
@@ -458,7 +455,7 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
         "min_gap_lo": min_gap_lo,
         "cone_constant": Fraction(1),
     }
-    return _finish("cone", params, len(pairs), failures, started)
+    return _finish("cone", params, sample_count, failures, started)
 
 
 def _pair_key(idx: int, w1: GroupPoint, w2: GroupPoint) -> dict:
@@ -470,41 +467,10 @@ def _pair_key(idx: int, w1: GroupPoint, w2: GroupPoint) -> dict:
 # blow-up divergence
 
 
-def _rationalized_scale(
-    t_hat: Fraction,
-    s: Fraction,
-    target: Fraction,
-    tol: Fraction,
-) -> tuple[Fraction, Fraction, Interval]:
-    """Rational dilation factor lam close to |s| ** (-1/2), recertified.
-
-    Returns (lam, s_real, enclosure) with s_real = sign(s) / lam**2 and
-    the enclosure of q(t_hat + s_real, t_hat) certified inside the ball
-    of radius 2 * tol around the target.  Exact when 1/|s| is a rational
-    square, so the canonical offsets 4/9 and 1 rationalise losslessly.
-    Eight candidates are tried, each denominator 2**8 times finer.
-    """
-    sigma = 1 if s > 0 else -1
-    inv_abs = 1 / abs(s)
-    p, q = inv_abs.numerator, inv_abs.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    exact = rp * rp == p and rq * rq == q
-    den = 2**32
-    for _ in range(8):
-        if exact:
-            lam = Fraction(rp, rq)
-            exact = False
-        else:
-            enc_root = sqrt_enclose(inv_abs, Fraction(1, den))
-            lam = enc_root.midpoint().limit_denominator(den)
-            if lam <= 0:
-                lam = enc_root.hi
-            den <<= 8
-        s_real = Fraction(sigma) / (lam * lam)
-        enc = UNIT_CURVE.diff_quotient_within(t_hat + s_real, t_hat, tol / 2)
-        if enc.inside_ball(target, 2 * tol):
-            return lam, s_real, enc
-    raise TolTooTight(f"could not rationalise a dilation for target {target}")
+# Offsets blowup_divergence solves target1 and target2 in.  They straddle the
+# default targets only at t_hat = 0 and its folds; elsewhere NotBracketed.
+BRACKET1 = (Fraction(4, 9), Fraction(1, 2))
+BRACKET2 = (Fraction(5, 9), Fraction(3, 5))
 
 
 def blowup_divergence(
@@ -514,23 +480,21 @@ def blowup_divergence(
     radius: RationalLike,
     grid: Sequence[GroupPoint],
     depth: int,
-    bracket1: tuple[RationalLike, RationalLike] = (Fraction(4, 9), Fraction(1, 2)),
-    bracket2: tuple[RationalLike, RationalLike] = (Fraction(5, 9), Fraction(3, 5)),
     tol: RationalLike = Fraction(1, 10**4),
 ) -> Report:
     """Exhibit two blow-up scales whose rescaled graphs stay apart.
 
-    Solves q(t_hat + s, t_hat) = target_i inside each bracket, turns the
-    offsets into rational dilation factors lam_i ~ |s_i| ** (-1/2), and
-    samples both rescaled graphs over the same W grid.  The report
-    certifies, by intervals end to end: the realised quotients are
-    within 2*tol of their targets, both sampling routes agree at every
-    grid point, the profile gap at offset h = 1 is positive (its
-    enclosure is close to |target1 - target2|), and the sample-set
-    Hausdorff distance inside the radius is positive when the targets
-    differ.  One base point with two non-collapsing rescaling limits is
-    exactly a point of blow-up divergence.  Both brackets hold positive
-    offsets.
+    Solves q(t_hat + s, t_hat) = target_i for an offset in BRACKET1 and
+    BRACKET2, and turns the offsets into rational dilation factors lam_i
+    ~ s_i ** (-1/2) with carnot.rationalized_scale, which certifies each
+    realised quotient within 2*tol of its target or raises.  Both
+    rescaled graphs are then sampled over the same W grid.
+    The report certifies, by intervals end to end: both sampling routes
+    agree at every grid point, the profile gap at offset h = 1 is
+    positive (its enclosure is close to |target1 - target2|), and the
+    sample-set Hausdorff distance inside the radius is positive when the
+    targets differ.  One base point with two non-collapsing rescaling
+    limits is exactly a point of blow-up divergence.
     """
     started = time.perf_counter()
     _check_depth(depth)
@@ -539,20 +503,15 @@ def blowup_divergence(
     target2 = Fraction(target2)
     radius = Fraction(radius)
     tol = Fraction(tol)
-    s1 = solve_quotient(t_hat, target1, 1, bracket1, tol)
-    s2 = solve_quotient(t_hat, target2, 1, bracket2, tol)
-    lam1, s1_real, enc1 = _rationalized_scale(t_hat, s1, target1, tol)
-    lam2, s2_real, enc2 = _rationalized_scale(t_hat, s2, target2, tol)
+    s1 = solve_quotient(t_hat, target1, BRACKET1, tol)
+    s2 = solve_quotient(t_hat, target2, BRACKET2, tol)
+    lam1, s1_real, enc1 = rationalized_scale(t_hat, s1, target1, tol)
+    lam2, s2_real, enc2 = rationalized_scale(t_hat, s2, target2, tol)
 
     failures = []
-    checked = 0
-
-    checked += 2
-    for label, enc, target in (("1", enc1, target1), ("2", enc2, target2)):
-        if not enc.inside_ball(target, 2 * tol):
-            failures.append(
-                {"kind": "realized-quotient", "family": label, "enclosure": _jsonable(enc)}
-            )
+    # rationalized_scale returned only after certifying both realised
+    # quotients within 2*tol of their targets; it raises otherwise.
+    checked = 2
 
     base_w = w_point(0, t_hat)
     p_hat = graph_point(base_w, depth)

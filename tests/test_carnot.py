@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import lipgraph.carnot as carnot
 from lipgraph.carnot import (
+    QUOTIENT_MAX_DEPTH,
     GroupPoint,
     NonPositiveLambda,
     NotBracketed,
@@ -21,11 +23,12 @@ from lipgraph.carnot import (
     hnorm,
     inv,
     mul,
+    rationalized_scale,
     solve_quotient,
     w_point,
 )
 from lipgraph.numerics import Interval, sqrt_enclose
-from lipgraph.selfsim import UNIT_CURVE
+from lipgraph.selfsim import UNIT_CURVE, Curve
 
 
 def matrix_mul(a, b):
@@ -237,28 +240,77 @@ class TestBlowup:
 
 class TestSolveQuotient:
     def test_endpoint_exact_solutions(self):
-        assert solve_quotient(0, 1, 1, (F(4, 9), F(1, 2)), F(1, 10**4)) == F(4, 9)
+        assert solve_quotient(0, 1, (F(4, 9), F(1, 2)), F(1, 10**4)) == F(4, 9)
         # the left endpoint 5/9 realizes the quotient 5 ** (-1/2) up to tol
-        s = solve_quotient(0, F(4472135954999579, 10**16), 1, (F(5, 9), F(3, 5)), F(1, 10**4))
+        s = solve_quotient(0, F(4472135954999579, 10**16), (F(5, 9), F(3, 5)), F(1, 10**4))
         assert s == F(5, 9)
 
     def test_interior_solution_certified(self):
         tol = F(1, 10**4)
         target = F(7, 10)
-        s = solve_quotient(0, target, 1, (F(5, 9), F(1)), tol)
+        s = solve_quotient(0, target, (F(5, 9), F(1)), tol)
         assert F(5, 9) < s < 1
         q = UNIT_CURVE.diff_quotient(s, F(0), 60)
         assert (q - target).abs().hi <= tol
 
     def test_not_bracketed(self):
         with pytest.raises(NotBracketed):
-            solve_quotient(0, 2, 1, (F(5, 9), F(3, 5)), F(1, 10**4))
+            solve_quotient(0, 2, (F(5, 9), F(3, 5)), F(1, 10**4))
         with pytest.raises(NotBracketed):
-            solve_quotient(0, F(-1, 2), 1, (F(4, 9), F(1, 2)), F(1, 10**4))
+            solve_quotient(0, F(-1, 2), (F(4, 9), F(1, 2)), F(1, 10**4))
 
     def test_tol_too_tight(self):
         with pytest.raises(TolTooTight, match=f"cannot reach quotient width 1/{10**60}/2 within depth 256"):
-            solve_quotient(0, F(46, 100), 1, (F(5, 9), F(3, 5)), F(1, 10**60))
+            solve_quotient(0, F(46, 100), (F(5, 9), F(3, 5)), F(1, 10**60))
+
+
+def ref_quotient_within(curve, s, t, width):
+    """The deepening loop blow-up quotients used as a Curve method: depth 16, doubled up to 256."""
+    width = F(width)
+    depth = 16
+    best = curve.diff_quotient(s, t, depth)
+    while best.width() > width and depth < 256:
+        depth *= 2
+        best = curve.diff_quotient(s, t, depth)
+    return best
+
+
+def quotient_depths(monkeypatch, fn, *args):
+    """fn(*args) with the depth of every diff_quotient call it makes."""
+    depths = []
+    real = Curve.diff_quotient
+    monkeypatch.setattr(Curve, "diff_quotient", lambda self, s, t, d: depths.append(d) or real(self, s, t, d))
+    try:
+        return fn(*args), depths
+    finally:
+        monkeypatch.setattr(Curve, "diff_quotient", real)
+
+
+class TestBlowupScale:
+    @pytest.mark.parametrize("t_hat", [F(0), F(1, 7), F(2), F(-1, 3)])
+    @pytest.mark.parametrize("s", [F(4, 9), F(1, 2), F(5, 9), F(-1, 5), F(1, 1000)])
+    @pytest.mark.parametrize("width", [F(1, 10), F(1, 2 * 10**4), F(1, 10**60)])
+    def test_quotient_within_matches_the_reference(self, monkeypatch, t_hat, s, width):
+        got = quotient_depths(monkeypatch, carnot._quotient_within, t_hat, s, width)
+        ref = quotient_depths(monkeypatch, ref_quotient_within, UNIT_CURVE, t_hat + s, t_hat, width)
+        assert got == ref
+        assert ref[1][-1] <= QUOTIENT_MAX_DEPTH == 256
+
+    def test_exact_offset_rationalises_losslessly(self):
+        assert rationalized_scale(F(0), F(4, 9), F(1), F(1, 10**4)) == (F(3, 2), F(4, 9), Interval.point(1))
+
+    def test_irrational_root_recertified(self):
+        tol = F(1, 10**4)
+        target = F(4472135954999579, 10**16)
+        lam, s_real, enc = rationalized_scale(F(0), F(5, 9), target, tol)
+        assert lam == F(5762303301, 4294967296)
+        assert s_real == 1 / lam**2
+        assert enc.width() <= tol / 2
+        assert enc.inside_ball(target, 2 * tol)
+
+    def test_unreachable_tol(self):
+        with pytest.raises(TolTooTight, match="could not rationalise a dilation for target"):
+            rationalized_scale(F(0), F(5, 9), F(4472135954999579, 10**16), F(1, 10**60))
 
 
 # ----------------------------------------------------------------------

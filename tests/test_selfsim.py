@@ -35,6 +35,7 @@ from lipgraph.selfsim import (
     reduce_domain,
     window_start_depth,
 )
+import lipgraph.verify as verify
 from lipgraph.verify import MAX_SCALES, MUTABLE_FIELDS, oscillation_scan, perturbed_branches
 
 
@@ -856,7 +857,8 @@ def scan_steps(monkeypatch, t, scales):
     steps = []
     step = Curve.locate_branch
     monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append(q) or step(self, pd, q))
-    assert oscillation_scan(t, scales, Curve()).certified
+    monkeypatch.setattr(verify, "UNIT_CURVE", Curve())
+    assert oscillation_scan(t, scales).certified
     return len(steps)
 
 

@@ -4,12 +4,14 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
-from lipgraph.carnot import w_point
-from lipgraph.numerics import Interval
+import lipgraph.verify as verify
+from lipgraph.carnot import GroupPoint, w_point
+from lipgraph.numerics import Interval, Ordering, cmp_abs_sq
 from lipgraph.selfsim import (
     BRANCHES,
     BranchTag,
@@ -211,10 +213,11 @@ class TestOscillation:
                 oscillation_scan(F(1, 7), scales)
             assert str(raised.value) == f"{scales} scales exceed cap {MAX_SCALES}"
 
-    def test_flat_mid_branch_leaves_windows_uncertified(self):
+    def test_flat_mid_branch_leaves_windows_uncertified(self, monkeypatch):
         # with a flat mid branch the probes no longer separate the quotients
         flat = Curve(branches=perturbed_branches(BranchTag.MID, "y_scale", 0))
-        r = oscillation_scan(F(1, 2), 3, flat)
+        monkeypatch.setattr(verify, "UNIT_CURVE", flat)
+        r = oscillation_scan(F(1, 2), 3)
         assert not r.certified and r.checked == 3
         assert not any(w["certified"] for w in r.parameters["windows"])
         assert [f["kind"] for f in r.failures] == ["window-uncertified"] * 3
@@ -252,7 +255,67 @@ class TestHausdorff:
             assert float(got.lo) - 1e-9 <= expect <= float(got.hi) + 1e-9
 
 
+def ref_cone_pairs(sample_count, seed):
+    """The cone pairs as a list built before any check: 12 breakpoint pairs, then seeded draws."""
+    rng = random.Random(seed)
+    pairs = []
+    for b1, b2 in combinations((F(0), F(4, 9), F(5, 9), F(1)), 2):
+        pairs.append((w_point(0, b1), w_point(0, b2)))
+        pairs.append((w_point(0, b1), w_point(1, b2)))
+    while len(pairs) < sample_count:
+        y1, t1, y2, t2 = (F(rng.randrange(-2000, 2001), 1000) for _ in range(4))
+        pairs.append((w_point(y1, t1), w_point(y2, t2)))
+    return pairs[:sample_count]
+
+
+def ref_holder_chain(p1, p2, dt):
+    """The Hölder-chain record kind of a cone pair, with separate exact and interval branches."""
+    if p1.r.is_point() and p2.r.is_point():
+        if dt != 0 or p1.r.lo != p2.r.lo:
+            if cmp_abs_sq(p2.r.lo - p1.r.lo, dt) is Ordering.GREATER:
+                return "holder-chain-exact"
+        return None
+    if cmp_abs_sq((p2.r - p1.r).abs().lo, dt) is Ordering.GREATER:
+        return "holder-chain-refuted"
+    return None
+
+
 class TestConeCampaign:
+    @pytest.mark.parametrize("count", [1, 5, 12, 13, 40])
+    def test_pairs_are_built_as_they_are_checked(self, monkeypatch, count):
+        made, checked = [], []
+        real_w_point, real_graph_point = verify.w_point, verify.graph_point
+        monkeypatch.setattr(verify, "w_point", lambda *a: made.append(a) or real_w_point(*a))
+        monkeypatch.setattr(
+            verify, "graph_point", lambda w, depth: checked.append((len(made), w)) or real_graph_point(w, depth)
+        )
+        assert verify_cone(count, depth=10).checked == count
+        assert checked[0][0] <= 24
+        assert len(made) == 2 * count
+        ws = [w for _, w in checked]
+        assert list(zip(ws[::2], ws[1::2])) == ref_cone_pairs(count, verify.REFERENCE_SEED)
+
+    @pytest.mark.parametrize(
+        "dt, r1, r2, kind",
+        [
+            (F(0), Interval.point(F(1, 3)), Interval.point(F(1, 3)), None),
+            (F(1, 9), Interval.point(F(0)), Interval.point(F(1, 2)), "holder-chain-exact"),
+            (F(1, 9), Interval(F(0), F(1, 100)), Interval(F(1, 2), F(3, 5)), "holder-chain-refuted"),
+            (F(1, 9), Interval(F(0), F(1, 2)), Interval(F(1, 4), F(1, 2)), None),
+        ],
+    )
+    def test_holder_chain_matches_the_two_branch_reference(self, monkeypatch, dt, r1, r2, kind):
+        # the first pair sits at betas 0 and 4/9: move the second to dt and give both the r slots
+        monkeypatch.setattr(verify, "w_point", lambda y, t: w_point(y, t * dt * F(9, 4)))
+        slots = iter((r1, r2))
+        monkeypatch.setattr(verify, "graph_point", lambda w, depth: GroupPoint(w.x, w.y, w.t, next(slots)))
+        r = verify_cone(1, depth=10)
+        p1, p2 = (GroupPoint(F(0), F(0), t, slot) for t, slot in ((F(0), r1), (dt, r2)))
+        assert ref_holder_chain(p1, p2, dt) == kind
+        assert [f["kind"] for f in r.failures if f["kind"].startswith("holder-chain")] == ([kind] if kind else [])
+        assert r.parameters["exact_pairs"] == (r1.is_point() and r2.is_point())
+
+
     def test_certified_with_exact_seed_pairs(self):
         r = verify_cone(200, depth=25)
         assert r.campaign == "cone"
@@ -276,8 +339,9 @@ class TestBlowupDivergence:
         assert r.parameters["profile_gap"].lo >= F(1, 2)
         assert r.parameters["hausdorff"].lo > 0
 
-    def test_equal_targets_give_identical_blowups(self):
-        r = blowup_divergence(0, 1, 1, 1, self.GRID, 30, bracket2=(F(4, 9), F(1, 2)))
+    def test_equal_targets_give_identical_blowups(self, monkeypatch):
+        monkeypatch.setattr(verify, "BRACKET2", (F(4, 9), F(1, 2)))
+        r = blowup_divergence(0, 1, 1, 1, self.GRID, 30)
         assert r.certified
         gap = r.parameters["profile_gap"]
         assert gap.lo <= 0 <= gap.hi
