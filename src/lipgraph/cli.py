@@ -10,6 +10,7 @@ console).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -231,8 +232,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.certified else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads any token starting with "-" and a digit as a value.
+
+    argparse takes only integers and decimals such as -1 or -.5 for
+    negative numbers, so "-1/3" or "-1/2,1/2" after a space would be read
+    as an unknown option.  No option here starts with a digit.
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lipgraph",
         description=(
             "Exact-arithmetic construction and certification of a rough "

@@ -74,7 +74,7 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # window_witnesses seeds at the cell (even into a full store) and drops.
 # Cone's profile arguments fold onto the 1 003 points of a 1/1000 grid,
 # more than this bound holds, so a cone campaign repeats descents the store
-# has dropped (ROADMAP item 3).
+# has dropped (the ROADMAP's campaign-scoped evaluator would keep them).
 _DESCENTS_KEPT = 256
 
 _TWO_THIRDS = Fraction(2, 3)
@@ -186,9 +186,14 @@ class PiecewiseLinear:
     (0, 0) and the last is (1, 1).  Violations raise InvalidCurve, which
     is how perturbed branch systems announce that they no longer build a
     curve at all.
+
+    An iterate also carries its integer form, grid = (dt, dv, points):
+    each breakpoint (t, v) is (T/dt, V/dv) for the point (T, V).  grid
+    takes no part in equality or repr.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    grid: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = tuple(
@@ -196,15 +201,27 @@ class PiecewiseLinear:
             for t, v in self.breakpoints
         )
         object.__setattr__(self, "breakpoints", pts)
-        if len(pts) < 2:
-            raise InvalidCurve("need at least two breakpoints")
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
-            if t0 >= t1:
-                raise InvalidCurve(f"abscissas not strictly increasing at t={t0}")
-        if pts[0] != (0, 0):
-            raise InvalidCurve(f"curve must start at (0, 0), got {pts[0]}")
-        if pts[-1] != (1, 1):
-            raise InvalidCurve(f"curve must end at (1, 1), got {pts[-1]}")
+        _check_polyline(pts)
+
+
+def _check_polyline(pts, dt: int = 1, dv: int = 1) -> None:
+    """Raise InvalidCurve unless the points (t/dt, v/dv) satisfy PiecewiseLinear's invariants.
+
+    pts holds Fractions (dt = dv = 1) or integer numerators over the
+    common denominators dt, dv > 0; either way the checks run in one
+    order, and a Fraction is built only for the message of the one
+    that fails.
+    """
+    if len(pts) < 2:
+        raise InvalidCurve("need at least two breakpoints")
+    for (t0, _), (t1, _) in zip(pts, pts[1:]):
+        if t0 >= t1:
+            raise InvalidCurve(f"abscissas not strictly increasing at t={Fraction(t0, dt)}")
+    (t, v), (t1, v1) = pts[0], pts[-1]
+    if t or v:
+        raise InvalidCurve(f"curve must start at (0, 0), got {(Fraction(t, dt), Fraction(v, dv))}")
+    if t1 != dt or v1 != dv:
+        raise InvalidCurve(f"curve must end at (1, 1), got {(Fraction(t1, dt), Fraction(v1, dv))}")
 
 
 def reduce_domain(t: RationalLike) -> Fraction:
@@ -356,8 +373,10 @@ class Curve:
         Level 0 is the diagonal.  Each level maps the previous polyline
         through every branch and concatenates; seam points shared by
         adjacent branches are deduplicated exactly.  Level k keeps its
-        points as integer numerators over dx**k and ey**k, so each
-        breakpoint becomes a Fraction only once, at the end.
+        points as integer numerators over dx**k and ey**k, and the last
+        level is checked on them by `_check_polyline`: a broken system
+        raises InvalidCurve before any breakpoint becomes a Fraction.
+        The iterate's grid is (dx**n, ey**n, points).
         """
         if n < 0:
             raise OutOfDomain("level must be nonnegative")
@@ -378,7 +397,8 @@ class Curve:
             pts = nxt
             xd *= dx
             yd *= ey
-        return PiecewiseLinear(tuple((Fraction(t, xd), Fraction(v, yd)) for t, v in pts))
+        _check_polyline(pts, xd, yd)
+        return PiecewiseLinear(tuple((Fraction(t, xd), Fraction(v, yd)) for t, v in pts), (xd, yd, tuple(pts)))
 
     # ------------------------------------------------------------------
     # the limit

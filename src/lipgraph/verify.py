@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .carnot import (
@@ -132,9 +131,15 @@ def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Rep
     is a necessary-condition sweep on a finite grid; the limit bound
     follows from self-similarity, which the witness campaigns probe from
     the other side.  Failure to construct the iterate at all is reported
-    as a failure, not raised, so perturbed branch systems flow through.
+    as a failure, not raised, so perturbed branch systems flow through;
+    the iterate refuses them on integers, before any Fraction is built.
     A grid with more than MAX_PAIRS pairs is refused before any refined
     point is built.
+
+    The sweep runs on the iterate's integer grid: with t = T/D and
+    v = V/E, a pair passes when (dV)**2 * D <= dT * E**2.  Pairs are
+    checked a block of breakpoints at a time (see `_holder_violations`),
+    which clears most of them by one exact comparison per block.
     """
     started = time.perf_counter()
     params = {
@@ -154,47 +159,71 @@ def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Rep
             [{"kind": "construction", "detail": str(exc)}],
             started,
         )
-    pts = list(pl.breakpoints)
-    m = len(pts) + (len(pts) - 1) * refine
+    n = len(pl.breakpoints)
+    m = n + (n - 1) * refine
     npairs = m * (m - 1) // 2
     if npairs > MAX_PAIRS:
         raise DepthTooLarge(f"{npairs} pairs exceed cap {MAX_PAIRS}")
-    if refine:
-        extra = []
-        step = refine + 1
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            for j in range(1, step):
-                extra.append((t0 + (t1 - t0) * j / step, v0 + (v1 - v0) * j / step))
-        pts = sorted(pts + extra)
     params["points"] = m
-
-    # Clear denominators once so the pair loop runs on plain integers:
-    # with t = T/D and v = V/E, the Hölder inequality (dv)**2 <= dt
-    # becomes (dV)**2 * D <= dT * E * E, the same exact comparison
-    # cmp_abs_sq makes after cross multiplication.
-    d_t = lcm(*(t.denominator for t, _ in pts)) if m else 1
-    d_v = lcm(*(v.denominator for _, v in pts)) if m else 1
-    ti = [int(t * d_t) for t, _ in pts]
-    vi = [int(v * d_v) for _, v in pts]
+    d_t, d_v, pts = pl.grid
+    ti = [t for t, _ in pts]
+    vi = [v for _, v in pts]
+    if refine:
+        # Point j of a segment sits at T0 + (T1 - T0) * j / step, which is
+        # (T0 * step + (T1 - T0) * j) / (D * step): every grid point stays
+        # an integer over one denominator.
+        step = refine + 1
+        ti = [t0 * step + (t1 - t0) * j for t0, t1 in zip(ti, ti[1:]) for j in range(step)] + [ti[-1] * step]
+        vi = [v0 * step + (v1 - v0) * j for v0, v1 in zip(vi, vi[1:]) for j in range(step)] + [vi[-1] * step]
+        d_t *= step
+        d_v *= step
     ee = d_v * d_v
-    failures = []
+    failures = [
+        {
+            "kind": "quotient-above-one",
+            "s": str(Fraction(ti[j], d_t)),
+            "t": str(Fraction(ti[i], d_t)),
+            "quotient_sq": str(Fraction((vi[j] - vi[i]) ** 2 * d_t, (ti[j] - ti[i]) * ee)),
+        }
+        for i, j in _holder_violations(ti, vi, d_t, ee)
+    ]
+    return _finish("holder", params, npairs, failures, started)
+
+
+# Breakpoints per block of the Hölder sweep.
+_HOLDER_BLOCK = 32
+
+
+def _holder_violations(ti: list[int], vi: list[int], d: int, ee: int) -> list[tuple[int, int]]:
+    """Pairs i < j with (vi[j] - vi[i])**2 * d > (ti[j] - ti[i]) * ee, in (i, j) order.
+
+    ti must strictly increase.  The indices are cut into fixed blocks of
+    _HOLDER_BLOCK, each with the max and min of vi over it.  For j in a
+    block that starts at s > i, |vi[j] - vi[i]| is at most
+    max(vmax - vi[i], vi[i] - vmin) and ti[j] - ti[i] is at least
+    ti[s] - ti[i]; so when that bound passes, every pair of the block
+    does, exactly.  The rest of i's own block, and every block the bound
+    does not clear, is checked pair by pair.
+    """
+    m = len(ti)
+    size = _HOLDER_BLOCK
+    starts = range(0, m, size)
+    vmax = [max(vi[s : s + size]) for s in starts]
+    vmin = [min(vi[s : s + size]) for s in starts]
+    out = []
     for i in range(m):
         t_i, v_i = ti[i], vi[i]
-        for j in range(i + 1, m):
-            dv = vi[j] - v_i
-            if dv * dv * d_t > (ti[j] - t_i) * ee:
-                s_j, t_j = pts[j][0], pts[i][0]
-                failures.append(
-                    {
-                        "kind": "quotient-above-one",
-                        "s": str(s_j),
-                        "t": str(t_j),
-                        "quotient_sq": str(
-                            (pts[j][1] - pts[i][1]) ** 2 / (s_j - t_j)
-                        ),
-                    }
-                )
-    return _finish("holder", params, npairs, failures, started)
+        for k in range(i // size, len(starts)):
+            s = starts[k]
+            if s > i:
+                dv = max(vmax[k] - v_i, v_i - vmin[k])
+                if dv * dv * d <= (ti[s] - t_i) * ee:
+                    continue
+            for j in range(max(s, i + 1), min(s + size, m)):
+                dv = vi[j] - v_i
+                if dv * dv * d > (ti[j] - t_i) * ee:
+                    out.append((i, j))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -188,3 +188,13 @@ def test_criterion_10_mutation_detected():
     assert not r.certified
     assert r.failures
     report(10, elapsed, "middle-branch vertical scale drifted to -0.35 is refuted by the sweep")
+
+
+def test_criterion_11_holder_sweep_at_the_pair_cap():
+    start = time.perf_counter()
+    r = verify_holder(4, 23)
+    elapsed = time.perf_counter() - start
+    assert r.certified and not r.failures
+    assert r.checked == 1945 * 1944 // 2 == 1_890_540
+    assert elapsed < 3
+    report(11, elapsed, f"Hölder sweep over {r.checked} pairs, the most the CLI accepts, certified")

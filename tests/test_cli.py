@@ -276,6 +276,30 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+class TestNegativeRationals:
+    """A negative rational after a space is a value, as with "=" or after "--"."""
+
+    @pytest.mark.parametrize(
+        "spaced, reference",
+        [
+            (["eval", "-1/3"], ["eval", "--", "-1/3"]),
+            (["verify", "oscillation", "--t-hat", "-1/3"], ["verify", "oscillation", "--t-hat=-1/3"]),
+            (["verify", "blowup-divergence", "--target1", "-1/2"], ["verify", "blowup-divergence", "--target1=-1/2"]),
+            (["verify", "blowup-divergence", "--offsets", "-1/2,1/2"], ["verify", "blowup-divergence", "--offsets=-1/2,1/2"]),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_same_output_as_the_joined_spelling(self, spaced, reference):
+        results = []
+        for argv in (spaced, reference):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run(argv)
+            results.append((code, out, err.getvalue()))
+        assert results[0] == results[1]
+        assert "usage:" not in results[0][2]
+
+
 class TestDecimalRendering:
     def test_exact_half_up(self):
         assert cli._dec(F(1, 3), 6) == "0.333333"
@@ -290,7 +314,9 @@ class TestDecimalRendering:
 # Sizes, levels, scales and depths come from small ranges (plus values
 # just past each cap), so no example starts a large campaign.
 
-_RATIONALS = st.sampled_from(["0", "1", "-1", "1/7", "7/2", "4/9", "-3/5", "1/3", "2.5", "1/0", "x", ""])
+_RATIONALS = st.sampled_from(
+    ["0", "1", "-1", "1/7", "7/2", "4/9", "-3/5", "1/3", "-1/3", "-7/2", "-2.5", "2.5", "1/0", "-1/0", "x", ""]
+)
 # Where --out points; the test replaces the placeholders with paths.
 _OUT = st.sampled_from([[], ["--out", "@file"], ["--out", "@dir"], ["--out", "@missing/out"], ["--out"]])
 
@@ -319,7 +345,7 @@ _VERIFY_OPTIONS = {
         _opt("--target2", _RATIONALS),
         _opt("--radius", _RATIONALS),
         _opt("--tol", st.sampled_from(["1/100", "1/10000", "1/100000000", "0", "-1/10", "x"])),
-        _opt("--offsets", st.sampled_from(["", "0", "-1,1", "1/4,1/2", "x,1"])),
+        _opt("--offsets", st.sampled_from(["", "0", "-1,1", "-1/2,1/2", "1/4,1/2", "x,1"])),
     ],
     "nonsense": [],
 }

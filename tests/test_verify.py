@@ -1,25 +1,33 @@
 """Verification campaigns: reports, certification, and mutation sensitivity."""
 
+import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lipgraph.verify as verify
 from lipgraph.carnot import GroupPoint, w_point
 from lipgraph.numerics import Interval, Ordering, cmp_abs_sq
 from lipgraph.selfsim import (
     BRANCHES,
+    Branch,
     BranchTag,
     MAX_DEPTH,
     UNIT_CURVE,
     Curve,
     DepthTooLarge,
+    InvalidCurve,
+    MAX_LEVEL,
     OutOfDomain,
+    PiecewiseLinear,
     quotient_gap_floor,
 )
 from lipgraph.verify import (
@@ -91,6 +99,19 @@ class TestHolderCampaign:
         assert not r.certified
         assert r.failures[0]["kind"] == "construction"
 
+    @pytest.mark.parametrize(
+        "level, refine, tag, digest",
+        [
+            # a refined sweep: 226 failures among 66 066 pairs
+            (4, 2, BranchTag.LEFT, "0e9ff6794ff7c76e7975bc98a71068254cfc449b75ac01496a631451dd667b80"),
+            # the CLI's default level: 1 789 failures among 597 871 pairs
+            (6, 0, BranchTag.MID, "25ba54e91af9ec8c7bc80662f804e095666b75ba9dcda927ca8e4d1d0f88aadb"),
+        ],
+    )
+    def test_failing_sweep_bytes(self, level, refine, tag, digest):
+        text = verify_holder(level, refine, curve=drifted(tag, "x_scale", F(-1, 100))).to_json(include_timing=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_pair_budget_enforced(self):
         class Unrefinable(F):
             def __sub__(self, other):
@@ -106,6 +127,181 @@ class TestHolderCampaign:
         with pytest.raises(DepthTooLarge) as exc:
             verify_holder(7, 100, curve=IterateOnly())
         assert str(exc.value) == "24395643828 pairs exceed cap 2000000"
+
+
+# ----------------------------------------------------------------------
+# The integer Hölder sweep against the implementation it replaced:
+# `Curve.iterate` building every breakpoint Fraction before
+# PiecewiseLinear checks them, and the plain pair loop over Fractions
+# cleared through lcm.
+
+
+def ref_iterate(curve, n):
+    if n < 0:
+        raise OutOfDomain("level must be nonnegative")
+    if n > MAX_LEVEL:
+        raise DepthTooLarge(f"level {n} exceeds cap {MAX_LEVEL}")
+    dx, ey = curve._dx, curve._ey
+    pts = [(0, 0), (1, 1)]
+    xd = yd = 1
+    for _ in range(n):
+        nxt = []
+        for _, _, xs, xo, ys, yo in curve._rows:
+            x0, y0 = xo * xd, yo * yd
+            for t, v in pts:
+                pt = (xs * t + x0, ys * v + y0)
+                if nxt and nxt[-1] == pt:
+                    continue
+                nxt.append(pt)
+        pts = nxt
+        xd *= dx
+        yd *= ey
+    bps = tuple((F(t, xd), F(v, yd)) for t, v in pts)
+    # PiecewiseLinear's checks as they ran on these Fractions
+    if len(bps) < 2:
+        raise InvalidCurve("need at least two breakpoints")
+    for (t0, _), (t1, _) in zip(bps, bps[1:]):
+        if t0 >= t1:
+            raise InvalidCurve(f"abscissas not strictly increasing at t={t0}")
+    if bps[0] != (0, 0):
+        raise InvalidCurve(f"curve must start at (0, 0), got {bps[0]}")
+    if bps[-1] != (1, 1):
+        raise InvalidCurve(f"curve must end at (1, 1), got {bps[-1]}")
+    return PiecewiseLinear(bps)
+
+
+def ref_verify_holder(level, refine=0, curve=UNIT_CURVE):
+    started = time.perf_counter()
+    params = {
+        "level": level,
+        "refine": refine,
+        "scope": "necessary-condition sweep over a finite abscissa grid",
+    }
+    if refine < 0:
+        raise ValueError("refine must be nonnegative")
+    try:
+        pl = ref_iterate(curve, level)
+    except InvalidCurve as exc:
+        return verify._finish("holder", params, 0, [{"kind": "construction", "detail": str(exc)}], started)
+    pts = list(pl.breakpoints)
+    m = len(pts) + (len(pts) - 1) * refine
+    npairs = m * (m - 1) // 2
+    if npairs > verify.MAX_PAIRS:
+        raise DepthTooLarge(f"{npairs} pairs exceed cap {verify.MAX_PAIRS}")
+    if refine:
+        extra = []
+        step = refine + 1
+        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+            for j in range(1, step):
+                extra.append((t0 + (t1 - t0) * j / step, v0 + (v1 - v0) * j / step))
+        pts = sorted(pts + extra)
+    params["points"] = m
+    d_t = math.lcm(*(t.denominator for t, _ in pts)) if m else 1
+    d_v = math.lcm(*(v.denominator for _, v in pts)) if m else 1
+    ti = [int(t * d_t) for t, _ in pts]
+    vi = [int(v * d_v) for _, v in pts]
+    ee = d_v * d_v
+    failures = []
+    for i in range(m):
+        t_i, v_i = ti[i], vi[i]
+        for j in range(i + 1, m):
+            dv = vi[j] - v_i
+            if dv * dv * d_t > (ti[j] - t_i) * ee:
+                s_j, t_j = pts[j][0], pts[i][0]
+                failures.append(
+                    {
+                        "kind": "quotient-above-one",
+                        "s": str(s_j),
+                        "t": str(t_j),
+                        "quotient_sq": str((pts[j][1] - pts[i][1]) ** 2 / (s_j - t_j)),
+                    }
+                )
+    return verify._finish("holder", params, npairs, failures, started)
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def holder_bytes(fn, *args):
+    r = outcome(fn, *args)
+    return r.to_json(include_timing=False) if isinstance(r, Report) else r
+
+
+def drifted(tag, fld, bump):
+    br = next(b for b in BRANCHES if b.tag is tag)
+    return Curve(branches=perturbed_branches(tag, fld, getattr(br, fld) + bump))
+
+
+# The mutation probe's 24 drifts and the identity.
+DRIFT_CURVES = [
+    drifted(br.tag, fld, bump) for br in BRANCHES for fld in MUTABLE_FIELDS for bump in (F(1, 100), F(-1, 100))
+] + [UNIT_CURVE]
+
+
+def ref_pairs(level, refine):
+    m = 3**level + 1 + 3**level * refine
+    return m * (m - 1) // 2
+
+
+class TestIntegerHolderSweep:
+    @pytest.mark.parametrize("curve", DRIFT_CURVES)
+    def test_iterate_matches_the_reference(self, curve):
+        for n in range(7):
+            got = outcome(curve.iterate, n)
+            assert got == outcome(ref_iterate, curve, n)
+            if isinstance(got, PiecewiseLinear):
+                dt, dv, pts = got.grid
+                assert got.breakpoints == tuple((F(t, dt), F(v, dv)) for t, v in pts)
+
+    @pytest.mark.parametrize("curve", DRIFT_CURVES)
+    def test_report_bytes_match_the_reference(self, curve):
+        for level in range(7):
+            for refine in range(4):
+                if ref_pairs(level, refine) <= verify.MAX_PAIRS:
+                    assert holder_bytes(verify_holder, level, refine, curve) == holder_bytes(
+                        ref_verify_holder, level, refine, curve
+                    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        drift=st.one_of(
+            st.tuples(st.sampled_from(list(BranchTag)), st.sampled_from(MUTABLE_FIELDS), st.integers(-60, 60)),
+            # most drifts break the iterate; shrinking the left or mid cell keeps it
+            st.tuples(st.just(BranchTag.LEFT), st.just("x_scale"), st.integers(-44, 0)),
+            st.tuples(st.just(BranchTag.MID), st.just("x_scale"), st.integers(-11, 0)),
+        ),
+        level=st.integers(0, 4),
+        refine=st.integers(0, 3),
+    )
+    def test_random_drift_matches_the_reference(self, drift, level, refine):
+        tag, fld, k = drift
+        curve = drifted(tag, fld, F(k, 100))
+        assert holder_bytes(verify_holder, level, refine, curve) == holder_bytes(ref_verify_holder, level, refine, curve)
+
+    def test_block_edges_and_both_sides_of_the_bound(self, monkeypatch):
+        # Small blocks put many pairs on block edges; the planted violation
+        # fails on pairs where v falls as well as where it rises, and the
+        # step curve (flat, then the diagonal) on pairs that end at (1, 1).
+        bad = drifted(BranchTag.LEFT, "x_scale", F(-1, 25))
+        step = Curve(
+            branches=(
+                Branch(BranchTag.LEFT, F(1, 2), F(0), F(0), F(0)),
+                Branch(BranchTag.RIGHT, F(1, 2), F(1, 2), F(1), F(0)),
+            )
+        )
+        assert any(f["s"] == "1" for f in verify_holder(1, 1, step).failures)
+        for size in (1, 2, 3, 7):
+            monkeypatch.setattr(verify, "_HOLDER_BLOCK", size)
+            for level, refine in ((1, 1), (3, 0), (3, 2), (4, 1)):
+                for curve in (UNIT_CURVE, bad, step):
+                    assert holder_bytes(verify_holder, level, refine, curve) == holder_bytes(
+                        ref_verify_holder, level, refine, curve
+                    )
 
 
 class TestUnitGapCampaign:
