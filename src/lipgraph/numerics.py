@@ -5,8 +5,9 @@ Everything downstream reduces numeric truth to two primitives:
 * exact order tests between a rational and the square root of a rational,
   decided by integer cross multiplication (`cmp_abs_sq`), and
 * certified enclosures of square roots, produced from `math.isqrt` at a
-  caller-chosen width (`sqrt_enclose`); a quotient by a root is the
-  Interval division `num / sqrt_enclose(...)`.
+  caller-chosen width (`sqrt_enclose`); a quotient by a root divides
+  by one endpoint of that enclosure per quotient endpoint, the one
+  `Interval.__truediv__` would pick.
 
 No floating point enters any verdict.  Floats appear only in display
 helpers and performance heuristics elsewhere in the package.

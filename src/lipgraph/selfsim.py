@@ -28,8 +28,10 @@ then keeps the point as an integer pair t = p/q and the composed maps
 as integer numerators over powers of dx and ey, so a step is a few
 integer products with no gcd; a Fraction is built only for the
 result.  The limit u is never materialised: `eval_limit` returns an
-Interval whose width contracts like (2/3)**depth, and quotient
-enclosures divide through certified root enclosures from `numerics`.
+Interval whose width contracts like (2/3)**depth.  A quotient
+enclosure divides the difference of two such Intervals through a
+certified root enclosure from `numerics`, each endpoint one Fraction
+of cross-multiplied numerators (`_root_quotient`).
 
 A scan over shrinking scales at one point walks one chain of nested
 cells: `locate_cell` continues from the cell it returned for the scale
@@ -77,8 +79,8 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # has dropped (the ROADMAP's campaign-scoped evaluator would keep them).
 _DESCENTS_KEPT = 256
 
-_TWO_THIRDS = Fraction(2, 3)
-_HALF = Fraction(1, 2)
+_RIGHT_PROBES = (Fraction(5, 9), Fraction(1), 1)
+_LEFT_PROBES = (Fraction(0), Fraction(4, 9), -1)
 
 
 class OutOfDomain(ValueError):
@@ -457,7 +459,9 @@ class Curve:
 
         Arguments may be anywhere on the line; they are folded into
         [0, 1] for evaluation while the gap |s - t| is taken between the
-        original abscissas.
+        original abscissas.  The root of the gap is enclosed to width
+        min(gap, 1) * (2/3)**depth, as tight as the numerator, and each
+        quotient endpoint is one Fraction (`_root_quotient`).
         """
         if type(s) is not Fraction:
             s = Fraction(s)
@@ -467,10 +471,11 @@ class Curve:
             raise CoincidentPoints("difference quotient needs s != t")
         us = self.eval_limit(reduce_domain(s), depth)
         ut = self.eval_limit(reduce_domain(t), depth)
-        gap = abs(s - t)
-        # The root enclosure is as tight as the numerator's, (2/3)**depth.
-        q = (us - ut) / sqrt_enclose(gap, min(gap, Fraction(1)) * _TWO_THIRDS**depth)
-        return q if s > t else -q
+        if s < t:  # q(s, t) = q(t, s): divide by the positive root, with no sign flip
+            s, t, us, ut = t, s, ut, us
+        gap = s - t
+        gn, gd, depth = gap.numerator, gap.denominator, index(depth)
+        return _root_quotient(us, ut, sqrt_enclose(gap, Fraction(min(gn, gd) << depth, gd * 3**depth)))
 
     # ------------------------------------------------------------------
     # cell location
@@ -545,9 +550,7 @@ class Curve:
         then pinned to [1/18, 1] and all probe values are exact
         breakpoint values, so only u(t0) needs an enclosure.
         """
-        if t0 <= _HALF:
-            return Fraction(5, 9), Fraction(1), 1
-        return Fraction(0), Fraction(4, 9), -1
+        return _RIGHT_PROBES if 2 * t0.numerator <= t0.denominator else _LEFT_PROBES
 
     def _deepen(
         self, s1: Fraction, s2: Fraction, t: Fraction, side: int, depths: Iterable[int]
@@ -570,8 +573,9 @@ class Curve:
         Depth runs through 16, 24, 32, 48, 64 and 96 until the lower
         endpoint clears the guaranteed gap floor.
         """
-        t0 = Fraction(t0)
-        if not 0 <= t0 <= 1:
+        if type(t0) is not Fraction:
+            t0 = Fraction(t0)
+        if t0.numerator < 0 or t0.numerator > t0.denominator:
             raise OutOfDomain(f"t0={t0} outside [0, 1]")
         s1, s2, side = self._unit_probe(t0)
         return self._deepen(s1, s2, t0, side, (16, 24, 32, 48, 64, 96))
@@ -643,6 +647,22 @@ def cell_start_depth(cell: AffineMap1D) -> int:
 UNIT_CURVE = Curve()
 
 
+def _root_quotient(a: Interval, b: Interval, root: Interval) -> Interval:
+    """(a - b) / root for root.lo > 0, equal to that Interval expression endpoint for endpoint.
+
+    Each endpoint is one Fraction of cross-multiplied numerators over the
+    root endpoint that Interval.__truediv__ picks for its sign.
+    """
+    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    n = alo.numerator * bhi.denominator - bhi.numerator * alo.denominator
+    r = root.hi if n >= 0 else root.lo
+    lo = Fraction(n * r.denominator, alo.denominator * bhi.denominator * r.numerator)
+    n = ahi.numerator * blo.denominator - blo.numerator * ahi.denominator
+    r = root.lo if n >= 0 else root.hi
+    hi = Fraction(n * r.denominator, ahi.denominator * blo.denominator * r.numerator)
+    return Interval(lo, hi)
+
+
 @lru_cache(maxsize=None)
 def quotient_gap_floor() -> Interval:
     """Certified enclosure of the guaranteed witness gap constant.
@@ -653,14 +673,16 @@ def quotient_gap_floor() -> Interval:
 
     The first and third are irrational, so the minimum is returned as an
     enclosure; its value is about 0.0085484 and the first term attains
-    the minimum.  Each root term 1 / d ** (1/2) divides through a root
-    enclosure of width 10**-12 * d, so its own width is about 10**-12.
+    the minimum.  Each root term 1 / d ** (1/2) is the `_root_quotient`
+    of 1 - 0 by a root enclosure of width 10**-12 * d, so its own width
+    is about 10**-12.
     """
     width = Fraction(1, 10**12)
     d1, d3 = Fraction(77, 81), Fraction(5)
-    t1 = (Interval.point(1) / sqrt_enclose(d1, width * d1) - 1).scale(Fraction(1, 3))
+    one, zero = Interval.point(1), Interval.point(0)
+    t1 = (_root_quotient(one, zero, sqrt_enclose(d1, width * d1)) - 1).scale(Fraction(1, 3))
     t2 = Interval.point(Fraction(7, 9) - Fraction(3, 5))
-    t3 = Interval.point(1) / sqrt_enclose(d3, width * d3)
+    t3 = _root_quotient(one, zero, sqrt_enclose(d3, width * d3))
     lo = min(t1.lo, t2.lo, t3.lo)
     hi = min(t1.hi, t2.hi, t3.hi)
     return Interval(lo, hi)

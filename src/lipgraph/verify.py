@@ -256,11 +256,17 @@ def _check_witnesses(
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             failures.append({"kind": "construction", "detail": str(exc), **key})
             continue
+        # near <= |s - t| <= delta and (s - t) * side > 0, times s.denominator * t.denominator > 0
+        tn, td = t.numerator, t.denominator
+        nn, nd = near.numerator, near.denominator
+        dn, dd = delta.numerator, delta.denominator
         for s in (w.s1, w.s2):
-            dist = abs(s - t)
-            if not near <= dist <= delta:
-                failures.append({"kind": "offset-range", "s": str(s), "distance": str(dist), **key})
-            if (s - t) * w.side <= 0:
+            sd = s.denominator
+            diff = s.numerator * td - tn * sd
+            dist, den = abs(diff), sd * td
+            if dist * nd < nn * den or dist * dd > dn * den:
+                failures.append({"kind": "offset-range", "s": str(s), "distance": str(abs(s - t)), **key})
+            if diff * w.side <= 0:
                 failures.append({"kind": "side", "s": str(s), **key})
         lo = w.gap_lower_bound.lo
         min_gap = lo if min_gap is None else min(min_gap, lo)

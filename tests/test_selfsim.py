@@ -733,6 +733,78 @@ def ref_diff_quotient(curve, s, t, depth):
     return q if s > t else -q
 
 
+def parent_diff_quotient(curve, s, t, depth):
+    """Curve.diff_quotient as it was before `_root_quotient`: Interval subtraction, division and negation."""
+    if type(s) is not F:
+        s = F(s)
+    if type(t) is not F:
+        t = F(t)
+    if s == t:
+        raise CoincidentPoints("difference quotient needs s != t")
+    us = curve.eval_limit(reduce_domain(s), depth)
+    ut = curve.eval_limit(reduce_domain(t), depth)
+    gap = abs(s - t)
+    q = (us - ut) / sqrt_enclose(gap, min(gap, F(1)) * F(2, 3) ** depth)
+    return q if s > t else -q
+
+
+# Base points on and off [0, 1], and gaps that are above, at and below 1,
+# perfect squares (exact roots) or zero (coincident points).
+line_points = st.sampled_from([F(0), F(4, 9), F(5, 9), F(1), F(1, 2), F(-1), F(3, 2), F(-7, 3)]) | st.fractions(
+    -3, 3, max_denominator=10**4
+)
+quotient_gaps = st.sampled_from([F(0), F(1, 4), F(4, 9), F(1), F(9, 4), F(4), F(1, 81), F(5, 9), F(2)]) | st.fractions(
+    0, 4, max_denominator=10**4
+)
+QUOTIENT_CURVES = [
+    UNIT_CURVE,
+    _drifted(BranchTag.LEFT, "x_scale", F(1, 100)),
+    _drifted(BranchTag.MID, "y_scale", F(-1, 100)),
+    _drifted(BranchTag.RIGHT, "y_offset", F(1, 100)),
+    _drifted(BranchTag.LEFT, "x_scale", F(-1, 7)),  # no cell covers (19/63, 4/9)
+]
+
+
+class TestQuotientAgainstTheParent:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        t=line_points,
+        other=line_points | st.tuples(quotient_gaps, st.sampled_from([1, -1])),
+        swap=st.booleans(),
+        depth=st.integers(0, 96) | st.sampled_from([-1, 600, MAX_DEPTH + 1]),
+        curve=st.sampled_from(QUOTIENT_CURVES),
+    )
+    def test_same_endpoints_and_exceptions(self, t, other, swap, depth, curve):
+        s = t + other[0] * other[1] if isinstance(other, tuple) else other
+        if swap:
+            s, t = t, s
+        fresh = Curve(branches=curve.branches)
+        assert outcome(curve.diff_quotient, s, t, depth) == outcome(parent_diff_quotient, fresh, s, t, depth)
+
+    @pytest.mark.parametrize("curve", QUOTIENT_CURVES[:3])
+    def test_special_gaps_in_both_orders(self, curve):
+        fresh = Curve(branches=curve.branches)
+        for t in (F(0), F(4, 9), F(5, 9), F(1), F(1, 2), F(-7, 3)):
+            for gap in (F(1, 4), F(4, 9), F(1), F(9, 4), F(1, 81), F(5, 9), F(2)):
+                for s in (t + gap, t - gap):
+                    for depth in (0, 1, 16, 96, 600):
+                        for a, b in ((s, t), (t, s)):
+                            assert outcome(curve.diff_quotient, a, b, depth) == outcome(
+                                parent_diff_quotient, fresh, a, b, depth
+                            )
+
+    def test_every_exception_is_reached(self):
+        cases = [
+            (UNIT_CURVE, F(1, 3), F(1, 3), 10, CoincidentPoints),
+            (UNIT_CURVE, F(1, 3), F(2, 3), -1, OutOfDomain),
+            (UNIT_CURVE, F(1, 3), F(2, 3), MAX_DEPTH + 1, DepthTooLarge),
+            (QUOTIENT_CURVES[-1], F(1, 3), F(2, 3), 10, UncoveredPoint),
+        ]
+        for curve, s, t, depth, exc in cases:
+            got = outcome(curve.diff_quotient, s, t, depth)
+            assert got[0] is exc and got == outcome(parent_diff_quotient, curve, s, t, depth)
+
+
 RESUME_DEPTHS = (0, 1, 16, 24, 30, 16, 64, 300)
 RESUME_TS = [F(_rng.randrange(10**6 + 1), 10**6) for _ in range(6)] + [F(k, 81) for k in _rng.sample(range(82), 6)]
 

@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import combinations
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +29,7 @@ from lipgraph.selfsim import (
     MAX_LEVEL,
     OutOfDomain,
     PiecewiseLinear,
+    QuotientWitness,
     quotient_gap_floor,
 )
 from lipgraph.verify import (
@@ -319,6 +321,41 @@ class TestUnitGapCampaign:
         floor = quotient_gap_floor()
         assert r.parameters["min_gap_lo"] >= floor.hi
 
+    def test_work_per_base_point(self):
+        """Interval and Fraction constructions of verify_unit_gap(601): a work gate host speed cannot move.
+
+        Counted as bench/tracer.py counts Intervals, by wrapping
+        Interval.__post_init__, and Fractions by wrapping Fraction.__new__,
+        which every Fraction passes through in CPython 3.10 and 3.11 (3.12
+        builds arithmetic results without it).  A base point builds 9.5
+        Intervals and 22.0 Fractions.  Before quotient endpoints became
+        one Fraction each and the witness checks moved to integers, it
+        built 12.5 and 45.0 (7 512 and 27 061 in all).
+        """
+        quotient_gap_floor()  # cached before counting, as in every campaign but the first
+        counts = {"Interval": 0, "Fraction": 0}
+        post_init = Interval.__post_init__
+        saved_new = F.__dict__["__new__"]
+        real_new = F.__new__
+
+        def counted_post_init(self):
+            counts["Interval"] += 1
+            post_init(self)
+
+        def counted_new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return real_new(cls, *args, **kwargs)
+
+        Interval.__post_init__ = counted_post_init
+        F.__new__ = staticmethod(counted_new)
+        try:
+            r = verify_unit_gap(601, curve=Curve())
+        finally:
+            Interval.__post_init__ = post_init
+            F.__new__ = saved_new
+        assert r.certified and r.checked == 601
+        assert counts == {"Interval": 5710, "Fraction": 13240}
+
 
 class TestWindowGapCampaign:
     def test_sampler_deterministic_and_in_range(self):
@@ -364,6 +401,116 @@ class TestWindowGapCampaign:
     def test_start_depth_beyond_floats_certified(self):
         r = verify_window_gap([(F(1, 7), F(1, 9**330))])
         assert r.certified and r.failures == []
+
+
+# ----------------------------------------------------------------------
+# Every witness failure record, from a Curve with crafted witnesses:
+# probes at, just inside and just outside each distance bound, on the
+# wrong side and at the base point itself, and gaps at and just below the
+# floor.  The report digests were taken before the checks moved to
+# integer cross-multiplication.
+
+_EPS = F(1, 10**12)
+
+
+def _crafted(t, near, delta, case):
+    """The witness of one case at base t whose probe distances must lie in [near, delta]."""
+    if case == "construction":
+        raise ValueError("crafted construction failure")
+    floor_hi = quotient_gap_floor().hi
+    gap = {
+        "gap-at-floor": Interval(floor_hi, floor_hi + 1),
+        "gap-below-floor": Interval(floor_hi - _EPS, floor_hi),
+        "gap-far-below": Interval(F(0), F(1)),
+    }.get(case, Interval(F(1), F(2)))
+    offsets, side = {
+        "good": ((near, delta), 1),
+        "left-good": ((-near, -delta), -1),
+        "inside": ((near + _EPS, delta - _EPS), 1),
+        "left-inside": ((-near - _EPS, -delta + _EPS), -1),
+        "below-near": ((near - _EPS, delta), 1),
+        "above-delta": ((near, delta + _EPS), 1),
+        "left-outside": ((-near + _EPS, -delta - _EPS), -1),
+        "wrong-side": ((-near, delta), 1),
+        "left-wrong-side": ((-near, near), -1),
+        "at-t": ((0, delta), 1),
+        "left-at-t": ((-delta, 0), -1),
+        "far-wrong-side": ((-2 * delta, 2 * delta), -1),
+        "gap-at-floor": ((near, delta), 1),
+        "gap-below-floor": ((near, delta), 1),
+        "gap-far-below": ((-near, -delta), -1),
+    }[case]
+    return QuotientWitness(t + offsets[0], t + offsets[1], gap, side)
+
+
+UNIT_CASES = (
+    "good", "left-good", "inside", "left-inside", "below-near", "above-delta", "left-outside",
+    "wrong-side", "left-wrong-side", "at-t", "left-at-t", "far-wrong-side", "gap-at-floor",
+    "gap-below-floor", "gap-far-below", "construction",
+)  # one per point of the 19-point grid, t0 = k/18; the last three are "good"
+WINDOW_SAMPLES = [
+    (F(123457, 10**6), F(1, 9)),
+    (F(1, 2), F(1, 81)),
+    (F(0), F(1, 729)),
+    (F(1), F(1, 9**8)),
+    (F(4, 9), F(1, 9)),
+    (F(5, 9), F(1, 6561)),
+]
+
+UNIT_DIGEST = "91cb8faa2381ae7ddd7f2daa5aa1f95afe8ef962cec0d80318acc563d8a85b33"
+WINDOW_DIGESTS = {
+    "good": "932340cba0ad4f75b9468b9230c9930b4c8d31b6718bf6d5132ee195a7edc426",
+    "left-good": "932340cba0ad4f75b9468b9230c9930b4c8d31b6718bf6d5132ee195a7edc426",
+    "inside": "932340cba0ad4f75b9468b9230c9930b4c8d31b6718bf6d5132ee195a7edc426",
+    "left-inside": "932340cba0ad4f75b9468b9230c9930b4c8d31b6718bf6d5132ee195a7edc426",
+    "below-near": "d1763b4065862229ea0493c0b7032da5d5401db92971544baf27261da7831d54",
+    "above-delta": "4a7bdc84d294a897dc109db579aa69ffdf52e9d838930d993f9db9e59d85152d",
+    "left-outside": "fa3a348c71f1a2b3c79bd4ede5b7de0712cd9402634d4bbf1ceca203bd6671ed",
+    "wrong-side": "13ce37dcdee856dbd1a3f0858a182350200623b44e0fa09f7924fb5553728382",
+    "left-wrong-side": "95509a4279141022bb5eca4e508040a88194400f966b756cf0604d0ca68dbf6d",
+    "at-t": "46dbe06264baa4bf416de3ebd373cf30c10cdbb4e7ffd54b6ab60ade893df884",
+    "left-at-t": "46dbe06264baa4bf416de3ebd373cf30c10cdbb4e7ffd54b6ab60ade893df884",
+    "far-wrong-side": "ad86db75c750f19659734353c619b7fdd2374551b55ae7ca0e63e66924e5198f",
+    "gap-at-floor": "7a81d2a7308788c9f5d1beab2111f96204d80b6aed4d19bdd4189a301e53ba76",
+    "gap-below-floor": "9e32e8db5f985fffe48cb026e61b709943b021bd2a3ca1bbedf2b22ad15044b6",
+    "gap-far-below": "374285585874d7a400abcfcd502fa76059b893b7fe3f3ca6034ac747d48b095d",
+    "construction": "62e8fc5b35b76e0d476cbdfc6c7adc3d1fa72db674a52f932e595056b139f1c4",
+}
+
+
+@dataclass(frozen=True)
+class CraftedWitnesses(Curve):
+    """The standard curve with crafted witnesses.
+
+    On the 19-point claim2 grid, t0 = k/18 meets UNIT_CASES[k] (the last
+    three points are "good"); every claim3 sample meets window_case.
+    """
+
+    window_case: str = "good"
+
+    def unit_witnesses(self, t0):
+        k = int(t0 * 18)
+        return _crafted(t0, F(1, 18), 1, UNIT_CASES[k] if k < len(UNIT_CASES) else "good")
+
+    def window_witnesses(self, t, delta, resume=None):
+        return _crafted(t, delta / 162, delta, self.window_case)
+
+
+class TestWitnessFailureRecords:
+    def test_unit_records(self):
+        r = verify_unit_gap(19, curve=CraftedWitnesses())
+        kinds = [f["kind"] for f in r.failures]
+        assert {"offset-range", "side", "gap-below-floor", "construction"} == set(kinds)
+        assert r.checked == 19 and not r.certified
+        text = r.to_json(include_timing=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == UNIT_DIGEST
+
+    def test_window_records(self):
+        for case in UNIT_CASES:
+            r = verify_window_gap(WINDOW_SAMPLES, curve=CraftedWitnesses(window_case=case))
+            assert r.checked == len(WINDOW_SAMPLES)
+            assert r.certified == (case in ("good", "left-good", "inside", "left-inside", "gap-at-floor"))
+            assert hashlib.sha256(r.to_json(include_timing=False).encode()).hexdigest() == WINDOW_DIGESTS[case], case
 
 
 class TestOscillation:
