@@ -182,8 +182,7 @@ def _cmd_plot_ifs(args: argparse.Namespace) -> int:
 def _run_campaign(args: argparse.Namespace) -> Report:
     name = args.campaign
     if name == "holder":
-        level = args.level if args.level is not None else 6
-        return verify_holder(level, args.refine)
+        return verify_holder(args.level, args.refine)
     if name == "claim2":
         return verify_unit_gap(args.grid)
     if name == "claim3":
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a certification campaign")
     p_ver.add_argument("campaign", choices=CAMPAIGNS)
-    p_ver.add_argument("--level", type=int, default=None, help="holder: iterate level")
+    p_ver.add_argument("--level", type=int, default=6, help="holder: iterate level")
     p_ver.add_argument("--refine", type=int, default=0, help="holder: extra points per segment")
     p_ver.add_argument("--grid", type=int, default=10001, help="claim2: base point count")
     p_ver.add_argument("--samples", type=int, default=None, help="claim3/cone: sample count")

@@ -27,11 +27,13 @@ over a common denominator dx, every y constant one over ey.  A descent
 then keeps the point as an integer pair t = p/q and the composed maps
 as integer numerators over powers of dx and ey, so a step is a few
 integer products with no gcd; a Fraction is built only for the
-result.  The limit u is never materialised: `eval_limit` returns an
-Interval whose width contracts like (2/3)**depth.  A quotient
-enclosure divides the difference of two such Intervals through a
-certified root enclosure from `numerics`, each endpoint one Fraction
-of cross-multiplied numerators (`_root_quotient`).
+result.  An iterate is held the same way, as integer numerators over
+dx**n and ey**n.  The limit u is never materialised: `eval_limit`
+returns an Interval whose width contracts like (2/3)**depth.  A
+quotient enclosure divides the difference of two such Intervals through
+a certified root enclosure from `numerics`, each endpoint one Fraction
+of cross-multiplied numerators (`_root_quotient`), and a witness gap is
+the one Fraction that bounds the distance of two quotients from below.
 
 A scan over shrinking scales at one point walks one chain of nested
 cells: `locate_cell` continues from the cell it returned for the scale
@@ -79,8 +81,9 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # has dropped (the ROADMAP's campaign-scoped evaluator would keep them).
 _DESCENTS_KEPT = 256
 
+_ZERO = Fraction(0)
 _RIGHT_PROBES = (Fraction(5, 9), Fraction(1), 1)
-_LEFT_PROBES = (Fraction(0), Fraction(4, 9), -1)
+_LEFT_PROBES = (_ZERO, Fraction(4, 9), -1)
 
 
 class OutOfDomain(ValueError):
@@ -159,71 +162,59 @@ class AffineMap1D:
     def __call__(self, t: RationalLike) -> Fraction:
         return self.a * Fraction(t) + self.b
 
-    def inverse(self, t: RationalLike) -> Fraction:
-        return (Fraction(t) - self.b) / self.a
-
 
 @dataclass(frozen=True)
 class QuotientWitness:
     """Two probe abscissas with a certified gap between their quotients.
 
     s1 and s2 lie on the same side of the base point the witness was
-    built for, and gap_lower_bound encloses |q(s1, t0) - q(s2, t0)|.
-    Certification succeeds when gap_lower_bound.lo clears the curve's
-    guaranteed gap floor.
+    built for, and gap_lower_bound is a certified lower bound on
+    |q(s1, t0) - q(s2, t0)|.  Certification succeeds when it clears the
+    curve's guaranteed gap floor.
     """
 
     s1: Fraction
     s2: Fraction
-    gap_lower_bound: Interval
+    gap_lower_bound: Fraction
     side: int
 
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Piecewise linear curve through strictly increasing breakpoints.
+    """Piecewise linear curve through strictly increasing breakpoints, held as its integer grid.
 
-    Instances represent iterates of the construction, so the invariants
-    are structural: abscissas strictly increase, the first breakpoint is
-    (0, 0) and the last is (1, 1).  Violations raise InvalidCurve, which
-    is how perturbed branch systems announce that they no longer build a
-    curve at all.
-
-    An iterate also carries its integer form, grid = (dt, dv, points):
-    each breakpoint (t, v) is (T/dt, V/dv) for the point (T, V).  grid
-    takes no part in equality or repr.
-    """
-
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    grid: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        pts = tuple(
-            (t if type(t) is Fraction else Fraction(t), v if type(v) is Fraction else Fraction(v))
-            for t, v in self.breakpoints
-        )
-        object.__setattr__(self, "breakpoints", pts)
-        _check_polyline(pts)
-
-
-def _check_polyline(pts, dt: int = 1, dv: int = 1) -> None:
-    """Raise InvalidCurve unless the points (t/dt, v/dv) satisfy PiecewiseLinear's invariants.
-
-    pts holds Fractions (dt = dv = 1) or integer numerators over the
-    common denominators dt, dv > 0; either way the checks run in one
-    order, and a Fraction is built only for the message of the one
+    Each breakpoint (t, v) is (T/dt, V/dv) for the integer pair (T, V) in
+    points, with dt, dv > 0.  Instances represent iterates of the
+    construction, so the invariants are structural: abscissas strictly
+    increase, the first breakpoint is (0, 0) and the last is (1, 1).
+    Violations raise InvalidCurve, which is how perturbed branch systems
+    announce that they no longer build a curve at all.  The checks run
+    on the integers; a Fraction is built only for the message of the one
     that fails.
     """
-    if len(pts) < 2:
-        raise InvalidCurve("need at least two breakpoints")
-    for (t0, _), (t1, _) in zip(pts, pts[1:]):
-        if t0 >= t1:
-            raise InvalidCurve(f"abscissas not strictly increasing at t={Fraction(t0, dt)}")
-    (t, v), (t1, v1) = pts[0], pts[-1]
-    if t or v:
-        raise InvalidCurve(f"curve must start at (0, 0), got {(Fraction(t, dt), Fraction(v, dv))}")
-    if t1 != dt or v1 != dv:
-        raise InvalidCurve(f"curve must end at (1, 1), got {(Fraction(t1, dt), Fraction(v1, dv))}")
+
+    dt: int
+    dv: int
+    points: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        pts, dt, dv = self.points, self.dt, self.dv
+        if len(pts) < 2:
+            raise InvalidCurve("need at least two breakpoints")
+        for (t0, _), (t1, _) in zip(pts, pts[1:]):
+            if t0 >= t1:
+                raise InvalidCurve(f"abscissas not strictly increasing at t={Fraction(t0, dt)}")
+        (t, v), (t1, v1) = pts[0], pts[-1]
+        if t or v:
+            raise InvalidCurve(f"curve must start at (0, 0), got {(Fraction(t, dt), Fraction(v, dv))}")
+        if t1 != dt or v1 != dv:
+            raise InvalidCurve(f"curve must end at (1, 1), got {(Fraction(t1, dt), Fraction(v1, dv))}")
+
+    @property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The breakpoints (t, v) as Fractions, built on each call."""
+        dt, dv = self.dt, self.dv
+        return tuple((Fraction(t, dt), Fraction(v, dv)) for t, v in self.points)
 
 
 def reduce_domain(t: RationalLike) -> Fraction:
@@ -375,10 +366,9 @@ class Curve:
         Level 0 is the diagonal.  Each level maps the previous polyline
         through every branch and concatenates; seam points shared by
         adjacent branches are deduplicated exactly.  Level k keeps its
-        points as integer numerators over dx**k and ey**k, and the last
-        level is checked on them by `_check_polyline`: a broken system
-        raises InvalidCurve before any breakpoint becomes a Fraction.
-        The iterate's grid is (dx**n, ey**n, points).
+        points as integer numerators over dx**k and ey**k, and the
+        iterate is that grid at level n: a broken system raises
+        InvalidCurve, and a valid one builds no Fraction.
         """
         if n < 0:
             raise OutOfDomain("level must be nonnegative")
@@ -399,8 +389,7 @@ class Curve:
             pts = nxt
             xd *= dx
             yd *= ey
-        _check_polyline(pts, xd, yd)
-        return PiecewiseLinear(tuple((Fraction(t, xd), Fraction(v, yd)) for t, v in pts), (xd, yd, tuple(pts)))
+        return PiecewiseLinear(xd, yd, tuple(pts))
 
     # ------------------------------------------------------------------
     # the limit
@@ -419,7 +408,8 @@ class Curve:
         above MAX_DEPTH raises DepthTooLarge.
 
         The Curve keeps the last descent of each point, so a call at the
-        same depth does no step, a deeper call resumes where that descent
+        same depth, or at a deeper one once the descent has reached 0 or 1,
+        does no step, another deeper call resumes where that descent
         stopped, and only a shallower call starts again from t.
         """
         if type(t) is not Fraction:
@@ -439,6 +429,8 @@ class Curve:
             kept.clear()
         if st is None or st[4] > depth:
             st = (p, q, 1, 0, 0)
+        elif st[0] == 0 or st[0] == st[1]:
+            depth = st[4]  # a kept descent that reached 0 or 1 is final
         if st[4] != depth:
             st = self._descend(st, depth)
             kept[key] = st
@@ -542,15 +534,15 @@ class Curve:
     # witnesses
 
     @staticmethod
-    def _unit_probe(t0: Fraction) -> tuple[Fraction, Fraction, int]:
-        """Unit-scale probe pair for a base point in [0, 1].
+    def _unit_probe(p: int, q: int) -> tuple[Fraction, Fraction, int]:
+        """Unit-scale probe pair for the base point t0 = p/q in [0, 1], q > 0.
 
         For t0 in the left half both probes sit to the right at 5/9 and
         1; otherwise to the left at 0 and 4/9.  Distances from t0 are
         then pinned to [1/18, 1] and all probe values are exact
         breakpoint values, so only u(t0) needs an enclosure.
         """
-        return _RIGHT_PROBES if 2 * t0.numerator <= t0.denominator else _LEFT_PROBES
+        return _RIGHT_PROBES if 2 * p <= q else _LEFT_PROBES
 
     def _deepen(
         self, s1: Fraction, s2: Fraction, t: Fraction, side: int, depths: Iterable[int]
@@ -558,26 +550,31 @@ class Curve:
         """Witness for the probes s1, s2 at t at the first of depths whose gap clears the floor.
 
         If none does, the last gap is returned for the caller to judge.
+        The gap is max(q1.lo - q2.hi, q2.lo - q1.hi, 0) for the quotient
+        enclosures q1, q2: the lower end of |q1 - q2| in interval
+        arithmetic.
         """
         floor_hi = quotient_gap_floor().hi
         for depth in depths:
-            gap = (self.diff_quotient(s1, t, depth) - self.diff_quotient(s2, t, depth)).abs()
-            if gap.lo >= floor_hi:
+            q1 = self.diff_quotient(s1, t, depth)
+            q2 = self.diff_quotient(s2, t, depth)
+            gap = max(q1.lo - q2.hi, q2.lo - q1.hi, _ZERO)
+            if gap >= floor_hi:
                 break
         return QuotientWitness(s1, s2, gap, side)
 
     def unit_witnesses(self, t0: RationalLike) -> QuotientWitness:
         """Probe pair at unit scale with a certified quotient gap.
 
-        The returned gap_lower_bound encloses |q(s1,t0) - q(s2,t0)|.
-        Depth runs through 16, 24, 32, 48, 64 and 96 until the lower
-        endpoint clears the guaranteed gap floor.
+        The returned gap_lower_bound bounds |q(s1,t0) - q(s2,t0)| from
+        below.  Depth runs through 16, 24, 32, 48, 64 and 96 until it
+        clears the guaranteed gap floor.
         """
         if type(t0) is not Fraction:
             t0 = Fraction(t0)
         if t0.numerator < 0 or t0.numerator > t0.denominator:
             raise OutOfDomain(f"t0={t0} outside [0, 1]")
-        s1, s2, side = self._unit_probe(t0)
+        s1, s2, side = self._unit_probe(t0.numerator, t0.denominator)
         return self._deepen(s1, s2, t0, side, (16, 24, 32, 48, 64, 96))
 
     def window_witnesses(
@@ -587,10 +584,11 @@ class Curve:
 
         Descends to the first cell of length at most delta containing t,
         replays the unit-scale probe construction inside that cell, and
-        certifies the gap directly at the small scale.  Probe distances
-        from t are guaranteed to lie in [delta/162, delta].  resume goes
-        to locate_cell, so a scan over shrinking delta at one t walks one
-        chain of cells.
+        certifies the gap directly at the small scale.  The probe side
+        is chosen at cell^-1(t), which the cell's descent holds as p/q.
+        Probe distances from t are guaranteed to lie in [delta/162,
+        delta].  resume goes to locate_cell, so a scan over shrinking
+        delta at one t walks one chain of cells.
 
         If the branches pass `continuous_tiling`, the descent of each
         probe cell(b) starts at the cell: its first k steps follow the
@@ -599,16 +597,14 @@ class Curve:
         probes are dropped afterwards, so a scan's store keeps u(t) and
         does not fill.  Any other Curve descends the probes from the top.
         """
-        t = Fraction(t)
-        delta = Fraction(delta)
         cell = self.locate_cell(t, delta, resume)
-        b1, b2, side = self._unit_probe(cell.inverse(t))
+        p, q, k, _, ya, yb = cell.descent[3:]
+        b1, b2, side = self._unit_probe(p, q)
         s1, s2 = cell(b1), cell(b2)
         start = cell_start_depth(cell)
         depths = range(start, start + 6 * 24, 24)
         if not self._tiled:
             return self._deepen(s1, s2, t, side, depths)
-        k, _, ya, yb = cell.descent[5:]
         kept = self._descents
         probes = {
             (s.numerator, s.denominator): (b.numerator, b.denominator, ya, yb, k) for s, b in ((s1, b1), (s2, b2))

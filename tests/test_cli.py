@@ -180,6 +180,12 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["certified"] is False
 
+    def test_holder_level_defaults_to_six(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "verify_holder", lambda level, refine: calls.append((level, refine)) or verify.verify_holder(1))
+        assert run(["verify", "holder"])[0] == 0
+        assert calls == [(6, 0)]
+
     def test_parameter_cap_violations(self):
         with contextlib.redirect_stderr(io.StringIO()):
             assert run(["verify", "holder", "--level", "13"])[0] == 2

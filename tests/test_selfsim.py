@@ -4,9 +4,10 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipgraph.numerics import Interval, Ordering, ZeroDenominator, cmp_abs_sq, sqrt_enclose
@@ -90,7 +91,7 @@ class TestBranches:
 
 
 def ref_breakpoints(breakpoints):
-    """Breakpoints as PiecewiseLinear stored them by coercing every coordinate."""
+    """Breakpoints coerced to Fractions and checked on them, as PiecewiseLinear once did: the reference for its integer checks."""
     pts = tuple((F(t), F(v)) for t, v in breakpoints)
     if len(pts) < 2:
         raise InvalidCurve("need at least two breakpoints")
@@ -104,8 +105,21 @@ def ref_breakpoints(breakpoints):
     return pts
 
 
+def grid_polyline(breakpoints):
+    """PiecewiseLinear through the breakpoints, each coordinate coerced to a Fraction, over their least denominators."""
+    pts = [(F(t), F(v)) for t, v in breakpoints]
+    dt = math.lcm(*(t.denominator for t, _ in pts))
+    dv = math.lcm(*(v.denominator for _, v in pts))
+    return PiecewiseLinear(dt, dv, tuple((t.numerator * dt // t.denominator, v.numerator * dv // v.denominator) for t, v in pts))
+
+
+def cell_inverse(cell, t):
+    """The point of [0, 1] that cell maps to t."""
+    return (F(t) - cell.b) / cell.a
+
+
 def _stored_breakpoints(breakpoints):
-    pts = PiecewiseLinear(breakpoints).breakpoints
+    pts = grid_polyline(breakpoints).breakpoints
     assert type(pts) is tuple
     assert all(type(p) is tuple and type(p[0]) is F and type(p[1]) is F for p in pts)
     return pts
@@ -162,18 +176,18 @@ PL_CASES = [
 
 class TestPiecewiseLinear:
     def test_value_and_endpoints(self):
-        pl = PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(1))))
+        pl = PiecewiseLinear(2, 4, ((0, 0), (1, 1), (2, 4)))
         assert pl_value(pl, F(1, 4)) == F(1, 8)
         assert pl_value(pl, F(3, 4)) == F(5, 8)
         assert pl_value(pl, 0) == 0 and pl_value(pl, 1) == 1
 
     def test_invalid_constructions(self):
         with pytest.raises(InvalidCurve):
-            PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1, 2))))  # does not end at (1, 1)
+            PiecewiseLinear(2, 2, ((0, 0), (1, 1)))  # does not end at (1, 1)
         with pytest.raises(InvalidCurve):
-            PiecewiseLinear(((F(1, 9), F(0)), (F(1), F(1))))  # does not start at (0, 0)
+            PiecewiseLinear(9, 1, ((1, 0), (9, 1)))  # does not start at (0, 0)
         with pytest.raises(InvalidCurve):
-            PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1, 3)), (F(1, 2), F(2, 3)), (F(1), F(1))))
+            PiecewiseLinear(2, 3, ((0, 0), (1, 1), (1, 2), (2, 3)))
 
     def test_construction_matches_reference(self):
         for bps in PL_CASES:
@@ -438,10 +452,32 @@ class TestUnitWitnesses:
             for s in (w.s1, w.s2):
                 assert UNIT_MIN_OFFSET <= abs(s - t0) <= 1
             assert w.side in (-1, 1)
-            assert w.gap_lower_bound.lo >= floor.hi
+            assert w.gap_lower_bound >= floor.hi
 
     def test_min_offset_constant(self):
         assert UNIT_MIN_OFFSET == F(1, 18)
+
+
+quotient_enclosures = st.tuples(
+    st.fractions(-2, 2, max_denominator=60), st.fractions(-2, 2, max_denominator=60)
+).map(lambda ends: Interval(min(ends), max(ends)))
+
+
+class TestWitnessGap:
+    """The witness gap against the lower end of |q1 - q2| in interval arithmetic."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(q1=quotient_enclosures, q2=quotient_enclosures)
+    @example(q1=Interval(F(-1), F(1)), q2=Interval.point(F(0)))  # the difference straddles 0
+    @example(q1=Interval(F(1), F(2)), q2=Interval(F(0), F(1)))  # it touches 0 from above
+    @example(q1=Interval(F(-3), F(-1)), q2=Interval(F(1, 2), F(1)))  # it lies below 0
+    def test_gap_is_the_lower_end_of_the_interval_distance(self, q1, q2):
+        s1, s2 = F(5, 9), F(1)
+        quotients = {s1: q1, s2: q2}
+        with mock.patch.object(Curve, "diff_quotient", lambda self, s, t, depth: quotients[s]):
+            w = Curve()._deepen(s1, s2, F(1, 4), 1, (16,))
+        assert type(w.gap_lower_bound) is F
+        assert w.gap_lower_bound == (q1 - q2).abs().lo
 
 
 class TestLocateCell:
@@ -504,7 +540,7 @@ class TestWindowWitnesses:
             for s in (w.s1, w.s2):
                 assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
                 assert 0 <= s <= 1
-            assert w.gap_lower_bound.lo >= floor.hi
+            assert w.gap_lower_bound >= floor.hi
 
     def test_offset_ratio_constant(self):
         assert WINDOW_OFFSET_RATIO == F(1, 162)
@@ -519,7 +555,7 @@ class TestWindowWitnesses:
         w = UNIT_CURVE.window_witnesses(t, delta)
         for s in (w.s1, w.s2):
             assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
-        assert w.gap_lower_bound.lo >= quotient_gap_floor().hi
+        assert w.gap_lower_bound >= quotient_gap_floor().hi
 
     def test_start_depth_at_the_scale_cap(self):
         # log_3(9**j) = 2j: the window at 9**-MAX_SCALES may start within MAX_DEPTH, one scale deeper cannot
@@ -620,7 +656,7 @@ def ref_locate_cell(curve, t, delta):
     cell = AffineMap1D(F(1), F(0))
     guard = 0
     while cell.a > delta:
-        br = ref_locate_branch(curve, cell.inverse(t))
+        br = ref_locate_branch(curve, cell_inverse(cell, t))
         cell = AffineMap1D(cell.a * br.x_scale, cell.a * br.x_offset + cell.b)
         guard += 1
         if guard > 4 * MAX_LEVEL * 16:
@@ -643,7 +679,7 @@ def ref_iterate(curve, n):
                     continue
                 nxt.append(p)
         pts = nxt
-    return PiecewiseLinear(tuple(pts))
+    return ref_breakpoints(pts)
 
 
 def outcome(fn, *args):
@@ -706,7 +742,7 @@ class TestFractionOracle:
     @pytest.mark.parametrize("curve", ORACLE_CURVES)
     def test_iterate(self, curve):
         for n in (-1, 0, 1, 2, 3, 4, MAX_LEVEL + 1):
-            assert outcome(curve.iterate, n) == outcome(ref_iterate, curve, n)
+            assert outcome(lambda n: curve.iterate(n).breakpoints, n) == outcome(ref_iterate, curve, n)
 
 
 # ----------------------------------------------------------------------
@@ -870,6 +906,25 @@ class TestResumableDescent:
                 curve.eval_limit(F(1, 7), depth)
         assert curve._descents == {}
 
+    def test_kept_exact_descent_is_final(self, monkeypatch):
+        # 0 and 1 are exact at once, 4/9 and 5/9 after one step; 1/7 never is
+        curve = Curve()
+        points = [F(0), F(1), F(4, 9), F(5, 9), F(1, 7)]
+        depths = (16, 30, 64, 16)
+        want = [fresh_eval_limit(UNIT_CURVE, t, depth) for depth in depths for t in points]
+        for t in points:
+            curve.eval_limit(t, 16)
+        kept = dict(curve._descents)
+        calls = []
+        step = Curve._descend
+        monkeypatch.setattr(Curve, "_descend", lambda self, state, depth: calls.append(state) or step(self, state, depth))
+        assert [curve.eval_limit(t, depth) for depth in depths for t in points] == want
+        # only 1/7 descends again: resumed at 30 and 64, restarted at 16
+        assert len(calls) == 3
+        assert calls[0] == kept[1, 7] and calls[1][4] == 30 and calls[2] == (1, 7, 1, 0, 0)
+        assert list(curve._descents) == list(kept)
+        assert all(curve._descents[key] == kept[key] for key in kept if key != (1, 7))
+
     def test_non_integer_depth_refused_after_a_kept_descent(self):
         curve = Curve()
         curve.eval_limit(F(1, 7), 16)
@@ -899,7 +954,7 @@ class TestResumableDescent:
 def ref_window_witnesses(curve, t, delta):
     t, delta = F(t), F(delta)
     cell = ref_locate_cell(curve, t, delta)
-    b1, b2, side = Curve._unit_probe(cell.inverse(t))
+    b1, b2, side = (F(5, 9), F(1), 1) if cell_inverse(cell, t) <= F(1, 2) else (F(0), F(4, 9), -1)
     s1, s2 = cell(b1), cell(b2)
     start = cell_start_depth(cell)
     floor_hi = quotient_gap_floor().hi
@@ -907,7 +962,7 @@ def ref_window_witnesses(curve, t, delta):
         gap = (ref_diff_quotient(curve, s1, t, depth) - ref_diff_quotient(curve, s2, t, depth)).abs()
         if gap.lo >= floor_hi:
             break
-    return QuotientWitness(s1, s2, gap, side)
+    return QuotientWitness(s1, s2, gap.lo, side)
 
 
 def chained_windows(curve, t, deltas):
@@ -966,7 +1021,7 @@ class TestCellChain:
                 assert cell == ref_locate_cell(UNIT_CURVE, t, delta)
                 curve, t_, _, p, q, k, dk, ya, yb = cell.descent
                 assert curve is UNIT_CURVE and t_ == t
-                assert F(p, q) == cell.inverse(t) and dk == UNIT_CURVE._dx**k
+                assert F(p, q) == cell_inverse(cell, t) and dk == UNIT_CURVE._dx**k
                 # the identity the probe descents rest on: u(cell(b)) = Y_cell(u(b))
                 if j % 8 == 0:
                     for b, ub in u_probe.items():

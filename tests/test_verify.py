@@ -28,7 +28,6 @@ from lipgraph.selfsim import (
     InvalidCurve,
     MAX_LEVEL,
     OutOfDomain,
-    PiecewiseLinear,
     QuotientWitness,
     quotient_gap_floor,
 )
@@ -114,17 +113,43 @@ class TestHolderCampaign:
         text = verify_holder(level, refine, curve=drifted(tag, "x_scale", F(-1, 100))).to_json(include_timing=False)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_sweep_builds_no_fraction(self):
+        """verify_holder(6) on the standard curve builds no Fraction.
+
+        Counted by wrapping Fraction.__new__, as test_work_per_base_point
+        does.  While the iterate carried its breakpoints as Fractions
+        beside its integer grid, the sweep built 1 460: 2 * (3**6 + 1).
+        """
+        count = [0]
+        saved_new = F.__dict__["__new__"]
+        real_new = F.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            count[0] += 1
+            return real_new(cls, *args, **kwargs)
+
+        F.__new__ = staticmethod(counted_new)
+        try:
+            r = verify_holder(6)
+        finally:
+            F.__new__ = saved_new
+        assert r.certified and r.checked == 266085
+        assert count[0] == 0
+
     def test_pair_budget_enforced(self):
-        class Unrefinable(F):
-            def __sub__(self, other):
+        class Unrefinable(tuple):
+            def __iter__(self):
+                raise AssertionError("a refined point was built")
+
+            def __getitem__(self, i):
                 raise AssertionError("a refined point was built")
 
         class IterateOnly:
-            """The standard curve's iterate, with abscissas that refuse the arithmetic of refinement."""
+            """The standard curve's iterate, with a grid that refuses the reads of refinement."""
 
             def iterate(self, n):
-                pts = UNIT_CURVE.iterate(n).breakpoints
-                return SimpleNamespace(breakpoints=[(Unrefinable(t), v) for t, v in pts])
+                pl = UNIT_CURVE.iterate(n)
+                return SimpleNamespace(dt=pl.dt, dv=pl.dv, points=Unrefinable(pl.points))
 
         with pytest.raises(DepthTooLarge) as exc:
             verify_holder(7, 100, curve=IterateOnly())
@@ -133,9 +158,8 @@ class TestHolderCampaign:
 
 # ----------------------------------------------------------------------
 # The integer Hölder sweep against the implementation it replaced:
-# `Curve.iterate` building every breakpoint Fraction before
-# PiecewiseLinear checks them, and the plain pair loop over Fractions
-# cleared through lcm.
+# `Curve.iterate` building every breakpoint Fraction and checking them,
+# and the plain pair loop over Fractions cleared through lcm.
 
 
 def ref_iterate(curve, n):
@@ -159,7 +183,7 @@ def ref_iterate(curve, n):
         xd *= dx
         yd *= ey
     bps = tuple((F(t, xd), F(v, yd)) for t, v in pts)
-    # PiecewiseLinear's checks as they ran on these Fractions
+    # the iterate's checks as they ran on these Fractions
     if len(bps) < 2:
         raise InvalidCurve("need at least two breakpoints")
     for (t0, _), (t1, _) in zip(bps, bps[1:]):
@@ -169,7 +193,7 @@ def ref_iterate(curve, n):
         raise InvalidCurve(f"curve must start at (0, 0), got {bps[0]}")
     if bps[-1] != (1, 1):
         raise InvalidCurve(f"curve must end at (1, 1), got {bps[-1]}")
-    return PiecewiseLinear(bps)
+    return bps
 
 
 def ref_verify_holder(level, refine=0, curve=UNIT_CURVE):
@@ -185,7 +209,7 @@ def ref_verify_holder(level, refine=0, curve=UNIT_CURVE):
         pl = ref_iterate(curve, level)
     except InvalidCurve as exc:
         return verify._finish("holder", params, 0, [{"kind": "construction", "detail": str(exc)}], started)
-    pts = list(pl.breakpoints)
+    pts = list(pl)
     m = len(pts) + (len(pts) - 1) * refine
     npairs = m * (m - 1) // 2
     if npairs > verify.MAX_PAIRS:
@@ -253,12 +277,8 @@ def ref_pairs(level, refine):
 class TestIntegerHolderSweep:
     @pytest.mark.parametrize("curve", DRIFT_CURVES)
     def test_iterate_matches_the_reference(self, curve):
-        for n in range(7):
-            got = outcome(curve.iterate, n)
-            assert got == outcome(ref_iterate, curve, n)
-            if isinstance(got, PiecewiseLinear):
-                dt, dv, pts = got.grid
-                assert got.breakpoints == tuple((F(t, dt), F(v, dv)) for t, v in pts)
+        for n in range(8):
+            assert outcome(lambda n: curve.iterate(n).breakpoints, n) == outcome(ref_iterate, curve, n)
 
     @pytest.mark.parametrize("curve", DRIFT_CURVES)
     def test_report_bytes_match_the_reference(self, curve):
@@ -327,10 +347,13 @@ class TestUnitGapCampaign:
         Counted as bench/tracer.py counts Intervals, by wrapping
         Interval.__post_init__, and Fractions by wrapping Fraction.__new__,
         which every Fraction passes through in CPython 3.10 and 3.11 (3.12
-        builds arithmetic results without it).  A base point builds 9.5
-        Intervals and 22.0 Fractions.  Before quotient endpoints became
-        one Fraction each and the witness checks moved to integers, it
-        built 12.5 and 45.0 (7 512 and 27 061 in all).
+        builds arithmetic results without it).  A base point builds 8.0
+        Intervals and 21.0 Fractions.  While the witness gap was the
+        Interval (q1 - q2).abs() and kept descents at 0 or 1 were
+        descended again, it built 9.5 and 22.0 (5 710 and 13 240 in
+        all); before quotient endpoints became one Fraction each and the
+        witness checks moved to integers, 12.5 and 45.0 (7 512 and
+        27 061).
         """
         quotient_gap_floor()  # cached before counting, as in every campaign but the first
         counts = {"Interval": 0, "Fraction": 0}
@@ -354,7 +377,7 @@ class TestUnitGapCampaign:
             Interval.__post_init__ = post_init
             F.__new__ = saved_new
         assert r.certified and r.checked == 601
-        assert counts == {"Interval": 5710, "Fraction": 13240}
+        assert counts == {"Interval": 4808, "Fraction": 12638}
 
 
 class TestWindowGapCampaign:
@@ -419,10 +442,10 @@ def _crafted(t, near, delta, case):
         raise ValueError("crafted construction failure")
     floor_hi = quotient_gap_floor().hi
     gap = {
-        "gap-at-floor": Interval(floor_hi, floor_hi + 1),
-        "gap-below-floor": Interval(floor_hi - _EPS, floor_hi),
-        "gap-far-below": Interval(F(0), F(1)),
-    }.get(case, Interval(F(1), F(2)))
+        "gap-at-floor": floor_hi,
+        "gap-below-floor": floor_hi - _EPS,
+        "gap-far-below": F(0),
+    }.get(case, F(1))
     offsets, side = {
         "good": ((near, delta), 1),
         "left-good": ((-near, -delta), -1),
@@ -555,6 +578,22 @@ class TestOscillation:
             with pytest.raises(DepthTooLarge) as raised:
                 oscillation_scan(F(1, 7), scales)
             assert str(raised.value) == f"{scales} scales exceed cap {MAX_SCALES}"
+
+    @pytest.mark.parametrize("case", [c for c in UNIT_CASES if c != "construction"])
+    def test_probe_records_match_claim3(self, monkeypatch, case):
+        # the scan checks its probes around the folded point, before reflecting,
+        # with the records claim3 writes less the base point
+        curve = CraftedWitnesses(window_case=case)
+        deltas = [F(1, 9), F(1, 81)]
+        claim3 = verify_window_gap([(F(1, 2), d) for d in deltas], curve=curve)
+        want = [
+            {k: v for k, v in f.items() if k != "t"} for f in claim3.failures if f["kind"] in ("offset-range", "side")
+        ]
+        monkeypatch.setattr(verify, "UNIT_CURVE", curve)
+        for t_hat in (F(1, 2), F(7, 2), F(-1, 2)):
+            r = oscillation_scan(t_hat, 2)
+            assert [f for f in r.failures if f["kind"] != "window-uncertified"] == want, t_hat
+            assert r.certified == claim3.certified
 
     def test_flat_mid_branch_leaves_windows_uncertified(self, monkeypatch):
         # with a flat mid branch the probes no longer separate the quotients
@@ -695,6 +734,63 @@ class TestBlowupDivergence:
         tol = r.parameters["tol"]
         for realized, target in zip(r.parameters["realized_quotients"], r.parameters["targets"]):
             assert (realized - target).abs().lo <= 4 * tol
+
+
+def profile_gap_off_target(enc1, enc2, target1, target2, tol):
+    """The profile-gap-off-target test blowup_divergence ran until it was seen never to fire."""
+    gap = (enc1 - enc2).abs()
+    return not (gap.lo - 4 * tol <= abs(target1 - target2) <= gap.hi + 4 * tol)
+
+
+def _in_ball(target, tol, ends):
+    """The enclosure [target + a*tol, target + b*tol] for a <= b, both in [-2, 2]."""
+    a, b = sorted(ends)
+    return Interval(target + a * tol, target + b * tol)
+
+
+ball_ends = st.tuples(st.fractions(-2, 2, max_denominator=40), st.fractions(-2, 2, max_denominator=40))
+
+
+class TestProfileGapOnTarget:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        target1=st.fractions(-3, 3, max_denominator=50),
+        target2=st.fractions(-3, 3, max_denominator=50),
+        tol=st.fractions(F(1, 10**6), 1, max_denominator=10**6),
+        ends1=ball_ends,
+        ends2=ball_ends,
+    )
+    def test_never_fires_inside_the_balls(self, target1, target2, tol, ends1, ends2):
+        enc1, enc2 = _in_ball(target1, tol, ends1), _in_ball(target2, tol, ends2)
+        assert enc1.inside_ball(target1, 2 * tol) and enc2.inside_ball(target2, 2 * tol)
+        assert not profile_gap_off_target(enc1, enc2, target1, target2, tol)
+
+    def test_fires_outside_them(self):
+        # the reference is live: an enclosure 3*tol from its target can trip it
+        tol = F(1, 100)
+        assert profile_gap_off_target(Interval.point(F(1) + 5 * tol), Interval.point(F(0)), F(1), F(0), tol)
+
+    def test_campaign_counts_the_check(self):
+        grid = TestBlowupDivergence.GRID
+        r = blowup_divergence(0, 1, F(4472135954999579, 10**16), 1, grid, 40)
+        enc1, enc2 = r.parameters["realized_quotients"]
+        assert not profile_gap_off_target(enc1, enc2, *r.parameters["targets"], r.parameters["tol"])
+        assert r.checked == 2 + 2 * len(grid) + 3
+
+
+class TestFailureRecords:
+    def test_records_are_json_ready_when_built(self):
+        # json.dumps refuses a Fraction or an Interval, so every record is strings, ints and lists
+        reports = list(mutation_probe(BranchTag.MID, "x_scale", F(1, 9) - F(1, 100)).values())
+        reports += [
+            verify_unit_gap(19, curve=CraftedWitnesses()),
+            verify_window_gap(WINDOW_SAMPLES, curve=CraftedWitnesses(window_case="far-wrong-side")),
+        ]
+        for r in reports:
+            assert r.failures
+            assert json.loads(json.dumps(r.failures)) == r.failures
+            d = r.to_dict()
+            assert d["failures"] == r.failures and d["failures"] is not r.failures
 
 
 class TestMutationSensitivity:
