@@ -25,17 +25,24 @@ propagate those enclosures soundly and exactly cancel the rational
 coordinates, which is what makes the blow-up sampler rigorous.
 
 On graph points x = 0, so the twist x y' - y x' of a product of graph
-points vanishes; `mul` skips a twist product with a zero factor, and
-`hnorm` takes |x| and |y| exactly, so the cone campaign does no
-arithmetic on terms that are 0 and roots only |t|.
+points vanishes; `mul` skips a twist product with a zero factor and does
+not add an x of 0, `inv` does not negate one, and `hnorm` takes |y|
+exactly (and |x| only when x is not 0), so the cone campaign does no
+arithmetic on terms that are 0 and roots only |t|.  `cone_gap` takes
+its norm width (2/3)**depth from a per-depth cache.  A campaign that
+evaluates many graph points at one depth passes `graph_point` a dict of
+its own that keeps the enclosure of each folded profile argument, so
+every distinct argument is descended once per campaign; the dict's key
+leaves out the depth, so it must not outlive the campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .numerics import Interval, RationalLike, sqrt_enclose
 from .selfsim import UNIT_CURVE, reduce_domain
@@ -86,11 +93,14 @@ def mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:
     twist = (px * qy if px and qy else 0) - (py * qx if py and qx else 0)
     if twist:
         t += twist / 2
-    return GroupPoint(px + qx, py + qy, t, p.r + q.r)
+    # Adding a Fraction 0 to a Fraction is skipped; other types add, for the sum's type.
+    x = px if type(px) is type(qx) is Fraction and not qx else px + qx
+    return GroupPoint(x, py + qy, t, p.r + q.r)
 
 
 def inv(p: GroupPoint) -> GroupPoint:
-    return GroupPoint(-p.x, -p.y, -p.t, -p.r)
+    x = p.x
+    return GroupPoint(x if type(x) is Fraction and not x else -x, -p.y, -p.t, -p.r)
 
 
 def dilate(lam: RationalLike, p: GroupPoint) -> GroupPoint:
@@ -110,7 +120,8 @@ def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
         width = Fraction(width)
     if width.numerator <= 0:
         raise ValueError("width must be positive")
-    nxy = Interval.point(max(abs(p.x), abs(p.y)))
+    x, y = p.x, p.y
+    nxy = Interval.point(abs(y) if type(x) is Fraction and not x else max(abs(x), abs(y)))
     nt = sqrt_enclose(abs(p.t), width)
     return Interval.max_of(Interval.max_of(nxy, nt), p.r.abs())
 
@@ -131,13 +142,24 @@ def w_point(y: RationalLike = 0, t: RationalLike = 0) -> GroupPoint:
     return GroupPoint(_FZERO, y, t, _ZERO)
 
 
-def graph_point(w: GroupPoint, depth: int) -> GroupPoint:
+def graph_point(w: GroupPoint, depth: int, memo: Optional[dict] = None) -> GroupPoint:
     """Intrinsic graph point over w: fill the r slot with an enclosure of u(beta(w)).
 
     The profile argument is folded into [0, 1] by the even, 2-periodic
-    extension, so w may sit anywhere on the vertical subgroup.
+    extension, so w may sit anywhere on the vertical subgroup.  memo,
+    when given, maps a folded argument t as (t.numerator, t.denominator)
+    to its enclosure; a miss evaluates and stores it.  The key leaves
+    out the depth, so one memo serves one depth only: a campaign makes
+    its own and drops it when it returns.
     """
-    enc = UNIT_CURVE.eval_limit(reduce_domain(beta(w)), depth)
+    t = reduce_domain(beta(w))
+    if memo is None:
+        enc = UNIT_CURVE.eval_limit(t, depth)
+    else:
+        key = (t.numerator, t.denominator)
+        enc = memo.get(key)
+        if enc is None:
+            enc = memo[key] = UNIT_CURVE.eval_limit(t, depth)
     return GroupPoint(w.x, w.y, w.t, enc)
 
 
@@ -154,7 +176,13 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
         raise NotGraphPoints("cone gap is defined for graph points, which have x = 0")
     d = mul(inv(p), q)
     w_part = GroupPoint(d.x, d.y, d.t, _ZERO)
-    return hnorm(w_part, _TWO_THIRDS ** max(depth, 1)) - d.r.abs()
+    return hnorm(w_part, _norm_width(depth)) - d.r.abs()
+
+
+@lru_cache(maxsize=16, typed=True)
+def _norm_width(depth: int) -> Fraction:
+    """The norm width (2/3)**max(depth, 1) of cone_gap, computed once per depth (and per type of depth)."""
+    return _TWO_THIRDS ** max(depth, 1)
 
 
 def blowup_profile(

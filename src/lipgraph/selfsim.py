@@ -77,8 +77,8 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # length: u(t) plus the two probes of the current window, which
 # window_witnesses seeds at the cell (even into a full store) and drops.
 # Cone's profile arguments fold onto the 1 003 points of a 1/1000 grid,
-# more than this bound holds, so a cone campaign repeats descents the store
-# has dropped (the ROADMAP's campaign-scoped evaluator would keep them).
+# more than this bound holds; verify_cone keeps their enclosures itself,
+# in a memo that lives for one campaign, so it asks for each point once.
 _DESCENTS_KEPT = 256
 
 _ZERO = Fraction(0)

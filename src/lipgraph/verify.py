@@ -355,7 +355,8 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     rational on the line; evaluation folds it into [0, 1] and offsets
     are reflected back, which preserves both their magnitudes and the
     certified gap.  A window that fails to clear the gap floor is a
-    failure record, not a proof of absence.
+    failure record, not a proof of absence.  A window reads "certified"
+    only when its gap clears the floor and both probes pass.
     scales must lie in 1 .. MAX_SCALES, which is checked before any
     work.  The cells are one chain: each delta's locate_cell continues
     from the cell before.  A delta whose own cell would start its window
@@ -383,16 +384,23 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     failures = []
     for delta, cell in zip(deltas, cells):
         w = UNIT_CURVE.window_witnesses(t_red, delta, cell)
-        failures += _probe_failures(w, t_red, WINDOW_OFFSET_RATIO * delta, delta, {"delta": str(delta)})
+        probe_records = list(_probe_failures(w, t_red, WINDOW_OFFSET_RATIO * delta, delta, {"delta": str(delta)}))
+        failures += probe_records
         o1, o2 = w.s1 - t_red, w.s2 - t_red
         if reflected:
             o1, o2 = -o1, -o2
         lo = w.gap_lower_bound
-        certified = lo >= floor.hi
+        gap_clears = lo >= floor.hi
         windows.append(
-            {"delta": delta, "offset1": o1, "offset2": o2, "osc_lower_bound": lo, "certified": certified}
+            {
+                "delta": delta,
+                "offset1": o1,
+                "offset2": o2,
+                "osc_lower_bound": lo,
+                "certified": gap_clears and not probe_records,
+            }
         )
-        if not certified:
+        if not gap_clears:
             failures.append({"kind": "window-uncertified", "delta": str(delta), "osc_lower_bound": str(lo)})
     params = {"t_hat": t_hat, "deltas": deltas, "windows": windows}
     return _finish("oscillation", params, len(deltas), failures, started)
@@ -471,6 +479,9 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     profile difference above the root of the abscissa gap).  Pairs whose
     profile arguments are breakpoint values evaluate exactly and are
     counted in parameters["exact_pairs"].  Pairs are drawn as checked.
+    Each distinct folded profile argument is descended once: the
+    campaign keeps the enclosures in a memo of its own (see
+    carnot.graph_point), which is dropped when it returns.
     """
     started = time.perf_counter()
     if sample_count < 1:
@@ -479,17 +490,23 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     failures = []
     exact_pairs = 0
     min_gap_lo: Optional[Fraction] = None
+    memo: dict = {}
     for idx, (w1, w2) in enumerate(islice(_cone_pairs(seed), sample_count)):
-        p1 = graph_point(w1, depth)
-        p2 = graph_point(w2, depth)
+        p1 = graph_point(w1, depth, memo)
+        p2 = graph_point(w2, depth, memo)
         g = cone_gap(p1, p2, depth)
         min_gap_lo = g.lo if min_gap_lo is None else min(min_gap_lo, g.lo)
         if g.hi < 0:
             failures.append({"kind": "cone-gap-negative", "gap": _jsonable(g), **_pair_key(idx, w1, w2)})
-        # On exact points the lower bound is the exact |u(beta2) - u(beta1)|.
-        exact = p1.r.is_point() and p2.r.is_point()
+        r1, r2 = p1.r, p2.r
+        exact = r1.is_point() and r2.is_point()
         exact_pairs += exact
-        if cmp_abs_sq((p2.r - p1.r).abs().lo, w2.t - w1.t) is Ordering.GREATER:
+        # |r2 - r1|.lo is (r2 - r1).lo or -(r2 - r1).hi, whichever is positive, else 0, which
+        # refutes nothing.  On exact points it is the exact |u(beta2) - u(beta1)|.
+        dr_lo = r2.lo - r1.hi
+        if dr_lo.numerator < 0:
+            dr_lo = r1.lo - r2.hi
+        if dr_lo.numerator > 0 and cmp_abs_sq(dr_lo, w2.t - w1.t) is Ordering.GREATER:
             kind = "holder-chain-exact" if exact else "holder-chain-refuted"
             failures.append({"kind": kind, **_pair_key(idx, w1, w2)})
     params = {

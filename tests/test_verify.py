@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
 from dataclasses import dataclass
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lipgraph.carnot as carnot
 import lipgraph.verify as verify
-from lipgraph.carnot import GroupPoint, w_point
+from lipgraph.carnot import GroupPoint, cone_gap, graph_point, w_point
 from lipgraph.numerics import Interval, Ordering, cmp_abs_sq
 from lipgraph.selfsim import (
     BRANCHES,
@@ -30,6 +32,7 @@ from lipgraph.selfsim import (
     OutOfDomain,
     QuotientWitness,
     quotient_gap_floor,
+    reduce_domain,
 )
 from lipgraph.verify import (
     MAX_SCALES,
@@ -326,6 +329,37 @@ class TestIntegerHolderSweep:
                     )
 
 
+@contextmanager
+def counted_constructions():
+    """Interval and Fraction constructions inside the block, as a dict filled in as they happen.
+
+    Intervals are counted as bench/tracer.py counts them, by wrapping
+    Interval.__post_init__, and Fractions by wrapping Fraction.__new__,
+    which every Fraction passes through in CPython 3.10 and 3.11 (3.12
+    builds arithmetic results without it).
+    """
+    counts = {"Interval": 0, "Fraction": 0}
+    post_init = Interval.__post_init__
+    saved_new = F.__dict__["__new__"]
+    real_new = F.__new__
+
+    def counted_post_init(self):
+        counts["Interval"] += 1
+        post_init(self)
+
+    def counted_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    Interval.__post_init__ = counted_post_init
+    F.__new__ = staticmethod(counted_new)
+    try:
+        yield counts
+    finally:
+        Interval.__post_init__ = post_init
+        F.__new__ = saved_new
+
+
 class TestUnitGapCampaign:
     def test_certified_small_grid(self):
         r = verify_unit_gap(101)
@@ -344,10 +378,7 @@ class TestUnitGapCampaign:
     def test_work_per_base_point(self):
         """Interval and Fraction constructions of verify_unit_gap(601): a work gate host speed cannot move.
 
-        Counted as bench/tracer.py counts Intervals, by wrapping
-        Interval.__post_init__, and Fractions by wrapping Fraction.__new__,
-        which every Fraction passes through in CPython 3.10 and 3.11 (3.12
-        builds arithmetic results without it).  A base point builds 8.0
+        Counted by `counted_constructions`.  A base point builds 8.0
         Intervals and 21.0 Fractions.  While the witness gap was the
         Interval (q1 - q2).abs() and kept descents at 0 or 1 were
         descended again, it built 9.5 and 22.0 (5 710 and 13 240 in
@@ -356,26 +387,8 @@ class TestUnitGapCampaign:
         27 061).
         """
         quotient_gap_floor()  # cached before counting, as in every campaign but the first
-        counts = {"Interval": 0, "Fraction": 0}
-        post_init = Interval.__post_init__
-        saved_new = F.__dict__["__new__"]
-        real_new = F.__new__
-
-        def counted_post_init(self):
-            counts["Interval"] += 1
-            post_init(self)
-
-        def counted_new(cls, *args, **kwargs):
-            counts["Fraction"] += 1
-            return real_new(cls, *args, **kwargs)
-
-        Interval.__post_init__ = counted_post_init
-        F.__new__ = staticmethod(counted_new)
-        try:
+        with counted_constructions() as counts:
             r = verify_unit_gap(601, curve=Curve())
-        finally:
-            Interval.__post_init__ = post_init
-            F.__new__ = saved_new
         assert r.certified and r.checked == 601
         assert counts == {"Interval": 4808, "Fraction": 12638}
 
@@ -590,10 +603,23 @@ class TestOscillation:
             {k: v for k, v in f.items() if k != "t"} for f in claim3.failures if f["kind"] in ("offset-range", "side")
         ]
         monkeypatch.setattr(verify, "UNIT_CURVE", curve)
+        floor_hi = quotient_gap_floor().hi
         for t_hat in (F(1, 2), F(7, 2), F(-1, 2)):
             r = oscillation_scan(t_hat, 2)
             assert [f for f in r.failures if f["kind"] != "window-uncertified"] == want, t_hat
             assert r.certified == claim3.certified
+            # a window is certified when its gap clears the floor and neither probe has a record
+            for w in r.parameters["windows"]:
+                probed = any(f["delta"] == str(w["delta"]) for f in want)
+                assert w["certified"] == (w["osc_lower_bound"] >= floor_hi and not probed), (t_hat, w)
+
+    def test_window_with_a_failed_probe_is_not_certified(self, monkeypatch):
+        # the probes sit nearer than delta/162 while the gap clears the floor
+        monkeypatch.setattr(verify, "UNIT_CURVE", CraftedWitnesses(window_case="below-near"))
+        r = oscillation_scan(F(1, 2), 2)
+        assert not r.certified
+        assert [w["certified"] for w in r.parameters["windows"]] == [False, False]
+        assert [f["kind"] for f in r.failures] == ["offset-range", "offset-range"]
 
     def test_flat_mid_branch_leaves_windows_uncertified(self, monkeypatch):
         # with a flat mid branch the probes no longer separate the quotients
@@ -662,20 +688,69 @@ def ref_holder_chain(p1, p2, dt):
     return None
 
 
+def ref_cone_report(sample_count, depth, seed):
+    """The canonical cone report and every pair's gap, from pairs built up front and graph points evaluated without a memo."""
+    failures = []
+    exact_pairs = 0
+    min_gap_lo = None
+    gaps = []
+    for idx, (w1, w2) in enumerate(ref_cone_pairs(sample_count, seed)):
+        p1, p2 = graph_point(w1, depth), graph_point(w2, depth)
+        g = cone_gap(p1, p2, depth)
+        gaps.append(g)
+        key = {"index": idx, "beta1": str(w1.t), "beta2": str(w2.t), "y1": str(w1.y), "y2": str(w2.y)}
+        min_gap_lo = g.lo if min_gap_lo is None else min(min_gap_lo, g.lo)
+        if g.hi < 0:
+            failures.append({"kind": "cone-gap-negative", "gap": [str(g.lo), str(g.hi)], **key})
+        exact_pairs += p1.r.is_point() and p2.r.is_point()
+        kind = ref_holder_chain(p1, p2, w2.t - w1.t)
+        if kind:
+            failures.append({"kind": kind, **key})
+    params = {"sample_count": sample_count, "depth": depth, "seed": seed, "exact_pairs": exact_pairs}
+    params.update(min_gap_lo=str(min_gap_lo), cone_constant="1")
+    report = {
+        "campaign": "cone",
+        "parameters": params,
+        "checked": sample_count,
+        "failures": sorted(failures, key=lambda f: json.dumps(f, sort_keys=True)),
+        "certified": not failures,
+        "wall_time_s": None,
+    }
+    return report, gaps
+
+
+def cone_with_gaps(monkeypatch, sample_count, depth, seed):
+    """verify_cone's canonical report and the gap of every pair it checked."""
+    gaps = []
+    with monkeypatch.context() as m:
+        m.setattr(verify, "cone_gap", lambda p, q, d: gaps.append(cone_gap(p, q, d)) or gaps[-1])
+        report = verify_cone(sample_count, depth, seed).to_dict(include_timing=False)
+    return report, gaps
+
+
 class TestConeCampaign:
     @pytest.mark.parametrize("count", [1, 5, 12, 13, 40])
     def test_pairs_are_built_as_they_are_checked(self, monkeypatch, count):
-        made, checked = [], []
+        made, checked, memos = [], [], []
         real_w_point, real_graph_point = verify.w_point, verify.graph_point
+
+        def graph_point_spy(w, depth, memo):
+            checked.append((len(made), w))
+            memos.append(memo)
+            return real_graph_point(w, depth, memo)
+
         monkeypatch.setattr(verify, "w_point", lambda *a: made.append(a) or real_w_point(*a))
-        monkeypatch.setattr(
-            verify, "graph_point", lambda w, depth: checked.append((len(made), w)) or real_graph_point(w, depth)
-        )
+        monkeypatch.setattr(verify, "graph_point", graph_point_spy)
         assert verify_cone(count, depth=10).checked == count
         assert checked[0][0] <= 24
         assert len(made) == 2 * count
         ws = [w for _, w in checked]
         assert list(zip(ws[::2], ws[1::2])) == ref_cone_pairs(count, verify.REFERENCE_SEED)
+        # one memo for the whole campaign, holding each folded argument once
+        assert all(m is memos[0] for m in memos)
+        assert sorted(memos[0]) == sorted({(t.numerator, t.denominator) for t in map(reduce_domain, (w.t for w in ws))})
+        verify_cone(count, depth=10)
+        assert memos[-1] is not memos[0]
 
     @pytest.mark.parametrize(
         "dt, r1, r2, kind",
@@ -684,19 +759,67 @@ class TestConeCampaign:
             (F(1, 9), Interval.point(F(0)), Interval.point(F(1, 2)), "holder-chain-exact"),
             (F(1, 9), Interval(F(0), F(1, 100)), Interval(F(1, 2), F(3, 5)), "holder-chain-refuted"),
             (F(1, 9), Interval(F(0), F(1, 2)), Interval(F(1, 4), F(1, 2)), None),
+            (F(-1, 9), Interval.point(F(1, 2)), Interval.point(F(0)), "holder-chain-exact"),
+            (F(1, 9), Interval(F(1, 2), F(3, 5)), Interval(F(0), F(1, 100)), "holder-chain-refuted"),
+            (F(1, 9), Interval(F(1, 3), F(2, 5)), Interval(F(0), F(1, 100)), None),
+            (F(1, 4), Interval(F(0), F(1, 4)), Interval(F(3, 4), F(1)), None),
+            (F(1, 4), Interval(F(0), F(1, 4)), Interval(F(3, 4) + F(1, 10**9), F(1)), "holder-chain-refuted"),
         ],
     )
     def test_holder_chain_matches_the_two_branch_reference(self, monkeypatch, dt, r1, r2, kind):
         # the first pair sits at betas 0 and 4/9: move the second to dt and give both the r slots
         monkeypatch.setattr(verify, "w_point", lambda y, t: w_point(y, t * dt * F(9, 4)))
         slots = iter((r1, r2))
-        monkeypatch.setattr(verify, "graph_point", lambda w, depth: GroupPoint(w.x, w.y, w.t, next(slots)))
+        monkeypatch.setattr(verify, "graph_point", lambda w, depth, memo: GroupPoint(w.x, w.y, w.t, next(slots)))
         r = verify_cone(1, depth=10)
         p1, p2 = (GroupPoint(F(0), F(0), t, slot) for t, slot in ((F(0), r1), (dt, r2)))
         assert ref_holder_chain(p1, p2, dt) == kind
         assert [f["kind"] for f in r.failures if f["kind"].startswith("holder-chain")] == ([kind] if kind else [])
         assert r.parameters["exact_pairs"] == (r1.is_point() and r2.is_point())
 
+    @pytest.mark.parametrize("depth", [10, 25, 30])
+    @pytest.mark.parametrize("seed", [verify.REFERENCE_SEED, 7, 2026])
+    def test_memo_changes_no_byte(self, monkeypatch, depth, seed):
+        # The report alone cannot tell enclosures apart (the exact pair 0, 1 pins
+        # min_gap_lo at 0), so every pair's gap is compared too.
+        ts = {w.t for pair in ref_cone_pairs(150, seed) for w in pair}
+        # the pairs hold arguments that fold together: t with -t, and t with 2 - t
+        assert any(t and -t in ts for t in ts) and any(t != 1 and 2 - t in ts for t in ts)
+        got = cone_with_gaps(monkeypatch, 150, depth, seed)
+        monkeypatch.setattr(carnot, "UNIT_CURVE", Curve())
+        assert got == ref_cone_report(150, depth, seed)
+
+    def test_back_to_back_campaigns_match_fresh_ones(self, monkeypatch):
+        seed = 7
+        runs = [cone_with_gaps(monkeypatch, 150, depth, seed) for depth in (30, 10, 30)]
+        monkeypatch.setattr(carnot, "UNIT_CURVE", Curve())
+        fresh = {depth: ref_cone_report(150, depth, seed) for depth in (10, 30)}
+        assert runs == [fresh[30], fresh[10], fresh[30]]
+
+    def test_work_per_pair(self, monkeypatch):
+        """eval_limit calls and Interval and Fraction constructions of verify_cone(600, 30): a work gate host speed cannot move.
+
+        Each distinct folded profile argument is evaluated once: 715
+        eval_limit calls for the 1 200 graph points at the reference
+        seed.  Counted by `counted_constructions`, a pair builds 6.67
+        Intervals and 25.2 Fractions (4 001 and 15 125 in all).  Before
+        the campaign kept its enclosures in a memo, inv and mul did
+        arithmetic on the x = 0 coordinate and the Hölder chain built
+        the Interval |r2 - r1|, it built 8.95 and 32.3 (5 372 and
+        19 361) from 1 200 eval_limit calls.
+        """
+        calls = []
+        real_eval_limit = Curve.eval_limit
+        monkeypatch.setattr(Curve, "eval_limit", lambda c, t, depth: calls.append(t) or real_eval_limit(c, t, depth))
+        monkeypatch.setattr(carnot, "UNIT_CURVE", Curve())
+        folded = {reduce_domain(w.t) for pair in ref_cone_pairs(600, verify.REFERENCE_SEED) for w in pair}
+        cone_gap(graph_point(w_point(), 30), graph_point(w_point(), 30), 30)  # caches the norm width at depth 30
+        calls.clear()
+        with counted_constructions() as counts:
+            r = verify_cone(600, 30)
+        assert r.certified and r.checked == 600
+        assert len(folded) == 715 and sorted(calls) == sorted(folded)
+        assert counts == {"Interval": 4001, "Fraction": 15125}
 
     def test_certified_with_exact_seed_pairs(self):
         r = verify_cone(200, depth=25)
