@@ -5,9 +5,11 @@ Everything downstream reduces numeric truth to two primitives:
 * exact order tests between a rational and the square root of a rational,
   decided by integer cross multiplication (`cmp_abs_sq`), and
 * certified enclosures of square roots, produced from `math.isqrt` at a
-  caller-chosen width (`sqrt_enclose`); a quotient by a root divides
-  by one endpoint of that enclosure per quotient endpoint, the one
-  `Interval.__truediv__` would pick.
+  caller-chosen width (`sqrt_enclose`).  A quotient by a root divides
+  each endpoint of the numerator by one endpoint of that enclosure: a
+  nonnegative lower end by the root's upper end, a negative one by its
+  lower end, and the other way round for the upper end
+  (`selfsim._root_quotient`).
 
 No floating point enters any verdict.  Floats appear only in display
 helpers and performance heuristics elsewhere in the package.
@@ -26,10 +28,6 @@ RationalLike = Union[Fraction, int]
 
 class NegativeInput(ValueError):
     """A square root of a negative rational was requested."""
-
-
-class ZeroDenominator(ZeroDivisionError):
-    """A quotient by the square root of zero was requested."""
 
 
 class Ordering(enum.Enum):
@@ -135,18 +133,6 @@ class Interval:
         if q >= 0:
             return Interval(self.lo * q, self.hi * q)
         return Interval(self.hi * q, self.lo * q)
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        """Division by an interval that is strictly positive."""
-        if not isinstance(other, Interval):
-            other = Interval.point(other)
-        if other.lo <= 0:
-            raise ZeroDenominator(
-                f"interval division needs a strictly positive denominator, got {other}"
-            )
-        # Of the four endpoint quotients, these two are the min and the max.
-        lo, hi = self.lo, self.hi
-        return Interval(lo / (other.hi if lo >= 0 else other.lo), hi / (other.lo if hi >= 0 else other.hi))
 
     def abs(self) -> "Interval":
         lo, hi = self.lo, self.hi

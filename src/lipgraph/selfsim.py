@@ -37,8 +37,9 @@ the one Fraction that bounds the distance of two quotients from below.
 
 A scan over shrinking scales at one point walks one chain of nested
 cells: `locate_cell` continues from the cell it returned for the scale
-before, and each cell carries its integer descent state and composed
-vertical map.  On a branch system that passes `continuous_tiling`,
+before, each cell carries its integer descent state and composed
+vertical map, and `window_witnesses` builds a window from its cell
+alone.  On a branch system that passes `continuous_tiling`,
 u(cell(b)) = Y_cell(u(b)), so the descent of a window probe cell(b)
 starts at the cell instead of at the top.  Descent work then grows
 linearly in the number of scales, not quadratically.
@@ -59,8 +60,8 @@ from .numerics import Interval, RationalLike, sqrt_enclose
 MAX_LEVEL = 12
 
 # Deepest descent eval_limit takes.  Cells of length delta need about
-# 4.4 * log_9(1/delta) levels, so window_witnesses at delta = 9**-400
-# asks for up to about 1 900 (its start depth plus five retries of 24);
+# 4.4 * log_9(1/delta) levels, so a window at delta = 9**-400 asks
+# for up to about 1 900 (its start depth plus five retries of 24);
 # past the cap a call is refused before any step is taken.
 MAX_DEPTH = 4096
 
@@ -75,7 +76,7 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # the bound, and clears the store when a new point finds it full.  A claim2
 # base point needs 3 live points, and so does an oscillation scan at any
 # length: u(t) plus the two probes of the current window, which
-# window_witnesses seeds at the cell (even into a full store) and drops.
+# window_witnesses seeds at its cell (even into a full store) and drops.
 # Cone's profile arguments fold onto the 1 003 points of a 1/1000 grid,
 # more than this bound holds; verify_cone keeps their enclosures itself,
 # in a memo that lives for one campaign, so it asks for each point once.
@@ -577,18 +578,15 @@ class Curve:
         s1, s2, side = self._unit_probe(t0.numerator, t0.denominator)
         return self._deepen(s1, s2, t0, side, (16, 24, 32, 48, 64, 96))
 
-    def window_witnesses(
-        self, t: RationalLike, delta: RationalLike, resume: Optional[AffineMap1D] = None
-    ) -> QuotientWitness:
-        """Probe pair at scale delta with a certified quotient gap.
+    def window_witnesses(self, cell: AffineMap1D) -> QuotientWitness:
+        """Probe pair in a located cell with a certified quotient gap.
 
-        Descends to the first cell of length at most delta containing t,
-        replays the unit-scale probe construction inside that cell, and
-        certifies the gap directly at the small scale.  The probe side
-        is chosen at cell^-1(t), which the cell's descent holds as p/q.
-        Probe distances from t are guaranteed to lie in [delta/162,
-        delta].  resume goes to locate_cell, so a scan over shrinking
-        delta at one t walks one chain of cells.
+        Replays the unit-scale probe construction inside the cell this
+        Curve's locate_cell returned for (t, delta), reading t, p/q =
+        cell^-1(t) (which picks the probe side) and the vertical map from
+        cell.descent.  Probe distances from t lie in [delta/162, delta].
+        Any other cell raises ValueError: the probe descents below start
+        from its integer state, which only this Curve's rows composed.
 
         If the branches pass `continuous_tiling`, the descent of each
         probe cell(b) starts at the cell: its first k steps follow the
@@ -597,8 +595,9 @@ class Curve:
         probes are dropped afterwards, so a scan's store keeps u(t) and
         does not fill.  Any other Curve descends the probes from the top.
         """
-        cell = self.locate_cell(t, delta, resume)
-        p, q, k, _, ya, yb = cell.descent[3:]
+        if cell.descent is None or cell.descent[0] is not self:
+            raise ValueError("window_witnesses needs a cell this curve located")
+        _, t, _, p, q, k, _, ya, yb = cell.descent
         b1, b2, side = self._unit_probe(p, q)
         s1, s2 = cell(b1), cell(b2)
         start = cell_start_depth(cell)
@@ -644,10 +643,12 @@ UNIT_CURVE = Curve()
 
 
 def _root_quotient(a: Interval, b: Interval, root: Interval) -> Interval:
-    """(a - b) / root for root.lo > 0, equal to that Interval expression endpoint for endpoint.
+    """(a - b) / root for root.lo > 0: the one way the package divides by a root.
 
-    Each endpoint is one Fraction of cross-multiplied numerators over the
-    root endpoint that Interval.__truediv__ picks for its sign.
+    The lower end is a.lo - b.hi over root.hi if nonnegative, else over
+    root.lo; the upper end is a.hi - b.lo over root.lo if nonnegative,
+    else over root.hi: the least and greatest of the four endpoint
+    quotients.  Each end is one Fraction of cross-multiplied numerators.
     """
     alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
     n = alo.numerator * bhi.denominator - bhi.numerator * alo.denominator

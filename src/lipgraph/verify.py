@@ -336,7 +336,9 @@ def verify_window_gap(
     bases = (
         (t, WINDOW_OFFSET_RATIO * delta, delta, {"t": str(t), "delta": str(delta)}) for t, delta in pairs
     )
-    return _check_witnesses("claim3", params, bases, curve.window_witnesses, started)
+    return _check_witnesses(
+        "claim3", params, bases, lambda t, delta: curve.window_witnesses(curve.locate_cell(t, delta)), started
+    )
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +360,10 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     failure record, not a proof of absence.  A window reads "certified"
     only when its gap clears the floor and both probes pass.
     scales must lie in 1 .. MAX_SCALES, which is checked before any
-    work.  The cells are one chain: each delta's locate_cell continues
-    from the cell before.  A delta whose own cell would start its window
-    deeper than MAX_DEPTH is refused before the first window.
+    work.  The cells are one chain, each delta's locate_cell continuing
+    from the cell before, and each window is built from its cell.  A
+    delta whose own cell would start its window deeper than MAX_DEPTH is
+    refused before the first window.
     """
     started = time.perf_counter()
     if scales < 1:
@@ -383,7 +386,7 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     windows = []
     failures = []
     for delta, cell in zip(deltas, cells):
-        w = UNIT_CURVE.window_witnesses(t_red, delta, cell)
+        w = UNIT_CURVE.window_witnesses(cell)
         probe_records = list(_probe_failures(w, t_red, WINDOW_OFFSET_RATIO * delta, delta, {"delta": str(delta)}))
         failures += probe_records
         o1, o2 = w.s1 - t_red, w.s2 - t_red

@@ -3,10 +3,13 @@
 The modules form one stack, numerics <- selfsim <- carnot <- verify <- cli:
 each may import only modules below it.  Every `lipgraph ...` line in
 README's code blocks must parse with the real argument parser; the
-commands are parsed, never run.
+commands are parsed, never run.  README's Python example is run, so a
+changed API cannot leave it stale.
 """
 
 import ast
+import contextlib
+import io
 import re
 import shlex
 from pathlib import Path
@@ -47,10 +50,14 @@ def test_no_module_imports_a_layer_above_it(module):
     assert above == set(), f"{module} imports {sorted(above)}"
 
 
+def readme_blocks(lang="[a-z]*"):
+    """Bodies of README's fenced code blocks tagged lang."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+
+
 def readme_commands():
     """Argument lists of the `lipgraph ...` lines in README's fenced code blocks."""
-    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
-    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    lines = [line.strip() for block in readme_blocks() for line in block.splitlines()]
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("lipgraph ")]
 
 
@@ -61,3 +68,11 @@ def test_readme_commands_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.func is not None, argv
+
+
+def test_readme_python_example_runs():
+    (block,) = readme_blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().startswith("True {")

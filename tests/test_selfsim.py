@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lipgraph.numerics import Interval, Ordering, ZeroDenominator, cmp_abs_sq, sqrt_enclose
+from lipgraph.numerics import Interval, Ordering, cmp_abs_sq, sqrt_enclose
 from lipgraph.selfsim import (
     _DESCENTS_KEPT,
     BRANCHES,
@@ -116,6 +116,19 @@ def grid_polyline(breakpoints):
 def cell_inverse(cell, t):
     """The point of [0, 1] that cell maps to t."""
     return (F(t) - cell.b) / cell.a
+
+
+def window(curve, t, delta):
+    """The witness curve builds in the cell it locates for (t, delta)."""
+    return curve.window_witnesses(curve.locate_cell(t, delta))
+
+
+def four_candidate_div(num, root):
+    """num / root for a strictly positive root: the min and max of the four endpoint quotients."""
+    if root.lo <= 0:
+        raise ZeroDivisionError(f"interval division needs a strictly positive denominator, got {root}")
+    cands = (num.lo / root.lo, num.lo / root.hi, num.hi / root.lo, num.hi / root.hi)
+    return Interval(min(cands), max(cands))
 
 
 def _stored_breakpoints(breakpoints):
@@ -355,7 +368,7 @@ class TestDiffQuotient:
 
     def test_inverse_root_five(self):
         got = UNIT_CURVE.diff_quotient(F(5, 9), F(0), 30)
-        ref = Interval.point(F(1, 3)) / sqrt_enclose(F(5, 9), F(1, 10**9))
+        ref = four_candidate_div(Interval.point(F(1, 3)), sqrt_enclose(F(5, 9), F(1, 10**9)))
         assert got.intersects(ref)
         assert got.width() < F(1, 10**6)
 
@@ -521,13 +534,13 @@ class TestLocateCell:
 
 class TestWindowWitnesses:
     def test_frozen(self):
-        w = UNIT_CURVE.window_witnesses(F(1, 2), F(1, 10))
+        w = window(UNIT_CURVE, F(1, 2), F(1, 10))
         assert (w.s1, w.s2) == (F(365, 729), F(41, 81))
 
-        w = UNIT_CURVE.window_witnesses(F(0), F(1, 81))
+        w = window(UNIT_CURVE, F(0), F(1, 81))
         assert (w.s1, w.s2) == (F(20480, 4782969), F(4096, 531441))
 
-        w = UNIT_CURVE.window_witnesses(F(1, 5), F(1))
+        w = window(UNIT_CURVE, F(1, 5), F(1))
         assert (w.s1, w.s2) == (F(5, 9), F(1))
 
     def test_distances_and_gap(self):
@@ -536,7 +549,7 @@ class TestWindowWitnesses:
         for _ in range(25):
             t = F(rng.randrange(0, 10**6 + 1), 10**6)
             delta = F(1, 9) ** rng.randrange(1, 8)
-            w = UNIT_CURVE.window_witnesses(t, delta)
+            w = window(UNIT_CURVE, t, delta)
             for s in (w.s1, w.s2):
                 assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
                 assert 0 <= s <= 1
@@ -552,7 +565,7 @@ class TestWindowWitnesses:
         t, delta = F(1, 7), F(1, 9**j)
         cell = UNIT_CURVE.locate_cell(t, delta)
         assert math.isinf(1 / float(cell.a)) == (j == 323)
-        w = UNIT_CURVE.window_witnesses(t, delta)
+        w = UNIT_CURVE.window_witnesses(cell)
         for s in (w.s1, w.s2):
             assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
         assert w.gap_lower_bound >= quotient_gap_floor().hi
@@ -568,8 +581,18 @@ class TestWindowWitnesses:
         depths = []
         step = Curve.diff_quotient
         monkeypatch.setattr(Curve, "diff_quotient", lambda self, s, t, d: depths.append(d) or step(self, s, t, d))
-        UNIT_CURVE.window_witnesses(F(1, 7), F(1, 9**j))
+        window(UNIT_CURVE, F(1, 7), F(1, 9**j))
         assert depths[0] >= window_start_depth(2 * j)
+
+    def test_refuses_a_cell_it_did_not_locate(self):
+        # the probe descents start from the cell's integer state, composed with the locating curve's rows
+        t, delta = F(1, 7), F(1, 81)
+        located = UNIT_CURVE.locate_cell(t, delta)
+        plain, other = AffineMap1D(located.a, located.b), Curve().locate_cell(t, delta)
+        assert plain == other == located
+        for cell in (plain, other, _drifted(BranchTag.LEFT, "x_scale", F(1, 100)).locate_cell(t, delta)):
+            with pytest.raises(ValueError, match="needs a cell this curve located"):
+                UNIT_CURVE.window_witnesses(cell)
 
 
 class TestCurveValidation:
@@ -761,16 +784,12 @@ def ref_diff_quotient(curve, s, t, depth):
         raise CoincidentPoints("difference quotient needs s != t")
     num = fresh_eval_limit(curve, reduce_domain(s), depth) - fresh_eval_limit(curve, reduce_domain(t), depth)
     gap = abs(s - t)
-    root = sqrt_enclose(gap, min(gap, F(1)) * F(2, 3) ** depth)
-    if root.lo <= 0:
-        raise ZeroDenominator(f"interval division needs a strictly positive denominator, got {root}")
-    cands = (num.lo / root.lo, num.lo / root.hi, num.hi / root.lo, num.hi / root.hi)
-    q = Interval(min(cands), max(cands))
+    q = four_candidate_div(num, sqrt_enclose(gap, min(gap, F(1)) * F(2, 3) ** depth))
     return q if s > t else -q
 
 
 def parent_diff_quotient(curve, s, t, depth):
-    """Curve.diff_quotient as it was before `_root_quotient`: Interval subtraction, division and negation."""
+    """Curve.diff_quotient before `_root_quotient`: Interval subtraction, four-candidate division, negation."""
     if type(s) is not F:
         s = F(s)
     if type(t) is not F:
@@ -780,7 +799,7 @@ def parent_diff_quotient(curve, s, t, depth):
     us = curve.eval_limit(reduce_domain(s), depth)
     ut = curve.eval_limit(reduce_domain(t), depth)
     gap = abs(s - t)
-    q = (us - ut) / sqrt_enclose(gap, min(gap, F(1)) * F(2, 3) ** depth)
+    q = four_candidate_div(us - ut, sqrt_enclose(gap, min(gap, F(1)) * F(2, 3) ** depth))
     return q if s > t else -q
 
 
@@ -975,7 +994,7 @@ def chained_windows(curve, t, deltas):
             out.append((type(exc), str(exc)))
             cell = None
             continue
-        out.append(outcome(curve.window_witnesses, t, delta, cell))
+        out.append(outcome(curve.window_witnesses, cell))
     return out
 
 
@@ -1062,7 +1081,7 @@ class TestCellChain:
         kept = Curve()
         for t in CHAIN_TS:
             for delta, w in zip(CHAIN_DELTAS, chained_windows(kept, t, CHAIN_DELTAS)):
-                assert w == Curve().window_witnesses(t, delta)
+                assert w == window(Curve(), t, delta)
                 assert w == ref_window_witnesses(UNIT_CURVE, t, delta)
                 # the probes' seeded descents are dropped once the witness is built
                 assert (w.s1.numerator, w.s1.denominator) not in kept._descents
@@ -1085,6 +1104,18 @@ class TestCellChain:
             assert chained_windows(Curve(), t_red, deltas) == [
                 outcome(ref_window_witnesses, UNIT_CURVE, t_red, d) for d in deltas
             ]
+
+    def test_scan_builds_each_window_from_its_chain_cell(self, monkeypatch):
+        located, handed = [], []
+        locate, build = Curve.locate_cell, Curve.window_witnesses
+        monkeypatch.setattr(Curve, "locate_cell", lambda self, *args: located.append(locate(self, *args)) or located[-1])
+        monkeypatch.setattr(Curve, "window_witnesses", lambda self, cell: handed.append(cell) or build(self, cell))
+        for t in CHAIN_TS:
+            located.clear()
+            handed.clear()
+            oscillation_scan(t, len(CHAIN_DELTAS))
+            assert len(located) == len(CHAIN_DELTAS)
+            assert len(handed) == len(located) and all(h is c for h, c in zip(handed, located))
 
     def test_scan_descent_work_is_linear_in_the_scales(self, monkeypatch):
         # before one chain per scan: 386 603 and 13 691 steps

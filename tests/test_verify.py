@@ -519,7 +519,8 @@ class CraftedWitnesses(Curve):
     """The standard curve with crafted witnesses.
 
     On the 19-point claim2 grid, t0 = k/18 meets UNIT_CASES[k] (the last
-    three points are "good"); every claim3 sample meets window_case.
+    three points are "good"); every claim3 sample meets window_case, at
+    the t and delta its located cell's descent holds.
     """
 
     window_case: str = "good"
@@ -528,7 +529,8 @@ class CraftedWitnesses(Curve):
         k = int(t0 * 18)
         return _crafted(t0, F(1, 18), 1, UNIT_CASES[k] if k < len(UNIT_CASES) else "good")
 
-    def window_witnesses(self, t, delta, resume=None):
+    def window_witnesses(self, cell):
+        _, t, delta = cell.descent[:3]
         return _crafted(t, delta / 162, delta, self.window_case)
 
 
