@@ -10,17 +10,17 @@ console).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .selfsim import DepthTooLarge, MAX_DEPTH, MAX_LEVEL, OutOfDomain, UNIT_CURVE
-from .selfsim import reduce_domain
+from .selfsim import DepthTooLarge, MAX_DEPTH, OutOfDomain, UNIT_CURVE
+from .selfsim import check_level, reduce_domain
 from .carnot import w_point
 from .verify import (
     REFERENCE_SEED,
-    Report,
     blowup_divergence,
     oscillation_scan,
     verify_cone,
@@ -29,8 +29,6 @@ from .verify import (
     verify_window_gap,
     window_gap_samples,
 )
-
-CAMPAIGNS = ("holder", "claim2", "claim3", "cone", "oscillation", "blowup-divergence")
 
 _PALETTE = ("#1b6ca8", "#c1533e", "#3d8a47", "#7a4fa3", "#b08a2e", "#46777a")
 _MAX_IFS_DEPTH = 8
@@ -155,10 +153,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_iterates(args: argparse.Namespace) -> int:
+    # every level is refused before the first iterate is built, which at level 12 takes seconds
     for n in args.levels:
-        if n < 0 or n > MAX_LEVEL:
-            print(f"level {n} outside [0, {MAX_LEVEL}]", file=sys.stderr)
-            return 2
+        check_level(n)
     text = (
         svg_iterates(args.levels) if args.format == "svg" else csv_iterates(args.levels)
     )
@@ -179,41 +176,11 @@ def _cmd_plot_ifs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_campaign(args: argparse.Namespace) -> Report:
-    name = args.campaign
-    if name == "holder":
-        return verify_holder(args.level, args.refine)
-    if name == "claim2":
-        return verify_unit_gap(args.grid)
-    if name == "claim3":
-        count = args.samples if args.samples is not None else 1000
-        return verify_window_gap(window_gap_samples(count, args.seed))
-    if name == "cone":
-        count = args.samples if args.samples is not None else 10000
-        depth = args.depth if args.depth is not None else 30
-        return verify_cone(count, depth, args.seed)
-    if name == "oscillation":
-        return oscillation_scan(args.t_hat, args.scales)
-    if name == "blowup-divergence":
-        depth = args.depth if args.depth is not None else 40
-        grid = [w_point(0, h) for h in args.offsets]
-        return blowup_divergence(
-            args.t_hat,
-            args.target1,
-            args.target2,
-            args.radius,
-            grid,
-            depth,
-            tol=args.tol,
-        )
-    raise ValueError(f"unknown campaign {name!r}")
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     # Every refusal a campaign raises (caps, domain, brackets, invalid
     # curves) is a ValueError subclass.
     try:
-        report = _run_campaign(args)
+        report = args.run(args)
     except (ValueError, OverflowError) as exc:
         print(f"cannot run campaign: {exc}", file=sys.stderr)
         return 2
@@ -245,7 +212,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (main calls it on every run)."""
     parser = _Parser(
         prog="lipgraph",
         description=(
@@ -274,43 +243,58 @@ def build_parser() -> argparse.ArgumentParser:
     p_ifs.set_defaults(func=_cmd_plot_ifs)
 
     p_ver = sub.add_parser("verify", help="run a certification campaign")
-    p_ver.add_argument("campaign", choices=CAMPAIGNS)
-    p_ver.add_argument("--level", type=int, default=6, help="holder: iterate level")
-    p_ver.add_argument("--refine", type=int, default=0, help="holder: extra points per segment")
-    p_ver.add_argument("--grid", type=int, default=10001, help="claim2: base point count")
-    p_ver.add_argument("--samples", type=int, default=None, help="claim3/cone: sample count")
-    p_ver.add_argument("--seed", type=int, default=REFERENCE_SEED)
-    p_ver.add_argument(
-        "--depth", type=int, default=None, help=f"cone/blowup: descent depth (1 to {MAX_DEPTH})"
+    p_ver.set_defaults(func=_cmd_verify)
+    campaigns = p_ver.add_subparsers(dest="campaign", required=True)
+
+    def campaign(name: str, run) -> argparse.ArgumentParser:
+        # run looks its verify function up when called, so a patched module
+        # global is what runs, whenever the cached parser was built.
+        p = campaigns.add_parser(name)
+        p.add_argument("--out", help="write report JSON here")
+        p.add_argument("--timing", action="store_true", help="include wall time in the JSON file (breaks byte stability)")
+        p.set_defaults(run=run)
+        return p
+
+    depth_help = f"descent depth (1 to {MAX_DEPTH})"
+    p = campaign("holder", lambda a: verify_holder(a.level, a.refine))
+    p.add_argument("--level", type=int, default=6, help="iterate level")
+    p.add_argument("--refine", type=int, default=0, help="extra points per segment")
+
+    p = campaign("claim2", lambda a: verify_unit_gap(a.grid))
+    p.add_argument("--grid", type=int, default=10001, help="base point count")
+
+    p = campaign("claim3", lambda a: verify_window_gap(window_gap_samples(a.samples, a.seed)))
+    p.add_argument("--samples", type=int, default=1000, help="sample count")
+    p.add_argument("--seed", type=int, default=REFERENCE_SEED)
+
+    p = campaign("cone", lambda a: verify_cone(a.samples, a.depth, a.seed))
+    p.add_argument("--samples", type=int, default=10000, help="pair count")
+    p.add_argument("--depth", type=int, default=30, help=depth_help)
+    p.add_argument("--seed", type=int, default=REFERENCE_SEED)
+
+    p = campaign("oscillation", lambda a: oscillation_scan(a.t_hat, a.scales))
+    p.add_argument("--t-hat", dest="t_hat", type=_rational, default=Fraction(0))
+    p.add_argument("--scales", type=int, default=8, help="scale count")
+
+    p = campaign(
+        "blowup-divergence",
+        lambda a: blowup_divergence(
+            a.t_hat, a.target1, a.target2, a.radius, [w_point(0, h) for h in a.offsets], a.depth, tol=a.tol
+        ),
     )
-    p_ver.add_argument("--t-hat", dest="t_hat", type=_rational, default=Fraction(0))
-    p_ver.add_argument("--scales", type=int, default=8, help="oscillation: scale count")
-    p_ver.add_argument("--target1", type=_rational, default=Fraction(1))
-    p_ver.add_argument(
-        "--target2", type=_rational, default=Fraction(4472135954999579, 10**16)
-    )
-    p_ver.add_argument("--radius", type=_rational, default=Fraction(1))
-    p_ver.add_argument("--tol", type=_rational, default=Fraction(1, 10**4))
-    p_ver.add_argument(
+    p.add_argument("--t-hat", dest="t_hat", type=_rational, default=Fraction(0))
+    p.add_argument("--target1", type=_rational, default=Fraction(1))
+    p.add_argument("--target2", type=_rational, default=Fraction(4472135954999579, 10**16))
+    p.add_argument("--radius", type=_rational, default=Fraction(1))
+    p.add_argument("--tol", type=_rational, default=Fraction(1, 10**4))
+    # a string default goes through type on each parse, so no parse shares the list
+    p.add_argument(
         "--offsets",
         type=_rational_list,
-        default=[
-            Fraction(-1),
-            Fraction(-1, 2),
-            Fraction(-1, 4),
-            Fraction(1, 4),
-            Fraction(1, 2),
-            Fraction(1),
-        ],
-        help="blowup: comma-separated grid offsets along the t direction",
+        default="-1,-1/2,-1/4,1/4,1/2,1",
+        help="comma-separated grid offsets along the t direction",
     )
-    p_ver.add_argument("--out", default=None, help="write report JSON here")
-    p_ver.add_argument(
-        "--timing",
-        action="store_true",
-        help="include wall time in the JSON file (breaks byte stability)",
-    )
-    p_ver.set_defaults(func=_cmd_verify)
+    p.add_argument("--depth", type=int, default=40, help=depth_help)
     return parser
 
 

@@ -236,6 +236,14 @@ def reduce_domain(t: RationalLike) -> Fraction:
     return Fraction(r if r <= q else 2 * q - r, q)
 
 
+def check_level(n: int) -> None:
+    """Refuse an iterate level outside 0..MAX_LEVEL, as Curve.iterate does before any work."""
+    if n < 0:
+        raise OutOfDomain("level must be nonnegative")
+    if n > MAX_LEVEL:
+        raise DepthTooLarge(f"level {n} exceeds cap {MAX_LEVEL}")
+
+
 def continuous_tiling(branches: tuple[Branch, ...]) -> bool:
     """Whether the branches glue into one continuous graph from (0, 0) to (1, 1).
 
@@ -371,10 +379,7 @@ class Curve:
         iterate is that grid at level n: a broken system raises
         InvalidCurve, and a valid one builds no Fraction.
         """
-        if n < 0:
-            raise OutOfDomain("level must be nonnegative")
-        if n > MAX_LEVEL:
-            raise DepthTooLarge(f"level {n} exceeds cap {MAX_LEVEL}")
+        check_level(n)
         dx, ey = self._dx, self._ey
         pts: list[tuple[int, int]] = [(0, 0), (1, 1)]
         xd = yd = 1  # dx**k and ey**k at level k

@@ -477,9 +477,11 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     """Cone condition with constant 1 over graph point pairs.
 
     Every pair must satisfy |w-part| >= |v-part| for the displacement
-    between its graph points.  A pair fails only when the enclosure
-    refutes the inequality outright (gap upper bound below zero, or a
-    profile difference above the root of the abscissa gap).  Pairs whose
+    between its graph points.  A pair fails when the enclosure refutes
+    the inequality outright (gap upper bound below zero, or a profile
+    difference above the root of the abscissa gap), and it is recorded
+    as cone-undecided when its gap enclosure straddles zero, as happens
+    at shallow depths; a deeper run may decide it.  Pairs whose
     profile arguments are breakpoint values evaluate exactly and are
     counted in parameters["exact_pairs"].  Pairs are drawn as checked.
     Each distinct folded profile argument is descended once: the
@@ -499,8 +501,9 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
         p2 = graph_point(w2, depth, memo)
         g = cone_gap(p1, p2, depth)
         min_gap_lo = g.lo if min_gap_lo is None else min(min_gap_lo, g.lo)
-        if g.hi < 0:
-            failures.append({"kind": "cone-gap-negative", "gap": _jsonable(g), **_pair_key(idx, w1, w2)})
+        if g.lo < 0:
+            kind = "cone-gap-negative" if g.hi < 0 else "cone-undecided"
+            failures.append({"kind": kind, "gap": _jsonable(g), **_pair_key(idx, w1, w2)})
         r1, r2 = p1.r, p2.r
         exact = r1.is_point() and r2.is_point()
         exact_pairs += exact

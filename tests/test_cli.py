@@ -1,6 +1,8 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -90,6 +92,21 @@ class TestPlots:
             code, _ = run(["plot-iterates", "--levels", "13", "--out", str(tmp_path / "x.svg")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "levels, message",
+        [("12,13", "argument over cap: level 13 exceeds cap 12"), ("12,-1", "argument out of domain: level must be nonnegative")],
+    )
+    def test_every_level_refused_before_any_iterate(self, tmp_path, monkeypatch, levels, message):
+        def no_work(*args):
+            raise AssertionError("an iterate was built before the refusal")
+
+        monkeypatch.setattr(Curve, "iterate", no_work)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["plot-iterates", "--levels", levels, "--out", str(tmp_path / "x.svg")])
+        assert (code, out, err.getvalue()) == (2, "", message + "\n")
+        assert not (tmp_path / "x.svg").exists()
+
     def test_unwritable_path(self):
         with contextlib.redirect_stderr(io.StringIO()):
             code, _ = run(["plot-iterates", "--levels", "1", "--out", "/nonexistent-dir/x.svg"])
@@ -175,7 +192,7 @@ class TestVerifyCommand:
             certified=False,
             wall_time_s=0.0,
         )
-        monkeypatch.setattr(cli, "_run_campaign", lambda args: stub)
+        monkeypatch.setattr(cli, "verify_holder", lambda level, refine: stub)
         code, out = run(["verify", "holder"])
         assert code == 1
         assert json.loads(out)["certified"] is False
@@ -266,8 +283,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv, exc_type, prefix", EXIT_2_TABLE, ids=[" ".join(row[0][1:]) for row in EXIT_2_TABLE])
     def test_exit_code_table(self, argv, exc_type, prefix):
+        args = cli.build_parser().parse_args(argv)
         with pytest.raises(exc_type) as raised:
-            cli._run_campaign(cli.build_parser().parse_args(argv))
+            args.run(args)
         assert type(raised.value) is exc_type
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -280,6 +298,85 @@ class TestVerifyCommand:
             with contextlib.redirect_stderr(io.StringIO()):
                 cli.main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+    def test_undecided_cone_pairs_exit_one(self):
+        code, out = run(["verify", "cone", "--samples", "200", "--depth", "1"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["certified"] is False and report["parameters"]["min_gap_lo"] == "-127/200"
+        assert report["failures"] and {f["kind"] for f in report["failures"]} == {"cone-undecided"}
+
+
+def subcommands(parser):
+    """The parsers of parser's subcommands, by name."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def campaign_parsers():
+    return subcommands(subcommands(cli.build_parser())["verify"])
+
+
+def options(parser):
+    """parser's flags, one option string each, without -h."""
+    return {a.option_strings[-1] for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+class TestCampaignFlags:
+    """Each campaign accepts the flags it reads, with --out and --timing, and no other."""
+
+    FLAGS = {
+        "holder": {"--level", "--refine"},
+        "claim2": {"--grid"},
+        "claim3": {"--samples", "--seed"},
+        "cone": {"--samples", "--depth", "--seed"},
+        "oscillation": {"--t-hat", "--scales"},
+        "blowup-divergence": {"--t-hat", "--target1", "--target2", "--radius", "--tol", "--offsets", "--depth"},
+    }
+
+    def test_accepted_pairs(self):
+        accepted = {name: options(p) for name, p in campaign_parsers().items()}
+        assert accepted == {name: flags | {"--out", "--timing"} for name, flags in self.FLAGS.items()}
+        assert sum(map(len, accepted.values())) == 29
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "holder", "--level", "2", "--samples", "5"],
+            ["verify", "claim2", "--grid", "11", "--depth", "3"],
+            ["verify", "oscillation", "--scales", "2", "--tol", "0"],
+            ["verify", "cone", "--samples", "20", "--scales", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_of_another_campaign_refused(self, argv):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            run(argv)
+        assert exc.value.code == 2
+        assert err.getvalue().startswith("usage: lipgraph ")
+        assert err.getvalue().endswith("error: unrecognized arguments: " + " ".join(argv[-2:]) + "\n")
+
+    def test_out_and_timing_follow_the_campaign(self):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            cli.build_parser().parse_args(["verify", "--out", "x", "holder"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "campaign, dest, function, parameter",
+        [
+            ("holder", "refine", verify.verify_holder, "refine"),
+            ("claim3", "seed", verify.window_gap_samples, "seed"),
+            ("cone", "depth", verify.verify_cone, "depth"),
+            ("cone", "seed", verify.verify_cone, "seed"),
+            ("blowup-divergence", "tol", verify.blowup_divergence, "tol"),
+        ],
+    )
+    def test_default_is_the_function_default(self, campaign, dest, function, parameter):
+        assert campaign_parsers()[campaign].get_default(dest) == inspect.signature(function).parameters[parameter].default
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestNegativeRationals:
@@ -336,25 +433,26 @@ def _ints(lo, hi, *extra):
 
 
 _DEPTHS = _ints(-2, 40, MAX_DEPTH + 1, "x")
+# Values for each flag of each campaign; TestArgumentVectors checks these are all its flags.
 _VERIFY_OPTIONS = {
-    "holder": [_opt("--level", _ints(-2, 7, 13, "x")), _opt("--refine", _ints(-2, 2))],
-    "claim2": [_opt("--grid", _ints(-2, 12))],
-    "claim3": [_opt("--samples", _ints(-2, 4)), _opt("--seed", _ints(-3, 3))],
-    # cone defaults to 10**4 samples, so a size is always given
-    "cone": [_ints(-2, 30).map(lambda v: ["--samples", str(v)]), _opt("--depth", _DEPTHS), _opt("--seed", _ints(-3, 3))],
+    "holder": {"--level": _ints(-2, 7, 13, "x"), "--refine": _ints(-2, 2)},
+    "claim2": {"--grid": _ints(-2, 12)},
+    "claim3": {"--samples": _ints(-2, 4), "--seed": _ints(-3, 3)},
+    "cone": {"--samples": _ints(-2, 30), "--depth": _DEPTHS, "--seed": _ints(-3, 3)},
     # scale counts past the cap (928 and up) are refused before any work
-    "oscillation": [_opt("--t-hat", _RATIONALS), _opt("--scales", _ints(-2, 6, 928, 10**10))],
-    "blowup-divergence": [
-        _opt("--depth", _DEPTHS),
-        _opt("--t-hat", st.sampled_from(["0", "1/7", "-3", "7/2"])),
-        _opt("--target1", _RATIONALS),
-        _opt("--target2", _RATIONALS),
-        _opt("--radius", _RATIONALS),
-        _opt("--tol", st.sampled_from(["1/100", "1/10000", "1/100000000", "0", "-1/10", "x"])),
-        _opt("--offsets", st.sampled_from(["", "0", "-1,1", "-1/2,1/2", "1/4,1/2", "x,1"])),
-    ],
-    "nonsense": [],
+    "oscillation": {"--t-hat": _RATIONALS, "--scales": _ints(-2, 6, 928, 10**10)},
+    "blowup-divergence": {
+        "--depth": _DEPTHS,
+        "--t-hat": st.sampled_from(["0", "1/7", "-3", "7/2"]),
+        "--target1": _RATIONALS,
+        "--target2": _RATIONALS,
+        "--radius": _RATIONALS,
+        "--tol": st.sampled_from(["1/100", "1/10000", "1/100000000", "0", "-1/10", "x"]),
+        "--offsets": st.sampled_from(["", "0", "-1,1", "-1/2,1/2", "1/4,1/2", "x,1"]),
+    },
 }
+# cone defaults to 10**4 samples, so a size is always given
+_ALWAYS_GIVEN = {("cone", "--samples")}
 
 
 @st.composite
@@ -369,14 +467,21 @@ def _argv(draw):
         return [cmd, *draw(_opt("--depth", _ints(-2, 4, 9))), *draw(_OUT)]
     if cmd == "nonsense":
         return [cmd]
-    campaign = draw(st.sampled_from(sorted(_VERIFY_OPTIONS)))
+    campaign = draw(st.sampled_from(sorted(_VERIFY_OPTIONS) + ["nonsense"]))
     argv = [cmd, campaign]
-    for option in _VERIFY_OPTIONS[campaign]:
-        argv += draw(option)
+    for flag, values in _VERIFY_OPTIONS.get(campaign, {}).items():
+        if (campaign, flag) in _ALWAYS_GIVEN:
+            argv += [flag, str(draw(values))]
+        else:
+            argv += draw(_opt(flag, values))
     return argv + draw(st.sampled_from([[], ["--timing"]])) + draw(_OUT)
 
 
 class TestArgumentVectors:
+    def test_every_campaign_flag_is_drawn(self):
+        drawn = {name: set(flags) | {"--out", "--timing"} for name, flags in _VERIFY_OPTIONS.items()}
+        assert drawn == {name: options(p) for name, p in campaign_parsers().items()}
+
     @settings(max_examples=80, deadline=None)
     @given(argv=_argv())
     def test_documented_exit_code(self, argv):

@@ -704,6 +704,8 @@ def ref_cone_report(sample_count, depth, seed):
         min_gap_lo = g.lo if min_gap_lo is None else min(min_gap_lo, g.lo)
         if g.hi < 0:
             failures.append({"kind": "cone-gap-negative", "gap": [str(g.lo), str(g.hi)], **key})
+        elif g.lo < 0:
+            failures.append({"kind": "cone-undecided", "gap": [str(g.lo), str(g.hi)], **key})
         exact_pairs += p1.r.is_point() and p2.r.is_point()
         kind = ref_holder_chain(p1, p2, w2.t - w1.t)
         if kind:
@@ -779,7 +781,8 @@ class TestConeCampaign:
         assert [f["kind"] for f in r.failures if f["kind"].startswith("holder-chain")] == ([kind] if kind else [])
         assert r.parameters["exact_pairs"] == (r1.is_point() and r2.is_point())
 
-    @pytest.mark.parametrize("depth", [10, 25, 30])
+    # depth 1 leaves some pairs undecided at every seed here
+    @pytest.mark.parametrize("depth", [1, 10, 25, 30])
     @pytest.mark.parametrize("seed", [verify.REFERENCE_SEED, 7, 2026])
     def test_memo_changes_no_byte(self, monkeypatch, depth, seed):
         # The report alone cannot tell enclosures apart (the exact pair 0, 1 pins
@@ -822,6 +825,16 @@ class TestConeCampaign:
         assert r.certified and r.checked == 600
         assert len(folded) == 715 and sorted(calls) == sorted(folded)
         assert counts == {"Interval": 4001, "Fraction": 15125}
+
+    @pytest.mark.parametrize(
+        "depth, seed, undecided",
+        [(1, verify.REFERENCE_SEED, 291), (1, 77, 266), (5, verify.REFERENCE_SEED, 6), (5, 77, 3)],
+    )
+    def test_undecided_pairs_are_failures(self, depth, seed, undecided):
+        r = verify_cone(2000, depth, seed)
+        assert [f["kind"] for f in r.failures] == ["cone-undecided"] * undecided
+        assert all(F(f["gap"][0]) < 0 <= F(f["gap"][1]) for f in r.failures)
+        assert not r.certified
 
     def test_certified_with_exact_seed_pairs(self):
         r = verify_cone(200, depth=25)
