@@ -304,15 +304,12 @@ def solve_quotient(
         em = enclose(m)
         if em.inside_ball(target, tol):
             return m
+        # em is at most tol/2 wide, so had it met the target it would lie
+        # in the tol-ball: here it lies wholly above or below.
         if em.hi < target:
             lo, hi = (m, hi) if increasing else (lo, m)
-        elif em.lo > target:
-            lo, hi = (lo, m) if increasing else (m, hi)
         else:
-            # Enclosure width is at most tol/2, so containing the target
-            # implies acceptance above; reaching here means tol is
-            # unreachable after all.
-            raise TolTooTight("enclosure straddles target without meeting tol")
+            lo, hi = (lo, m) if increasing else (m, hi)
     raise TolTooTight(f"no certified solution within {_BISECTION_STEPS} bisection steps")
 
 

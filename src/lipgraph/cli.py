@@ -229,18 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--depth", type=int, default=60, help=f"descent depth (default 60, at most {MAX_DEPTH})"
     )
-    p_eval.set_defaults(func=_cmd_eval)
+    p_eval.set_defaults(func=_cmd_eval, parser=p_eval)
 
     p_it = sub.add_parser("plot-iterates", help="polyline figure or table of iterates")
     p_it.add_argument("--levels", type=_int_list, default=[0, 1, 2, 3])
     p_it.add_argument("--out", required=True)
     p_it.add_argument("--format", choices=("svg", "csv"), default="svg")
-    p_it.set_defaults(func=_cmd_plot_iterates)
+    p_it.set_defaults(func=_cmd_plot_iterates, parser=p_it)
 
     p_ifs = sub.add_parser("plot-ifs", help="cell structure figure at a depth")
     p_ifs.add_argument("--depth", type=int, default=5)
     p_ifs.add_argument("--out", required=True)
-    p_ifs.set_defaults(func=_cmd_plot_ifs)
+    p_ifs.set_defaults(func=_cmd_plot_ifs, parser=p_ifs)
 
     p_ver = sub.add_parser("verify", help="run a certification campaign")
     p_ver.set_defaults(func=_cmd_verify)
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = campaigns.add_parser(name)
         p.add_argument("--out", help="write report JSON here")
         p.add_argument("--timing", action="store_true", help="include wall time in the JSON file (breaks byte stability)")
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         return p
 
     depth_help = f"descent depth (1 to {MAX_DEPTH})"
@@ -299,8 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse leaves a subcommand's unknown arguments to the top-level
+    # parser; the subcommand that parsed them reports them with its usage.
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except OutOfDomain as exc:

@@ -177,11 +177,10 @@ def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> I
     rp, rq = isqrt(p), isqrt(q)
     if rp * rp == p and rq * rq == q:
         return Interval.point(Fraction(rp, rq))
+    # p/q is in lowest terms, so p*q*4**k is a square only if p and q are
     m = p * q
     t = _ceil_div(2 * width.denominator, width.numerator * q)
     k = (t - 1).bit_length() if t > 1 else 0
     s = isqrt(m << (2 * k))
     den = (1 << k) * q
-    if s * s == m << (2 * k):
-        return Interval.point(Fraction(s, den))
     return Interval(Fraction(s, den), Fraction(s + 1, den))

@@ -414,9 +414,10 @@ class Curve:
         above MAX_DEPTH raises DepthTooLarge.
 
         The Curve keeps the last descent of each point, so a call at the
-        same depth, or at a deeper one once the descent has reached 0 or 1,
-        does no step, another deeper call resumes where that descent
-        stopped, and only a shallower call starts again from t.
+        same depth does no step, a deeper call resumes where that descent
+        stopped, and only a shallower call starts again from t.  A kept
+        descent that reached 0 or 1 takes no further step: `_descend`
+        stops there.
         """
         if type(t) is not Fraction:
             t = Fraction(t)
@@ -435,8 +436,6 @@ class Curve:
             kept.clear()
         if st is None or st[4] > depth:
             st = (p, q, 1, 0, 0)
-        elif st[0] == 0 or st[0] == st[1]:
-            depth = st[4]  # a kept descent that reached 0 or 1 is final
         if st[4] != depth:
             st = self._descend(st, depth)
             kept[key] = st
@@ -634,14 +633,12 @@ def cell_start_depth(cell: AffineMap1D) -> int:
     """First depth window_witnesses tries in cell.
 
     Probe values are exact breakpoint images, so enclosure width is
-    driven by u(t) alone; the depth is sized to the cell scale.
+    driven by u(t) alone; the depth is sized to the cell scale.  The
+    scale log_3(1/a) comes from the integers of the cell length a, so it
+    is finite however short the cell (1/a overflows a float once a <
+    5.6e-309).
     """
-    try:
-        return window_start_depth(math.log(1 / float(cell.a), 3))
-    except (OverflowError, ZeroDivisionError):
-        # 1/a overflows a float once a < 5.6e-309 (from about
-        # delta = 9**-323): take the logarithms of the integers.
-        return window_start_depth(math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3))
+    return window_start_depth(math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3))
 
 
 UNIT_CURVE = Curve()

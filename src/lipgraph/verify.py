@@ -170,15 +170,14 @@ def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Rep
     params["points"] = m
     ti = [t for t, _ in pts]
     vi = [v for _, v in pts]
-    if refine:
-        # Point j of a segment sits at T0 + (T1 - T0) * j / step, which is
-        # (T0 * step + (T1 - T0) * j) / (D * step): every grid point stays
-        # an integer over one denominator.
-        step = refine + 1
-        ti = [t0 * step + (t1 - t0) * j for t0, t1 in zip(ti, ti[1:]) for j in range(step)] + [ti[-1] * step]
-        vi = [v0 * step + (v1 - v0) * j for v0, v1 in zip(vi, vi[1:]) for j in range(step)] + [vi[-1] * step]
-        d_t *= step
-        d_v *= step
+    # Point j of a segment sits at T0 + (T1 - T0) * j / step, which is
+    # (T0 * step + (T1 - T0) * j) / (D * step): every grid point stays
+    # an integer over one denominator.
+    step = refine + 1
+    ti = [t0 * step + (t1 - t0) * j for t0, t1 in zip(ti, ti[1:]) for j in range(step)] + [ti[-1] * step]
+    vi = [v0 * step + (v1 - v0) * j for v0, v1 in zip(vi, vi[1:]) for j in range(step)] + [vi[-1] * step]
+    d_t *= step
+    d_v *= step
     ee = d_v * d_v
     failures = [
         {

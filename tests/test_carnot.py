@@ -232,6 +232,9 @@ class TestBlowup:
 
     def test_graph_sample_validates_inputs(self):
         p_hat = graph_point(w_point(0, 0), 10)
+        for lam in (0, F(-1, 2)):
+            with pytest.raises(NonPositiveLambda):
+                blowup_graph_sample(p_hat, lam, [w_point(0, 0)], 10)
         with pytest.raises(NotInW):
             blowup_graph_sample(p_hat, 1, [gp(1, 0, 0)], 10)
         with pytest.raises(NotGraphPoints):
@@ -245,6 +248,11 @@ class TestSolveQuotient:
         s = solve_quotient(0, F(4472135954999579, 10**16), (F(5, 9), F(3, 5)), F(1, 10**4))
         assert s == F(5, 9)
 
+    @pytest.mark.parametrize("bracket", [(F(1, 3), F(4, 9)), (F(4, 9), F(1, 3))])
+    def test_upper_endpoint_accepted(self, bracket):
+        # q(1/3, 0) is about 0.845, q(4/9, 0) = 1 exactly; the order of the bracket does not matter
+        assert solve_quotient(0, 1, bracket, F(1, 10**4)) == F(4, 9)
+
     def test_interior_solution_certified(self):
         tol = F(1, 10**4)
         target = F(7, 10)
@@ -252,6 +260,18 @@ class TestSolveQuotient:
         assert F(5, 9) < s < 1
         q = UNIT_CURVE.diff_quotient(s, F(0), 60)
         assert (q - target).abs().hi <= tol
+
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [
+            ((F(1, 2), F(1, 2)), "bracket endpoints coincide"),
+            ((F(0), F(1, 2)), "is not strictly positive"),
+            ((F(1, 2), F(-1, 2)), "is not strictly positive"),
+        ],
+    )
+    def test_bracket_refused(self, bracket, message):
+        with pytest.raises(NotBracketed, match=message):
+            solve_quotient(0, 1, bracket, F(1, 10**4))
 
     def test_not_bracketed(self):
         with pytest.raises(NotBracketed):

@@ -183,6 +183,14 @@ class TestVerifyCommand:
         assert d["certified"] is True
         assert F(d["parameters"]["profile_gap"][0]) >= F(1, 2)
 
+    def test_blowup_single_offset_exits_one(self):
+        # one grid offset at 0 maps both blow-ups to the same point
+        code, out = run(["verify", "blowup-divergence", "--offsets", "0"])
+        assert code == 1
+        d = json.loads(out)
+        assert d["certified"] is False
+        assert d["failures"] == [{"kind": "hausdorff-not-positive", "hausdorff": ["0", "0"]}]
+
     def test_uncertified_campaign_exits_one(self, monkeypatch):
         stub = Report(
             campaign="holder",
@@ -353,9 +361,27 @@ class TestCampaignFlags:
         err = io.StringIO()
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
             run(argv)
+        # the campaign's own parser reports it, with the flags it does accept
+        prog = "lipgraph " + " ".join(argv[:2])
         assert exc.value.code == 2
-        assert err.getvalue().startswith("usage: lipgraph ")
-        assert err.getvalue().endswith("error: unrecognized arguments: " + " ".join(argv[-2:]) + "\n")
+        assert err.getvalue().startswith(f"usage: {prog} [-h] [--out OUT] [--timing] ")
+        assert err.getvalue().endswith(f"\n{prog}: error: unrecognized arguments: " + " ".join(argv[-2:]) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, prog",
+        [
+            (["eval", "1/3", "--levels", "2"], "lipgraph eval"),
+            (["plot-iterates", "--out", "x.svg", "--depth", "2"], "lipgraph plot-iterates"),
+            (["plot-ifs", "--out", "x.svg", "--levels", "2"], "lipgraph plot-ifs"),
+        ],
+    )
+    def test_unknown_flag_reported_by_its_subcommand(self, argv, prog):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            run(argv)
+        assert exc.value.code == 2
+        assert err.getvalue().startswith(f"usage: {prog} [-h] ")
+        assert err.getvalue().endswith(f"\n{prog}: error: unrecognized arguments: " + " ".join(argv[-2:]) + "\n")
 
     def test_out_and_timing_follow_the_campaign(self):
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
@@ -453,6 +479,8 @@ _VERIFY_OPTIONS = {
 }
 # cone defaults to 10**4 samples, so a size is always given
 _ALWAYS_GIVEN = {("cone", "--samples")}
+# every campaign flag, with the values that one campaign reading it draws
+_ALL_FLAGS = {flag: values for options in _VERIFY_OPTIONS.values() for flag, values in options.items()}
 
 
 @st.composite
@@ -469,12 +497,27 @@ def _argv(draw):
         return [cmd]
     campaign = draw(st.sampled_from(sorted(_VERIFY_OPTIONS) + ["nonsense"]))
     argv = [cmd, campaign]
-    for flag, values in _VERIFY_OPTIONS.get(campaign, {}).items():
+    own = _VERIFY_OPTIONS.get(campaign, {})
+    for flag, values in own.items():
         if (campaign, flag) in _ALWAYS_GIVEN:
             argv += [flag, str(draw(values))]
         else:
             argv += draw(_opt(flag, values))
-    return argv + draw(st.sampled_from([[], ["--timing"]])) + draw(_OUT)
+    argv += draw(st.sampled_from([[], ["--timing"]])) + draw(_OUT)
+    if own and draw(st.booleans()):
+        # one flag that only other campaigns read, somewhere after the campaign name
+        flag = draw(st.sampled_from(sorted(_ALL_FLAGS.keys() - own.keys())))
+        at = draw(st.integers(2, len(argv)))
+        argv[at:at] = [flag, str(draw(_ALL_FLAGS[flag]))]
+    return argv
+
+
+def _foreign_flags(argv):
+    """The flags in a verify argument vector that its campaign does not accept."""
+    own = _VERIFY_OPTIONS.get(argv[1], {}) if argv[0] == "verify" else {}
+    if not own:
+        return set()
+    return {a for a in argv[2:] if a.startswith("--")} - own.keys() - {"--out", "--timing"}
 
 
 class TestArgumentVectors:
@@ -488,9 +531,14 @@ class TestArgumentVectors:
         with tempfile.TemporaryDirectory() as tmp:
             paths = {"@file": os.path.join(tmp, "out"), "@dir": tmp, "@missing/out": os.path.join(tmp, "no", "out")}
             argv = [paths.get(a, a) for a in argv]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 try:
                     code = cli.main(argv)
                 except SystemExit as exc:
                     code = exc.code
         assert code in (0, 1, 2, 3)
+        if _foreign_flags(argv):
+            # refused by the campaign's own parser, before any work
+            assert code == 2
+            assert f"lipgraph verify {argv[1]}" in err.getvalue()

@@ -276,6 +276,8 @@ class TestLimitFunction:
         assert UNIT_CURVE.eval_limit(F(5, 9), 1) == Interval.point(F(1, 3))
         assert UNIT_CURVE.eval_limit(F(0), 0) == Interval.point(0)
         assert UNIT_CURVE.eval_limit(F(1), 0) == Interval.point(1)
+        # an int is read as the Fraction it equals
+        assert UNIT_CURVE.eval_limit(1, 5) == Interval.point(1)
 
     def test_frozen_enclosures(self):
         assert UNIT_CURVE.eval_limit(F(2, 9), 2) == Interval(F(2, 9), F(4, 9))
@@ -469,6 +471,14 @@ class TestUnitWitnesses:
 
     def test_min_offset_constant(self):
         assert UNIT_MIN_OFFSET == F(1, 18)
+
+    def test_int_base_point(self):
+        assert UNIT_CURVE.unit_witnesses(1) == UNIT_CURVE.unit_witnesses(F(1))
+
+    @pytest.mark.parametrize("t0", [F(-1, 3), F(4, 3), 2])
+    def test_out_of_domain(self, t0):
+        with pytest.raises(OutOfDomain, match=r"t0=.* outside \[0, 1\]"):
+            UNIT_CURVE.unit_witnesses(t0)
 
 
 quotient_enclosures = st.tuples(
@@ -934,13 +944,20 @@ class TestResumableDescent:
         for t in points:
             curve.eval_limit(t, 16)
         kept = dict(curve._descents)
-        calls = []
-        step = Curve._descend
-        monkeypatch.setattr(Curve, "_descend", lambda self, state, depth: calls.append(state) or step(self, state, depth))
-        assert [curve.eval_limit(t, depth) for depth in depths for t in points] == want
-        # only 1/7 descends again: resumed at 30 and 64, restarted at 16
-        assert len(calls) == 3
-        assert calls[0] == kept[1, 7] and calls[1][4] == 30 and calls[2] == (1, 7, 1, 0, 0)
+        steps = []
+        locate = Curve.locate_branch
+        monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append((pd, q)) or locate(self, pd, q))
+        got, counts = [], []
+        for depth in depths:
+            for t in points:
+                before = len(steps)
+                got.append(curve.eval_limit(t, depth))
+                counts.append(len(steps) - before)
+        assert got == want
+        # only 1/7 steps: resumed at 30 and 64, restarted at 16
+        assert counts == [0, 0, 0, 0, 0] + [0, 0, 0, 0, 14] + [0, 0, 0, 0, 34] + [0, 0, 0, 0, 16]
+        p, q = kept[1, 7][:2]
+        assert steps[0] == (p * curve._dx, q) and steps[14 + 34] == (curve._dx, 7)
         assert list(curve._descents) == list(kept)
         assert all(curve._descents[key] == kept[key] for key in kept if key != (1, 7))
 

@@ -948,6 +948,10 @@ class TestMutationSensitivity:
                         f"undetected drift: {branch.tag.value}.{fld} by {bump}"
                     )
 
+    def test_unknown_field_refused(self):
+        with pytest.raises(ValueError, match="unknown branch field 'x_lo'"):
+            perturbed_branches(BranchTag.LEFT, "x_lo", F(1, 9))
+
     def test_identity_mutation_passes(self):
         left = BRANCHES[0]
         reports = mutation_probe(BranchTag.LEFT, "x_scale", left.x_scale)
