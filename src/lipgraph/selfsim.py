@@ -29,11 +29,16 @@ as integer numerators over powers of dx and ey, so a step is a few
 integer products with no gcd; a Fraction is built only for the
 result.  An iterate is held the same way, as integer numerators over
 dx**n and ey**n.  The limit u is never materialised: `eval_limit`
-returns an Interval whose width contracts like (2/3)**depth.  A
-quotient enclosure divides the difference of two such Intervals through
-a certified root enclosure from `numerics`, each endpoint one Fraction
-of cross-multiplied numerators (`_root_quotient`), and a witness gap is
-the one Fraction that bounds the distance of two quotients from below.
+returns an Interval whose width contracts like (2/3)**depth, and each
+Curve keeps that Interval beside the descent that built it, so asking
+again for a point at the same depth builds nothing.  A quotient
+enclosure divides the difference of two such Intervals through a
+certified root enclosure from `numerics`, each endpoint one Fraction of
+cross-multiplied numerators (`_root_quotient`); the order of the two
+abscissas and their distance come from cross-multiplied numerators too.
+A witness gap is the one Fraction that bounds the distance of two
+quotients from below, formed from the numerators of the two endpoints
+that are apart.
 
 A scan over shrinking scales at one point walks one chain of nested
 cells: `locate_cell` continues from the cell it returned for the scale
@@ -72,11 +77,13 @@ MAX_DEPTH = 4096
 UNIT_MIN_OFFSET = Fraction(1, 18)
 WINDOW_OFFSET_RATIO = Fraction(1, 162)
 
-# Descents each Curve keeps for eval_limit to resume; only eval_limit reads
-# the bound, and clears the store when a new point finds it full.  A claim2
-# base point needs 3 live points, and so does an oscillation scan at any
-# length: u(t) plus the two probes of the current window, which
-# window_witnesses seeds at its cell (even into a full store) and drops.
+# Descents each Curve keeps for eval_limit to resume, each with the
+# enclosure it returned, which a repeated call gets back as it is; only
+# eval_limit reads the bound, and clears the store when a new point finds
+# it full.  A claim2 base point needs 3 live points, and so does an
+# oscillation scan at any length: u(t) plus the two probes of the current
+# window, which window_witnesses seeds at its cell (even into a full store)
+# and drops.
 # Cone's profile arguments fold onto the 1 003 points of a 1/1000 grid,
 # more than this bound holds; verify_cone keeps their enclosures itself,
 # in a memo that lives for one campaign, so it asks for each point once.
@@ -359,8 +366,9 @@ class Curve:
             _, _, xs, xo, ys, yo = locate(pd, q)
             if not xs:
                 # A zero-length cell holds only t = x_offset; inverting its
-                # map is the Fraction division 0/0.
-                raise ZeroDivisionError("Fraction(0, 0)")
+                # map is the division (t - x_offset) / x_scale by zero, done
+                # in Fractions so it raises the running interpreter's error.
+                Fraction(pd - xo * q, q * dx) / Fraction(xs, dx)
             p, q = pd - xo * q, q * xs
             a, b = a * ys, a * yo + b * ey
             k += 1
@@ -413,11 +421,15 @@ class Curve:
         degenerates to a point, whatever the requested depth.  A depth
         above MAX_DEPTH raises DepthTooLarge.
 
-        The Curve keeps the last descent of each point, so a call at the
-        same depth does no step, a deeper call resumes where that descent
-        stopped, and only a shallower call starts again from t.  A kept
-        descent that reached 0 or 1 takes no further step: `_descend`
-        stops there.
+        The Curve keeps the last descent of each point together with the
+        Interval it returned.  A call at the same depth returns that
+        Interval, with no step and no Fraction built, and so does any
+        deeper call once the kept descent sits at 0 or 1, where the value
+        is exact.  Any other deeper call resumes where the kept descent
+        stopped, and only a shallower call starts again from t.  Probes
+        that `window_witnesses` seeds carry a descent state but no
+        Interval until their first call.  A descent that raises keeps
+        nothing.
         """
         if type(t) is not Fraction:
             t = Fraction(t)
@@ -432,21 +444,25 @@ class Curve:
         kept = self._descents
         key = (p, q)
         st = kept.get(key)
-        if st is None and len(kept) >= _DESCENTS_KEPT:
-            kept.clear()
         if st is None or st[4] > depth:
-            st = (p, q, 1, 0, 0)
-        if st[4] != depth:
-            st = self._descend(st, depth)
-            kept[key] = st
-        p, q, a, b, k = st
+            if st is None and len(kept) >= _DESCENTS_KEPT:
+                kept.clear()
+            st = (p, q, 1, 0, 0, None)
+        elif st[5] is not None and (st[4] == depth or st[0] == 0 or st[0] == st[1]):
+            return st[5]
+        p, q, a, b, k, _ = st
+        if k != depth:
+            p, q, a, b, k = self._descend((p, q, a, b, k), depth)
         den = self._ey**k
         if p == 0:
-            return Interval.point(Fraction(b, den))
-        if p == q:
-            return Interval.point(Fraction(a + b, den))
-        lo, hi = (b, a + b) if a >= 0 else (a + b, b)
-        return Interval(Fraction(lo, den), Fraction(hi, den))
+            enc = Interval.point(Fraction(b, den))
+        elif p == q:
+            enc = Interval.point(Fraction(a + b, den))
+        else:
+            lo, hi = (b, a + b) if a >= 0 else (a + b, b)
+            enc = Interval(Fraction(lo, den), Fraction(hi, den))
+        kept[key] = (p, q, a, b, k, enc)
+        return enc
 
     # ------------------------------------------------------------------
     # difference quotients
@@ -456,7 +472,9 @@ class Curve:
 
         Arguments may be anywhere on the line; they are folded into
         [0, 1] for evaluation while the gap |s - t| is taken between the
-        original abscissas.  The root of the gap is enclosed to width
+        original abscissas.  Whether s and t coincide, their order and
+        the gap come from the cross-multiplied numerators; the gap is
+        the one Fraction built here.  Its root is enclosed to width
         min(gap, 1) * (2/3)**depth, as tight as the numerator, and each
         quotient endpoint is one Fraction (`_root_quotient`).
         """
@@ -464,13 +482,15 @@ class Curve:
             s = Fraction(s)
         if type(t) is not Fraction:
             t = Fraction(t)
-        if s == t:
+        sd, td = s.denominator, t.denominator
+        n = s.numerator * td - t.numerator * sd  # (s - t) * sd * td
+        if not n:
             raise CoincidentPoints("difference quotient needs s != t")
         us = self.eval_limit(reduce_domain(s), depth)
         ut = self.eval_limit(reduce_domain(t), depth)
-        if s < t:  # q(s, t) = q(t, s): divide by the positive root, with no sign flip
-            s, t, us, ut = t, s, ut, us
-        gap = s - t
+        if n < 0:  # q(s, t) = q(t, s): divide by the positive root, with no sign flip
+            n, us, ut = -n, ut, us
+        gap = Fraction(n, sd * td)
         gn, gd, depth = gap.numerator, gap.denominator, index(depth)
         return _root_quotient(us, ut, sqrt_enclose(gap, Fraction(min(gn, gd) << depth, gd * 3**depth)))
 
@@ -557,16 +577,27 @@ class Curve:
         If none does, the last gap is returned for the caller to judge.
         The gap is max(q1.lo - q2.hi, q2.lo - q1.hi, 0) for the quotient
         enclosures q1, q2: the lower end of |q1 - q2| in interval
-        arithmetic.
+        arithmetic.  Each difference is read as a numerator over the
+        product of its endpoints' denominators, compared with the floor
+        by cross-multiplying, and the returned gap is one Fraction of
+        the positive one (0 if neither is).
         """
         floor_hi = quotient_gap_floor().hi
+        fn, fd = floor_hi.numerator, floor_hi.denominator
         for depth in depths:
             q1 = self.diff_quotient(s1, t, depth)
             q2 = self.diff_quotient(s2, t, depth)
-            gap = max(q1.lo - q2.hi, q2.lo - q1.hi, _ZERO)
-            if gap >= floor_hi:
+            # At most one of q1.lo - q2.hi and q2.lo - q1.hi is positive;
+            # the gap is n/d for that one, or 0.
+            lo, hi = q1.lo, q2.hi
+            n = lo.numerator * hi.denominator - hi.numerator * lo.denominator
+            if n <= 0:
+                lo, hi = q2.lo, q1.hi
+                n = lo.numerator * hi.denominator - hi.numerator * lo.denominator
+            d = lo.denominator * hi.denominator
+            if n * fd >= fn * d:
                 break
-        return QuotientWitness(s1, s2, gap, side)
+        return QuotientWitness(s1, s2, Fraction(n, d) if n > 0 else _ZERO, side)
 
     def unit_witnesses(self, t0: RationalLike) -> QuotientWitness:
         """Probe pair at unit scale with a certified quotient gap.
@@ -610,7 +641,8 @@ class Curve:
             return self._deepen(s1, s2, t, side, depths)
         kept = self._descents
         probes = {
-            (s.numerator, s.denominator): (b.numerator, b.denominator, ya, yb, k) for s, b in ((s1, b1), (s2, b2))
+            (s.numerator, s.denominator): (b.numerator, b.denominator, ya, yb, k, None)
+            for s, b in ((s1, b1), (s2, b2))
         }
         kept.update(probes)
         try:

@@ -107,10 +107,28 @@ class TestPlots:
         assert (code, out, err.getvalue()) == (2, "", message + "\n")
         assert not (tmp_path / "x.svg").exists()
 
-    def test_unwritable_path(self):
-        with contextlib.redirect_stderr(io.StringIO()):
-            code, _ = run(["plot-iterates", "--levels", "1", "--out", "/nonexistent-dir/x.svg"])
-        assert code == 3
+    def test_unwritable_path(self, tmp_path):
+        # a file in a directory that does not exist cannot be opened for writing
+        target = tmp_path / "missing" / "x.out"
+        for argv in (
+            ["plot-iterates", "--levels", "1"],
+            ["plot-ifs", "--depth", "2"],
+            ["verify", "holder", "--level", "2"],
+            ["verify", "claim2", "--grid", "11"],
+            ["verify", "claim3", "--samples", "5"],
+            ["verify", "cone", "--samples", "20", "--depth", "20"],
+            ["verify", "oscillation", "--t-hat", "1/2", "--scales", "3"],
+            ["verify", "blowup-divergence", "--t-hat", "0", "--depth", "40", "--radius", "1"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run([*argv, "--out", str(target)])
+            assert code == 3, argv
+            assert err.getvalue().startswith(f"cannot write {target}: "), argv
+            assert err.getvalue().count("\n") == 1, argv
+            assert not target.parent.exists(), argv
+            if argv[0] == "verify":
+                assert out == "", argv
 
 
 # The exit-code table: each exception class a campaign raises on an argument

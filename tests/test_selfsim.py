@@ -3,6 +3,7 @@
 import math
 import random
 from bisect import bisect_left
+from contextlib import contextmanager
 from fractions import Fraction as F
 from unittest import mock
 
@@ -502,6 +503,54 @@ class TestWitnessGap:
         assert type(w.gap_lower_bound) is F
         assert w.gap_lower_bound == (q1 - q2).abs().lo
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 4))
+    def test_gap_and_stop_depth_match_the_parent_expression(self, data, count):
+        floor_hi = quotient_gap_floor().hi
+        pairs = [data.draw(related_quotients(floor_hi)) for _ in range(count)]
+        s1, s2 = F(5, 9), F(1)
+        asked = []
+
+        def quotient(self, s, t, depth):
+            asked.append(depth)
+            return pairs[depth][0 if s == s1 else 1]
+
+        with mock.patch.object(Curve, "diff_quotient", quotient):
+            w = Curve()._deepen(s1, s2, F(1, 4), 1, range(count))
+        # the loop of Curve._deepen before its gap was read from integers
+        for depth, (q1, q2) in enumerate(pairs):
+            gap = max(q1.lo - q2.hi, q2.lo - q1.hi, F(0))
+            if gap >= floor_hi:
+                break
+        assert w == QuotientWitness(s1, s2, gap, 1) and type(w.gap_lower_bound) is F
+        assert asked == [d for d in range(depth + 1) for _ in (s1, s2)]
+
+
+@st.composite
+def related_quotients(draw, floor_hi):
+    """Quotient enclosures (q1, q2) that are disjoint either way round, touch, overlap or coincide."""
+    ends = st.fractions(-2, 2, max_denominator=60)
+    widths = st.sampled_from([F(0), floor_hi]) | st.fractions(0, 1, max_denominator=60)
+    lo = draw(ends)
+    q1 = Interval(lo, lo + draw(widths))
+    relation = draw(st.sampled_from(["apart", "touch", "overlap", "coincide"]))
+    if relation == "coincide":
+        q2 = q1
+    elif relation == "overlap":
+        start = q1.lo + draw(st.fractions(0, 1)) * q1.width()
+        q2 = Interval(start - draw(widths), start + draw(widths))
+    else:
+        # apart: the gap is at, just below, just above or well off the floor
+        gap = F(0) if relation == "touch" else draw(
+            st.sampled_from([floor_hi, floor_hi - F(1, 10**15), floor_hi + F(1, 10**15)])
+            | st.fractions(0, 2, max_denominator=60).filter(bool)
+        )
+        width = draw(widths)
+        q2 = Interval(q1.hi + gap, q1.hi + gap + width)
+    if draw(st.booleans()):
+        q1, q2 = q2, q1
+    return q1, q2
+
 
 class TestLocateCell:
     def test_frozen(self):
@@ -978,6 +1027,151 @@ class TestResumableDescent:
             for t in points:
                 for depth in (0, 5, 30):
                     assert outcome(curve.diff_quotient, s, t, depth) == outcome(ref_diff_quotient, curve, s, t, depth)
+
+
+@contextmanager
+def counted_work():
+    """Branch steps and Fraction constructions inside the block, as a dict filled in as they happen."""
+    counts = {"steps": 0, "Fraction": 0}
+    locate, real_new = Curve.locate_branch, F.__new__
+
+    def counted_locate(self, pd, q):
+        counts["steps"] += 1
+        return locate(self, pd, q)
+
+    def counted_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    with mock.patch.object(Curve, "locate_branch", counted_locate), mock.patch.object(
+        F, "__new__", staticmethod(counted_new)
+    ):
+        yield counts
+
+
+# (t, depth) calls on one Curve: repeats, deeper and shallower calls,
+# points exact at once (0, 1) or after one step (4/9, 5/9) that are then
+# asked deeper, and shallower calls below a kept exact state.  On two of
+# KEPT_CURVES, 32/45 or 2/9 raises one step into its descent.
+KEPT_CALLS = [
+    (F(1, 7), 16), (F(1, 7), 16), (F(1, 7), 30), (F(1, 7), 30), (F(1, 7), 16), (F(1, 7), 16), (F(1, 7), 0),
+    (F(4, 9), 0), (F(4, 9), 1), (F(4, 9), 1), (F(4, 9), 64), (F(4, 9), 0), (F(4, 9), 64),
+    (F(5, 9), 30), (F(5, 9), 2), (F(0), 0), (F(0), 40), (F(1), 7), (F(1), 0),
+    (F(2, 9), 1), (F(2, 9), 2), (F(2, 9), 2), (F(2, 9), 1), (F(32, 45), 1), (F(32, 45), 30), (F(32, 45), 30),
+    (F(32, 45), 1), (F(123457, 10**6), 60), (F(123457, 10**6), 59), (F(123457, 10**6), 61),
+]
+KEPT_CURVES = [
+    UNIT_CURVE,
+    _drifted(BranchTag.MID, "y_scale", F(-1, 100)),
+    _drifted(BranchTag.LEFT, "x_scale", F(-1, 7)),  # the right branch maps 32/45 into the gap (19/63, 4/9)
+    ORACLE_CURVES[-1],  # the left branch maps 2/9 onto the zero-length mid cell at 1/2
+]
+
+
+class TestKeptEnclosure:
+    """eval_limit returns the enclosure it keeps with each descent, and builds it only once."""
+
+    @pytest.mark.parametrize("curve", KEPT_CURVES)
+    def test_call_sequence_matches_a_new_curve_and_the_oracle(self, curve):
+        kept = Curve(branches=curve.branches)
+        for t, depth in KEPT_CALLS:
+            got = outcome(kept.eval_limit, t, depth)
+            assert got == outcome(fresh_eval_limit, curve, t, depth) == outcome(ref_eval_limit, curve, t, depth)
+        if curve is UNIT_CURVE:
+            assert {key: st[4] for key, st in kept._descents.items()} == {
+                (1, 7): 0, (4, 9): 1, (5, 9): 1, (0, 1): 0, (1, 1): 0, (2, 9): 1, (32, 45): 1, (123457, 10**6): 61
+            }
+
+    def test_drift_that_raises_mid_descent(self):
+        for curve, t, exc in ((KEPT_CURVES[2], F(32, 45), UncoveredPoint), (KEPT_CURVES[3], F(2, 9), ZeroDivisionError)):
+            kept = Curve(branches=curve.branches)
+            shallow = kept.eval_limit(t, 1)
+            for _ in range(2):
+                got = outcome(kept.eval_limit, t, 30)
+                assert got[0] is exc and got == outcome(ref_eval_limit, curve, t, 30)
+                # the failed descent kept nothing: the depth-1 enclosure is still the one returned
+                assert kept._descents[t.numerator, t.denominator][4:] == (1, shallow)
+            with counted_work() as work:
+                assert kept.eval_limit(t, 1) is shallow
+            assert work == {"steps": 0, "Fraction": 0}
+
+    @pytest.mark.parametrize("t, depth", [(F(1, 7), 30), (F(4, 9), 64), (F(0), 16), (F(123457, 10**6), 60)])
+    def test_repeat_takes_no_step_and_builds_no_fraction(self, t, depth):
+        curve = Curve()
+        first = curve.eval_limit(t, depth)
+        with counted_work() as work:
+            again = curve.eval_limit(t, depth)
+            # a kept exact value answers any deeper call too
+            deeper = curve.eval_limit(t, depth + 5) if first.is_point() else again
+        assert again is first and deeper is first
+        assert work == {"steps": 0, "Fraction": 0}
+        with counted_work() as work:
+            deeper = curve.eval_limit(t, depth + 5)
+        assert deeper == fresh_eval_limit(UNIT_CURVE, t, depth + 5)
+        assert work["steps"] == (0 if first.is_point() else 5)
+
+    def test_store_clears_when_full(self):
+        curve = Curve()
+        grid = [F(i, _DESCENTS_KEPT - 1) for i in range(_DESCENTS_KEPT)]
+        first = [curve.eval_limit(t, 12) for t in grid]
+        assert len(curve._descents) == _DESCENTS_KEPT
+        assert curve.eval_limit(F(1, 7), 12) == fresh_eval_limit(UNIT_CURVE, F(1, 7), 12)
+        assert list(curve._descents) == [(1, 7)]
+        for t, enc in zip(grid[:3], first):
+            again = curve.eval_limit(t, 12)
+            assert again == enc == ref_eval_limit(UNIT_CURVE, t, 12)
+        assert list(curve._descents) == [(1, 7)] + [(t.numerator, t.denominator) for t in grid[:3]]
+
+    @pytest.mark.parametrize("t, delta", [(F(1, 7), F(1, 81)), (F(2, 3), F(1, 9)), (F(123457, 10**6), F(1, 9**12))])
+    def test_seeded_probes_carry_no_enclosure_until_asked(self, t, delta):
+        curve = Curve()
+        cell = curve.locate_cell(t, delta)
+        seen = []
+        real = Curve.eval_limit
+
+        def recorded(self, s, depth):
+            key = (s.numerator, s.denominator)
+            before = self._descents.get(key)
+            enc = real(self, s, depth)
+            seen.append((s, depth, before, enc))
+            return enc
+
+        with mock.patch.object(Curve, "eval_limit", recorded):
+            w = curve.window_witnesses(cell)
+        assert w == window(Curve(), t, delta) == ref_window_witnesses(UNIT_CURVE, t, delta)
+        probes = {w.s1, w.s2}
+        firsts = {}
+        for s, depth, before, enc in seen:
+            assert enc == fresh_eval_limit(UNIT_CURVE, s, depth) == ref_eval_limit(UNIT_CURVE, s, depth)
+            if s in probes and s not in firsts:
+                firsts[s] = before
+        # each probe was seeded at the cell's step count, with no enclosure
+        k = cell.descent[5]
+        assert sorted(firsts) == sorted(probes)
+        assert all(before is not None and before[4] == k and before[5] is None for before in firsts.values())
+
+
+class TestDiffQuotientIntegers:
+    """diff_quotient orders s and t, and measures |s - t|, on cross-multiplied numerators."""
+
+    @pytest.mark.parametrize("s, t", [(1, F(1)), (F(1), 1), (0, F(0, 5)), (-3, F(-6, 2)), (True, F(1))])
+    def test_coincident_points_of_different_types(self, s, t):
+        with pytest.raises(CoincidentPoints, match="difference quotient needs s != t"):
+            UNIT_CURVE.diff_quotient(s, t, 10)
+
+    @pytest.mark.parametrize("t", [F(1, 7), F(4, 9), F(1, 2), F(123457, 10**6), F(1), 1])
+    @pytest.mark.parametrize("depth", [0, 5, 30])
+    def test_abscissas_folding_onto_one_point(self, t, depth):
+        curve = Curve()
+        for s in (-t, t + 2, t - 2, 2 - t):
+            if s == t:
+                continue
+            got = outcome(curve.diff_quotient, s, t, depth)
+            assert got == outcome(parent_diff_quotient, Curve(), s, t, depth)
+            assert got == outcome(ref_diff_quotient, UNIT_CURVE, s, t, depth)
+            # both folded values are one enclosure, so the quotient straddles 0
+            assert got.lo <= 0 <= got.hi
+            assert outcome(curve.diff_quotient, t, s, depth) == got
 
 
 # ----------------------------------------------------------------------
