@@ -27,8 +27,17 @@ over a common denominator dx, every y constant one over ey.  A descent
 then keeps the point as an integer pair t = p/q and the composed maps
 as integer numerators over powers of dx and ey, so a step is a few
 integer products with no gcd; a Fraction is built only for the
-result.  An iterate is held the same way, as integer numerators over
-dx**n and ey**n.  The limit u is never materialised: `eval_limit`
+result.  A step takes L = 3 levels at once (L = 2 for 27 >= dx > 9)
+through a table of composed depth-L cells indexed by the slot
+floor(t * dx**L): every cell endpoint down to level L is an integer
+over dx**L, so the leftmost L-level path is the same for every t
+strictly inside a slot.  Each slot's row is composed on its first use,
+from the row of its parent slot one level up, held the same way.
+The one-level step, a scan of the branch rows, still runs for points
+on the dx**L grid, for slots no path covers, for the last levels when
+fewer than L remain, and for every step of a system whose dx**2
+exceeds the table bound.  An iterate is held as integer numerators
+over dx**n and ey**n.  The limit u is never materialised: `eval_limit`
 returns an Interval whose width contracts like (2/3)**depth, and each
 Curve keeps that Interval beside the descent that built it, so asking
 again for a point at the same depth builds nothing.  A quotient
@@ -88,6 +97,13 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # more than this bound holds; verify_cone keeps their enclosures itself,
 # in a memo that lives for one campaign, so it asks for each point once.
 _DESCENTS_KEPT = 256
+
+# Most levels one descent step takes, and most slots its table holds:
+# a Curve takes the largest L in (3, 2) with dx**L <= _TABLE_SLOTS, so
+# the standard system (dx = 9) steps 3 levels over 729 slots, and a
+# system with dx > 27 has no table.
+_SPAN = 3
+_TABLE_SLOTS = 9**_SPAN
 
 _ZERO = Fraction(0)
 _RIGHT_PROBES = (Fraction(5, 9), Fraction(1), 1)
@@ -299,9 +315,12 @@ class Curve:
     On construction the branch constants are cleared to integers: dx is
     the least common denominator of every x_scale and x_offset, ey that
     of every y_scale and y_offset, and each branch becomes one row
-    (x_lo, x_hi, x_scale, x_offset, y_scale, y_offset) of numerators
-    over dx (the first four) and ey (the last two).  Every
-    descent below runs on these rows.
+    (x_lo, x_hi, x_scale, x_offset, y_scale, y_offset, x_lift, y_den, n)
+    of numerators over dx (the first four) and y_den = ey (the next two)
+    for n = 1 level, with x_lift = 1.  The slot tables hold rows of the
+    same shape for the composed cells of n = 1 .. L levels, over dx**n
+    and ey**n, with x_lift = dx**(n-1).  Every descent below runs on
+    these rows.
     """
 
     branches: tuple[Branch, ...] = BRANCHES
@@ -317,12 +336,22 @@ class Curve:
                 int(br.x_offset * dx),
                 int(br.y_scale * ey),
                 int(br.y_offset * ey),
+                1,
+                ey,
+                1,
             )
             for br in self.branches
         )
+        span = next((n for n in range(_SPAN, 1, -1) if dx**n <= _TABLE_SLOTS), 0)
         object.__setattr__(self, "_dx", dx)
         object.__setattr__(self, "_ey", ey)
         object.__setattr__(self, "_rows", rows)
+        # _tables[n - 1][s]: row of the leftmost n-level path through the
+        # open slot (s, s+1) / dx**n, () if none covers it, None until
+        # first used.  Steps read the last table; no tables if span is 0.
+        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_tables", [[None] * dx**n for n in range(1, span + 1)])
+        object.__setattr__(self, "_lift", dx ** (span - 1) if span else 0)
         object.__setattr__(self, "_tiled", continuous_tiling(self.branches))
         # (t.numerator, t.denominator) -> last eval_limit state of t, keyed
         # by ints because hashing a Fraction costs a modular inverse.
@@ -331,47 +360,97 @@ class Curve:
     # ------------------------------------------------------------------
     # branch geometry
 
-    def locate_branch(self, pd: int, q: int) -> tuple:
-        """Row of the leftmost branch whose x-cell contains t = p/q.
+    def locate_branch(self, pd: int, q: int, levels: int) -> tuple:
+        """Row of the next step, of at most `levels` levels, of the leftmost descent of t = p/q.
 
-        The point comes as the integers (p*dx, q) with q > 0, so the test
-        x_lo <= t <= x_hi is lo*q <= p*dx <= hi*q on numerators over dx.
-        Every descent step makes exactly one call.
+        The point comes as the integers (p*dx, q) with 0 <= p <= q and
+        q > 0.  If levels is at least the span L of the Curve's slot
+        table and t lies strictly inside the slot (s, s+1) / dx**L, the
+        row is that slot's composed L-level cell, unless no path covers
+        the slot.  Otherwise it is the row of the leftmost branch whose
+        x-cell contains t, one level: the test x_lo <= t <= x_hi reads
+        lo*q <= p*dx <= hi*q on numerators over dx.  Every descent step,
+        of one level or of L, makes exactly one call.
         """
+        span = self._span
+        if 0 < span <= levels:
+            table = self._tables[-1]
+            s, r = divmod(pd * self._lift, q)
+            if r:
+                row = table[s]
+                if row is None:
+                    row = table[s] = self._slot_row(span, s)
+                if row:
+                    return row
         for row in self._rows:
             if row[0] * q <= pd <= row[1] * q:
                 return row
         raise UncoveredPoint(f"no branch cell contains t={Fraction(pd, q * self._dx)}")
+
+    def _slot_row(self, n: int, s: int) -> tuple:
+        """Row of the leftmost n-level path through the open slot (s, s+1) / dx**n, or () if none covers it.
+
+        Every level-j cell endpoint, j <= n, is an integer over dx**j and
+        so over dx**n, so every point of the open slot takes the same
+        path: it meets no zero-length cell and never reaches 0 or 1.  The path is the
+        (n-1)-level path of the slot's parent s // dx, read from its
+        table, then the leftmost branch containing the slot's midpoint
+        (2s + 1) / (2 * dx**n) in the parent cell's coordinates.  The
+        cell map x -> (xs*x + xo) / dx**j and the vertical map
+        y -> (ys*y + yo) / ey**j compose one level at a time.
+        """
+        dx, ey = self._dx, self._ey
+        xs, xo, ys, yo = 1, 0, 1, 0
+        if n > 1:
+            parents = self._tables[n - 2]
+            parent = parents[s // dx]
+            if parent is None:
+                parent = parents[s // dx] = self._slot_row(n - 1, s // dx)
+            if not parent:
+                return ()
+            _, _, xs, xo, ys, yo, _, _, _ = parent
+        # the midpoint sits at pd / (q * dx) in the parent cell
+        pd, q = 2 * s + 1 - 2 * dx * xo, 2 * xs
+        for row in self._rows:
+            if row[0] * q <= pd <= row[1] * q:
+                break
+        else:
+            return ()
+        _, _, bxs, bxo, bys, byo, _, _, _ = row
+        xs, xo = xs * bxs, xo * dx + xs * bxo
+        return (xo, xo + xs, xs, xo, ys * bys, yo * ey + ys * byo, dx ** (n - 1), ey**n, n)
 
     def _descend(
         self, state: tuple[int, int, int, int, int], depth: int
     ) -> tuple[int, int, int, int, int]:
         """Continue a descent from state (p, q, a, b, k) until k reaches depth.
 
-        After k steps the point has moved to p/q in [0, 1] and the
+        After k levels the point has moved to p/q in [0, 1] and the
         composed vertical map is y -> (a*y + b) / ey**k; a descent from t
-        starts at (t.numerator, t.denominator, 1, 0, 0).  One step
-        through a branch maps p/q to (p*dx - x_offset*q) / (q*x_scale),
-        which keeps q > 0 since only branches with x_lo <= x_hi can
-        contain a point.  The descent stops early once the point is 0 or
-        1, where the value is exact.
+        starts at (t.numerator, t.denominator, 1, 0, 0).  A step through
+        a row of n levels maps p/q to (p*dx**n - x_offset*q) / (q*x_scale),
+        which keeps q > 0 since only cells with x_lo <= x_hi can contain
+        a point.  `locate_branch` gives an L-level row from the slot table
+        while at least L levels remain, and a one-level row otherwise;
+        both give the state the one-level steps would, integer for
+        integer.  The descent stops early once the point is 0 or 1, where
+        the value is exact.
         """
-        dx, ey = self._dx, self._ey
+        dx = self._dx
         locate = self.locate_branch
         p, q, a, b, k = state
-        for _ in range(depth - k):
-            if p == 0 or p == q:
-                break
+        while k < depth and 0 < p < q:
             pd = p * dx
-            _, _, xs, xo, ys, yo = locate(pd, q)
+            _, _, xs, xo, ys, yo, xl, yd, n = locate(pd, q, depth - k)
             if not xs:
-                # A zero-length cell holds only t = x_offset; inverting its
-                # map is the division (t - x_offset) / x_scale by zero, done
-                # in Fractions so it raises the running interpreter's error.
+                # A zero-length cell holds only t = x_offset, so its row is
+                # a one-level row; inverting its map is the division
+                # (t - x_offset) / x_scale by zero, done in Fractions so it
+                # raises the running interpreter's error.
                 Fraction(pd - xo * q, q * dx) / Fraction(xs, dx)
-            p, q = pd - xo * q, q * xs
-            a, b = a * ys, a * yo + b * ey
-            k += 1
+            p, q = pd * xl - xo * q, q * xs
+            a, b = a * ys, a * yo + b * yd
+            k += n
         return p, q, a, b, k
 
     # ------------------------------------------------------------------
@@ -393,7 +472,7 @@ class Curve:
         xd = yd = 1  # dx**k and ey**k at level k
         for _ in range(n):
             nxt: list[tuple[int, int]] = []
-            for _, _, xs, xo, ys, yo in self._rows:
+            for _, _, xs, xo, ys, yo, _, _, _ in self._rows:
                 x0, y0 = xo * xd, yo * yd
                 for t, v in pts:
                     pt = (xs * t + x0, ys * v + y0)
@@ -542,7 +621,7 @@ class Curve:
         dn = delta.numerator * q0
         while q * dd > dn * dk:
             pd = p * dx
-            _, _, xs, xo, ys, yo = locate(pd, q)
+            _, _, xs, xo, ys, yo, _, _, _ = locate(pd, q, 1)
             if xs >= dx:
                 raise UncoveredPoint("descent does not contract; branch system broken")
             p, q = pd - xo * q, q * xs

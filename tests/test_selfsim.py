@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from lipgraph.numerics import Interval, Ordering, cmp_abs_sq, sqrt_enclose
 from lipgraph.selfsim import (
     _DESCENTS_KEPT,
+    _TABLE_SLOTS,
     BRANCHES,
     MAX_DEPTH,
     MAX_LEVEL,
@@ -961,7 +963,7 @@ class TestResumableDescent:
         assert len(curve._descents) == _DESCENTS_KEPT
         steps = []
         step = Curve.locate_branch
-        monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append(q) or step(self, pd, q))
+        monkeypatch.setattr(Curve, "locate_branch", lambda self, *args: steps.append(args) or step(self, *args))
         for t in grid:
             assert curve.eval_limit(t, 30) == fresh_eval_limit(UNIT_CURVE, t, 30)
         steps.clear()
@@ -993,20 +995,31 @@ class TestResumableDescent:
         for t in points:
             curve.eval_limit(t, 16)
         kept = dict(curve._descents)
-        steps = []
+        steps = []  # (p*dx, q, levels the step took)
         locate = Curve.locate_branch
-        monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append((pd, q)) or locate(self, pd, q))
-        got, counts = [], []
+
+        def recorded(self, pd, q, levels):
+            row = locate(self, pd, q, levels)
+            steps.append((pd, q, row[-1]))
+            return row
+
+        monkeypatch.setattr(Curve, "locate_branch", recorded)
+        got, counts, levels = [], [], []
         for depth in depths:
             for t in points:
                 before = len(steps)
                 got.append(curve.eval_limit(t, depth))
                 counts.append(len(steps) - before)
+                levels.append(sum(n for _, _, n in steps[before:]))
         assert got == want
-        # only 1/7 steps: resumed at 30 and 64, restarted at 16
-        assert counts == [0, 0, 0, 0, 0] + [0, 0, 0, 0, 14] + [0, 0, 0, 0, 34] + [0, 0, 0, 0, 16]
-        p, q = kept[1, 7][:2]
-        assert steps[0] == (p * curve._dx, q) and steps[14 + 34] == (curve._dx, 7)
+        # only 1/7 steps: resumed at 30 and 64 from the kept step count, restarted at 16
+        p, q, k = kept[1, 7][0], kept[1, 7][1], kept[1, 7][4]
+        assert levels == [0, 0, 0, 0, 0] + [0, 0, 0, 0, 30 - k] + [0, 0, 0, 0, 64 - 30] + [0, 0, 0, 0, 16]
+        # 1/7 never reaches the dx**L grid, so every step takes L levels while L remain
+        span = curve._span
+        calls = [n // span + n % span for n in levels]
+        assert counts == calls
+        assert steps[0][:2] == (p * curve._dx, q) and steps[calls[9] + calls[14]][:2] == (curve._dx, 7)
         assert list(curve._descents) == list(kept)
         assert all(curve._descents[key] == kept[key] for key in kept if key != (1, 7))
 
@@ -1031,13 +1044,15 @@ class TestResumableDescent:
 
 @contextmanager
 def counted_work():
-    """Branch steps and Fraction constructions inside the block, as a dict filled in as they happen."""
-    counts = {"steps": 0, "Fraction": 0}
+    """Descent steps, the levels they took and Fraction constructions inside the block, as a dict filled in as they happen."""
+    counts = {"steps": 0, "levels": 0, "Fraction": 0}
     locate, real_new = Curve.locate_branch, F.__new__
 
-    def counted_locate(self, pd, q):
+    def counted_locate(self, pd, q, levels):
+        row = locate(self, pd, q, levels)
         counts["steps"] += 1
-        return locate(self, pd, q)
+        counts["levels"] += row[-1]
+        return row
 
     def counted_new(cls, *args, **kwargs):
         counts["Fraction"] += 1
@@ -1093,7 +1108,7 @@ class TestKeptEnclosure:
                 assert kept._descents[t.numerator, t.denominator][4:] == (1, shallow)
             with counted_work() as work:
                 assert kept.eval_limit(t, 1) is shallow
-            assert work == {"steps": 0, "Fraction": 0}
+            assert work == {"steps": 0, "levels": 0, "Fraction": 0}
 
     @pytest.mark.parametrize("t, depth", [(F(1, 7), 30), (F(4, 9), 64), (F(0), 16), (F(123457, 10**6), 60)])
     def test_repeat_takes_no_step_and_builds_no_fraction(self, t, depth):
@@ -1104,11 +1119,16 @@ class TestKeptEnclosure:
             # a kept exact value answers any deeper call too
             deeper = curve.eval_limit(t, depth + 5) if first.is_point() else again
         assert again is first and deeper is first
-        assert work == {"steps": 0, "Fraction": 0}
+        assert work == {"steps": 0, "levels": 0, "Fraction": 0}
+        k = curve._descents[t.numerator, t.denominator][4]
         with counted_work() as work:
             deeper = curve.eval_limit(t, depth + 5)
         assert deeper == fresh_eval_limit(UNIT_CURVE, t, depth + 5)
-        assert work["steps"] == (0 if first.is_point() else 5)
+        # the resume continues from the kept step count; neither non-exact
+        # point reaches the dx**L grid, so the table takes L levels while L remain
+        n, span = (0 if first.is_point() else depth + 5 - k), curve._span
+        assert work["levels"] == n and (first.is_point() or k == depth)
+        assert work["steps"] == n // span + n % span
 
     def test_store_clears_when_full(self):
         curve = Curve()
@@ -1149,6 +1169,154 @@ class TestKeptEnclosure:
         k = cell.descent[5]
         assert sorted(firsts) == sorted(probes)
         assert all(before is not None and before[4] == k and before[5] is None for before in firsts.values())
+
+
+# ----------------------------------------------------------------------
+# The slot table: `_descend` takes L levels per step through it, and must
+# leave the state the one-level steps leave, integer for integer, and
+# raise what they raise.  The one-level steps are kept here as the
+# reference, beside `ref_eval_limit`'s Fraction oracle.
+
+
+def one_level_descend(curve, state, depth):
+    """`Curve._descend` with one level per step, scanning the branch rows."""
+    dx, ey = curve._dx, curve._ey
+    p, q, a, b, k = state
+    for _ in range(depth - k):
+        if p == 0 or p == q:
+            break
+        pd = p * dx
+        row = next((row for row in curve._rows if row[0] * q <= pd <= row[1] * q), None)
+        if row is None:
+            raise UncoveredPoint(f"no branch cell contains t={F(p, q)}")
+        _, _, xs, xo, ys, yo, _, _, _ = row
+        if not xs:
+            F(pd - xo * q, q * dx) / F(xs, dx)
+        p, q = pd - xo * q, q * xs
+        a, b = a * ys, a * yo + b * ey
+        k += 1
+    return p, q, a, b, k
+
+
+# dx = 1: one branch that maps [0, 1] onto itself
+FLAT = Curve(branches=(Branch(BranchTag.LEFT, F(1), F(0), F(1), F(0)),))
+# y-scales (12/13, -3/13, 4/13): dx = 169, too large for a table
+S13 = Curve(
+    branches=(
+        Branch(BranchTag.LEFT, F(144, 169), F(0), F(12, 13), F(0)),
+        Branch(BranchTag.MID, F(9, 169), F(144, 169), F(-3, 13), F(12, 13)),
+        Branch(BranchTag.RIGHT, F(16, 169), F(153, 169), F(4, 13), F(9, 13)),
+    )
+)
+# constants over 10**6: dx = 9 000 027 has no table; ey = 39 000 117 keeps dx = 9
+HUGE_DX = _drifted(BranchTag.LEFT, "x_scale", F(1, 10**6 + 3))
+HUGE_EY = _drifted(BranchTag.MID, "y_scale", F(1, 10**6 + 3))
+# dx = 9 with a gap (3/9, 4/9): its slots there are uncovered
+GAP9 = _drifted(BranchTag.LEFT, "x_scale", F(-1, 9))
+TABLE_CURVES = ORACLE_CURVES + [FLAT, S13, HUGE_DX, HUGE_EY, GAP9]
+TABLE_DEPTHS = tuple(range(8)) + (16, 30, 31, 64)
+TABLE_TS = [F(0), F(1), F(4, 9), F(5, 9), F(1, 3), F(1, 729), F(364, 729), F(1, 7)]
+TABLE_GRID = [F(i, 729) for i in range(0, 730, 13)] + [F(i, 81) for i in range(1, 81, 5)]
+
+
+def descend_outcomes(curve, t, depth):
+    """What `_descend` gives from t on a new Curve, and what the one-level steps give."""
+    start = (t.numerator, t.denominator, 1, 0, 0)
+    got = outcome(Curve(branches=curve.branches)._descend, start, depth)
+    return got, outcome(one_level_descend, curve, start, depth)
+
+
+class TestSlotTable:
+    @pytest.mark.parametrize("curve", TABLE_CURVES)
+    def test_descent_matches_the_one_level_steps_and_the_oracle(self, curve):
+        for t in TABLE_TS + TABLE_GRID:
+            for depth in TABLE_DEPTHS:
+                got, want = descend_outcomes(curve, t, depth)
+                assert got == want
+        for t in TABLE_TS:
+            for depth in TABLE_DEPTHS:
+                assert outcome(fresh_eval_limit, curve, t, depth) == outcome(ref_eval_limit, curve, t, depth)
+
+    @pytest.mark.parametrize("curve", TABLE_CURVES)
+    def test_resumed_descent_matches_the_one_level_steps(self, curve):
+        kept = Curve(branches=curve.branches)
+        for t in TABLE_TS + TABLE_GRID[::3]:
+            start = (t.numerator, t.denominator, 1, 0, 0)
+            for j in (1, 2, 5):
+                try:
+                    state = one_level_descend(curve, start, j)
+                except (ArithmeticError, ValueError):
+                    continue
+                for depth in (j + 2, j + 3, 31, 64):
+                    assert outcome(kept._descend, state, depth) == outcome(one_level_descend, curve, state, depth)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.fractions(0, 1, max_denominator=10**6) | st.integers(0, 729).map(lambda i: F(i, 729)),
+        depth=st.sampled_from(TABLE_DEPTHS),
+        curve=st.sampled_from(TABLE_CURVES),
+    )
+    def test_drawn_points(self, t, depth, curve):
+        got, want = descend_outcomes(curve, t, depth)
+        assert got == want
+        assert outcome(fresh_eval_limit, curve, t, depth) == outcome(ref_eval_limit, curve, t, depth)
+
+    def test_both_exceptions_are_reached_through_tabled_systems(self):
+        # a gap of a dx = 9 system, reached after one level or at once
+        kept = Curve(branches=GAP9.branches)
+        for t, depth in ((F(35, 81), 30), (F(7, 18), 31), (F(1, 7) * 2 + F(1, 20), 64)):
+            want = outcome(one_level_descend, GAP9, (t.numerator, t.denominator, 1, 0, 0), depth)
+            assert outcome(kept._descend, (t.numerator, t.denominator, 1, 0, 0), depth) == want
+            assert want[0] is UncoveredPoint
+        assert () in kept._tables[-1]
+        # the zero-length mid cell at 1/2 of a dx = 18 system, reached from 2/9 after one level
+        zero = ORACLE_CURVES[-1]
+        got, want = descend_outcomes(zero, F(2, 9), 30)
+        assert got == want and got[0] is ZeroDivisionError
+        assert zero._span == 2
+
+    def test_grid_points_take_the_leftmost_cell(self):
+        # 4/9 ends the left cell and starts the mid one, 5/9 ends the mid
+        # one: the leftmost descent reaches 1 after one level and stops
+        for t in (F(4, 9), F(5, 9), F(364, 729)):
+            for depth in (3, 4, 30):
+                got = Curve()._descend((t.numerator, t.denominator, 1, 0, 0), depth)
+                assert got == one_level_descend(UNIT_CURVE, (t.numerator, t.denominator, 1, 0, 0), depth)
+                assert got[0] == got[1] and got[4] == (1 if t.denominator == 9 else 3)
+
+    def test_span_rule_ends_and_bounds_the_table(self):
+        # dx = 1 and constants over 10**6 construct at once; their descents
+        # are among TABLE_CURVES in the tests above
+        start = time.perf_counter()
+        curves = {curve: Curve(branches=curve.branches) for curve in TABLE_CURVES}
+        assert time.perf_counter() - start < 1.0
+        assert all(len(table) <= _TABLE_SLOTS for fresh in curves.values() for table in fresh._tables)
+        spans = {UNIT_CURVE: (3, [9, 81, 729]), FLAT: (3, [1, 1, 1]), ORACLE_CURVES[-1]: (2, [18, 324])}
+        spans[S13] = spans[HUGE_DX] = (0, [])
+        spans[HUGE_EY] = spans[GAP9] = spans[UNIT_CURVE]
+        for curve, (span, slots) in spans.items():
+            assert (curves[curve]._span, [len(table) for table in curves[curve]._tables]) == (span, slots)
+
+    def test_every_slot_row_is_its_composed_cell(self):
+        curve = Curve()
+        dx, ey = curve._dx, curve._ey
+        slots = len(curve._tables[-1])
+        for s in range(slots):
+            t = F(2 * s + 1, 2 * slots)
+            assert curve._descend((t.numerator, t.denominator, 1, 0, 0), 3) == one_level_descend(
+                curve, (t.numerator, t.denominator, 1, 0, 0), 3
+            )
+        # the level-3 table and the tables of its parent slots are full
+        for n, table in enumerate(curve._tables, 1):
+            rows = set(table)
+            assert len(rows) == 3**n and None not in rows and () not in rows
+            for s, (lo, hi, xs, xo, ys, yo, xl, yd, m) in enumerate(table):
+                assert (xl, yd, m) == (dx ** (n - 1), ey**n, n)
+                assert (lo, hi) == (xo, xo + xs) and lo <= s and s + 1 <= hi
+            # each cell's vertical map sends the ends of [0, 1] to u at the cell's ends
+            for lo, hi, _, _, ys, yo, _, yd, _ in rows:
+                assert ref_eval_limit(curve, F(lo, dx**n), 40) == Interval.point(F(yo, yd))
+                assert ref_eval_limit(curve, F(hi, dx**n), 40) == Interval.point(F(ys + yo, yd))
 
 
 class TestDiffQuotientIntegers:
@@ -1209,14 +1377,20 @@ def chained_windows(curve, t, deltas):
     return out
 
 
-def scan_steps(monkeypatch, t, scales):
-    """Branch steps of an oscillation scan on a Curve whose store starts empty."""
-    steps = []
+def scan_levels(monkeypatch, t, scales):
+    """Branch levels the descent steps of an oscillation scan took, on a Curve whose store starts empty."""
+    levels = []
     step = Curve.locate_branch
-    monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append(q) or step(self, pd, q))
+
+    def recorded(self, *args):
+        row = step(self, *args)
+        levels.append(row[-1])
+        return row
+
+    monkeypatch.setattr(Curve, "locate_branch", recorded)
     monkeypatch.setattr(verify, "UNIT_CURVE", Curve())
     assert oscillation_scan(t, scales).certified
-    return len(steps)
+    return sum(levels)
 
 
 _chain_rng = random.Random(7)
@@ -1260,7 +1434,7 @@ class TestCellChain:
     def test_chain_takes_the_steps_of_one_descent(self, monkeypatch):
         steps = []
         step = Curve.locate_branch
-        monkeypatch.setattr(Curve, "locate_branch", lambda self, pd, q: steps.append(q) or step(self, pd, q))
+        monkeypatch.setattr(Curve, "locate_branch", lambda self, *args: steps.append(args) or step(self, *args))
         for t in CHAIN_TS:
             steps.clear()
             UNIT_CURVE.locate_cell(t, CHAIN_DELTAS[-1])
@@ -1329,9 +1503,9 @@ class TestCellChain:
             assert len(handed) == len(located) and all(h is c for h, c in zip(handed, located))
 
     def test_scan_descent_work_is_linear_in_the_scales(self, monkeypatch):
-        # before one chain per scan: 386 603 and 13 691 steps
-        assert scan_steps(monkeypatch, F(1, 7), 340) <= 3000
-        assert scan_steps(monkeypatch, F(123457, 10**6), 64) <= 600
+        # before one chain per scan: 386 603 and 13 691 levels, one per step then
+        assert scan_levels(monkeypatch, F(1, 7), 340) <= 3000
+        assert scan_levels(monkeypatch, F(123457, 10**6), 64) <= 600
 
 
 # ----------------------------------------------------------------------

@@ -176,7 +176,7 @@ def ref_iterate(curve, n):
     xd = yd = 1
     for _ in range(n):
         nxt = []
-        for _, _, xs, xo, ys, yo in curve._rows:
+        for _, _, xs, xo, ys, yo, _, _, _ in curve._rows:
             x0, y0 = xo * xd, yo * yd
             for t, v in pts:
                 pt = (xs * t + x0, ys * v + y0)
