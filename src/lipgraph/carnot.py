@@ -27,13 +27,20 @@ coordinates, which is what makes the blow-up sampler rigorous.
 On graph points x = 0, so the twist x y' - y x' of a product of graph
 points vanishes; `mul` skips a twist product with a zero factor and does
 not add an x of 0, `inv` does not negate one, and `hnorm` takes |y|
-exactly (and |x| only when x is not 0), so the cone campaign does no
-arithmetic on terms that are 0 and roots only |t|.  `cone_gap` takes
-its norm width (2/3)**depth from a per-depth cache.  A campaign that
-evaluates many graph points at one depth passes `graph_point` a dict of
-its own that keeps the enclosure of each folded profile argument, so
-every distinct argument is descended once per campaign; the dict's key
-leaves out the depth, so it must not outlive the campaign.
+exactly (and |x| only when x is not 0).  Points of W carry the module's
+one shared zero r slot: `inv` does not negate it, `mul` returns the
+other factor's Interval r unchanged when one r slot is that zero (and
+the zero itself when both are), `hnorm` does not take the max with it,
+and `beta` tests it by identity before it compares.  Other r slots
+equal to 0 take the general path.  So the cone campaign does no
+arithmetic on terms that are 0 and roots only |t|; `cone_gap` reads the
+v part from the integer numerators and denominators of the four r
+endpoints and takes its norm width (2/3)**depth from a per-depth
+cache.  A campaign that evaluates many graph points at one depth passes
+`graph_point` a dict of its own that keeps the enclosure of each folded
+profile argument, so every distinct argument is descended once per
+campaign; the dict's key leaves out the depth, so it must not outlive
+the campaign.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Optional, Sequence
 
-from .numerics import Interval, RationalLike, sqrt_enclose
+from .numerics import Interval, RationalLike, abs_diff_ends, sqrt_enclose
 from .selfsim import UNIT_CURVE, reduce_domain
 
 _FZERO = Fraction(0)
@@ -95,12 +102,20 @@ def mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:
         t += twist / 2
     # Adding a Fraction 0 to a Fraction is skipped; other types add, for the sum's type.
     x = px if type(px) is type(qx) is Fraction and not qx else px + qx
-    return GroupPoint(x, py + qy, t, p.r + q.r)
+    # Adding the shared zero r slot to an Interval is skipped; other slots add, for the sum's type.
+    pr, qr = p.r, q.r
+    if qr is _ZERO and type(pr) is Interval:
+        r = pr
+    elif pr is _ZERO and type(qr) is Interval:
+        r = qr
+    else:
+        r = pr + qr
+    return GroupPoint(x, py + qy, t, r)
 
 
 def inv(p: GroupPoint) -> GroupPoint:
-    x = p.x
-    return GroupPoint(x if type(x) is Fraction and not x else -x, -p.y, -p.t, -p.r)
+    x, r = p.x, p.r
+    return GroupPoint(x if type(x) is Fraction and not x else -x, -p.y, -p.t, r if r is _ZERO else -r)
 
 
 def dilate(lam: RationalLike, p: GroupPoint) -> GroupPoint:
@@ -123,12 +138,15 @@ def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
     x, y = p.x, p.y
     nxy = Interval.point(abs(y) if type(x) is Fraction and not x else max(abs(x), abs(y)))
     nt = sqrt_enclose(abs(p.t), width)
-    return Interval.max_of(Interval.max_of(nxy, nt), p.r.abs())
+    norm = Interval.max_of(nxy, nt)
+    r = p.r
+    return norm if r is _ZERO else Interval.max_of(norm, r.abs())
 
 
 def beta(w: GroupPoint) -> Fraction:
     """The t coordinate of a vertical-subgroup point, its profile argument."""
-    if w.x or w.r != _ZERO:
+    r = w.r
+    if w.x or (r is not _ZERO and r != _ZERO):
         raise NotInW(f"point has x={w.x}, r={w.r}")
     return w.t
 
@@ -171,12 +189,25 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
     the displacement never exceeds its horizontal part.  The enclosure
     width is controlled by depth through the norm width (2/3)**depth and
     by the widths the points' r slots already carry.
+
+    r is central, so the w part of p**(-1) * q is the product of the w
+    parts of p and q, whose r slots are the shared zero: `inv` and `mul`
+    do no arithmetic on them and `hnorm` does not read them.  The v part
+    |q.r - p.r| is read from integer cross-multiples of the four
+    endpoints of the Interval r slots (`numerics.abs_diff_ends`), and
+    each end of the gap is one Fraction.
     """
     if p.x or q.x:
         raise NotGraphPoints("cone gap is defined for graph points, which have x = 0")
-    d = mul(inv(p), q)
-    w_part = GroupPoint(d.x, d.y, d.t, _ZERO)
-    return hnorm(w_part, _norm_width(depth)) - d.r.abs()
+    wp, wq = GroupPoint(p.x, p.y, p.t, _ZERO), GroupPoint(q.x, q.y, q.t, _ZERO)
+    norm = hnorm(mul(inv(wp), wq), _norm_width(depth))
+    # |q.r - p.r| = [an / ad, bn / bd]
+    an, ad, bn, bd = abs_diff_ends(p.r, q.r)
+    lo, hi = norm.lo, norm.hi
+    return Interval(
+        Fraction(lo.numerator * bd - bn * lo.denominator, lo.denominator * bd),
+        Fraction(hi.numerator * ad - an * hi.denominator, hi.denominator * ad),
+    )
 
 
 @lru_cache(maxsize=16, typed=True)

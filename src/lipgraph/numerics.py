@@ -3,7 +3,8 @@
 Everything downstream reduces numeric truth to two primitives:
 
 * exact order tests between a rational and the square root of a rational,
-  decided by integer cross multiplication (`cmp_abs_sq`), and
+  decided by integer cross multiplication (`cmp_abs_sq`; the campaigns
+  cross-multiply the integers they already hold in the same way), and
 * certified enclosures of square roots, produced from `math.isqrt` at a
   caller-chosen width (`sqrt_enclose`).  A quotient by a root divides
   each endpoint of the numerator by one endpoint of that enclosure: a
@@ -155,6 +156,28 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def abs_diff_ends(a: Interval, b: Interval) -> tuple[int, int, int, int]:
+    """The ends of ``(b - a).abs()`` as unreduced integer ratios (ln, ld, hn, hd), ld and hd positive.
+
+    ``b - a = [b.lo - a.hi, b.hi - a.lo]``; each end is cross-multiplied
+    from the numerators and denominators of two endpoints, and the ends
+    of its absolute value are picked by their signs as `Interval.abs`
+    picks them, so no Fraction is built.
+    """
+    al, ah, bl, bh = a.lo, a.hi, b.lo, b.hi
+    dld = bl.denominator * ah.denominator
+    dln = bl.numerator * ah.denominator - ah.numerator * bl.denominator
+    dhd = bh.denominator * al.denominator
+    dhn = bh.numerator * al.denominator - al.numerator * bh.denominator
+    if dln >= 0:
+        return dln, dld, dhn, dhd
+    if dhn <= 0:
+        return -dhn, dhd, -dln, dld
+    if -dln * dhd >= dhn * dld:
+        return 0, 1, -dln, dld
+    return 0, 1, dhn, dhd
 
 
 def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> Interval:

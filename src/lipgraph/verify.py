@@ -39,7 +39,7 @@ from .carnot import (
     solve_quotient,
     w_point,
 )
-from .numerics import Interval, Ordering, RationalLike, cmp_abs_sq
+from .numerics import Interval, RationalLike, abs_diff_ends
 from .selfsim import (
     BRANCHES,
     Branch,
@@ -485,7 +485,10 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     counted in parameters["exact_pairs"].  Pairs are drawn as checked.
     Each distinct folded profile argument is descended once: the
     campaign keeps the enclosures in a memo of its own (see
-    carnot.graph_point), which is dropped when it returns.
+    carnot.graph_point), which is dropped when it returns.  The profile
+    difference test (the Hölder chain) reads |r2 - r1|.lo = n / d and
+    |beta2 - beta1| = tn / td from the endpoints' integer numerators and
+    denominators, unreduced, and refutes when n**2 * td > tn * d**2.
     """
     started = time.perf_counter()
     if sample_count < 1:
@@ -506,14 +509,16 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
         r1, r2 = p1.r, p2.r
         exact = r1.is_point() and r2.is_point()
         exact_pairs += exact
-        # |r2 - r1|.lo is (r2 - r1).lo or -(r2 - r1).hi, whichever is positive, else 0, which
-        # refutes nothing.  On exact points it is the exact |u(beta2) - u(beta1)|.
-        dr_lo = r2.lo - r1.hi
-        if dr_lo.numerator < 0:
-            dr_lo = r1.lo - r2.hi
-        if dr_lo.numerator > 0 and cmp_abs_sq(dr_lo, w2.t - w1.t) is Ordering.GREATER:
-            kind = "holder-chain-exact" if exact else "holder-chain-refuted"
-            failures.append({"kind": kind, **_pair_key(idx, w1, w2)})
+        # |r2 - r1|.lo = n / d; 0 refutes nothing.  On exact points it is the exact |u(beta2) - u(beta1)|.
+        n, d, _, _ = abs_diff_ends(r1, r2)
+        if n:
+            # |beta2 - beta1| = tn / td; the chain is refuted when (n / d)**2 > tn / td
+            t1, t2 = w1.t, w2.t
+            tn = abs(t2.numerator * t1.denominator - t1.numerator * t2.denominator)
+            td = t1.denominator * t2.denominator
+            if n * n * td > tn * d * d:
+                kind = "holder-chain-exact" if exact else "holder-chain-refuted"
+                failures.append({"kind": kind, **_pair_key(idx, w1, w2)})
     params = {
         "sample_count": sample_count,
         "depth": depth,

@@ -378,7 +378,7 @@ def ref_cone_gap(p, q, depth):
 def exact(value):
     """A result with the type of every number in it, so 0, 0.0 and Fraction(0) differ."""
     if isinstance(value, Interval):
-        return "I", type(value.lo), value.lo, type(value.hi), value.hi
+        return type(value), type(value.lo), value.lo, type(value.hi), value.hi
     if isinstance(value, GroupPoint):
         return "P", exact(value.x), exact(value.y), exact(value.t), exact(value.r)
     return type(value), value
@@ -392,6 +392,10 @@ def outcome(fn, *args):
 
 
 class _Sub(F):
+    pass
+
+
+class _Zero(Interval):
     pass
 
 
@@ -438,12 +442,67 @@ class TestFastPathReference:
                 for depth in (0, 1, 2, 5, 30, 60, -3, True, F(3), 2.0):
                     assert outcome(cone_gap, p, q, depth) == outcome(ref_cone_gap, p, q, depth)
 
+    def test_r_slots(self):
+        """Zero r slots other than the shared one, straddling and exact r slots, against the reference."""
+        slots = [
+            carnot._ZERO,
+            Interval(0, 0),
+            Interval.point(F(0)),
+            _Zero(0, 0),
+            Interval.point(F(3, 7)),
+            Interval.point(F(-2, 9)),
+            Interval(F(0), F(1, 2)),
+            Interval(F(1, 4), F(3, 5)),
+            Interval(F(-1, 3), F(1, 6)),
+            Interval(F(-1, 2), F(0)),
+            _Zero(F(1, 8), F(1, 4)),
+        ]
+        graph = [GroupPoint(F(0), y, t, r) for r in slots for y, t in ((F(0), F(0)), (F(2, 3), F(-5, 9)))]
+        others = [GroupPoint(F(1, 3), F(1), F(2), r) for r in slots]
+        # r slots that are not Intervals: the sum with the shared zero still raises or adds
+        odd = [GroupPoint(F(0), F(1), F(1), r) for r in (0, F(1, 2), None)]
+        # |q.r - p.r| straddles 0 with either end the larger
+        diffs = [q.r - p.r for p in graph for q in graph]
+        assert any(-d.lo > d.hi > 0 for d in diffs) and any(d.hi > -d.lo > 0 for d in diffs)
+        for p in graph + others:
+            assert outcome(inv, p) == outcome(ref_inv, p)
+            assert outcome(hnorm, p) == outcome(ref_hnorm, p)
+            assert outcome(beta, p) == outcome(ref_beta, p)
+            for q in graph + others:
+                assert outcome(mul, p, q) == outcome(ref_mul, p, q)
+                for depth in (1, 30):
+                    assert outcome(cone_gap, p, q, depth) == outcome(ref_cone_gap, p, q, depth)
+        for p in odd:
+            assert outcome(inv, p) == outcome(ref_inv, p)
+        for p in graph + others + odd:
+            for q in odd:
+                assert outcome(mul, p, q) == outcome(ref_mul, p, q)
+                assert outcome(mul, q, p) == outcome(ref_mul, q, p)
+
+    def test_shared_zero_r_slot_is_kept(self):
+        """The product and inverse of vertical-subgroup points keep the shared zero r slot that hnorm skips."""
+        w, v = w_point(F(2, 3), F(-5, 9)), w_point(F(-1, 7), F(4))
+        assert inv(w).r is carnot._ZERO and mul(inv(w), v).r is carnot._ZERO
+        p = GroupPoint(F(0), F(1), F(1), Interval(F(1, 8), F(1, 4)))
+        assert mul(w, p).r is p.r and mul(p, w).r is p.r
+
+    def test_zero_skips_compare_no_endpoints(self, monkeypatch):
+        """inv, mul and hnorm skip the r slot by identity with the shared zero: they compare no endpoint, zero or not."""
+        slots = [carnot._ZERO, Interval(0, 0), _Zero(0, 0), Interval(F(-1, 3), F(1, 6)), Interval.point(F(3, 7))]
+        points = [GroupPoint(F(0), F(2, 3), F(-5, 9), r) for r in slots]
+        compared = []
+        real_eq = F.__eq__
+        monkeypatch.setattr(F, "__eq__", lambda a, b: compared.append((a, b)) or real_eq(a, b))
+        for p in points:
+            inv(p)
+            hnorm(p)
+            for q in points:
+                mul(p, q)
+        monkeypatch.undo()
+        assert compared == []
+
     def test_is_in_w_and_beta(self):
         """Membership in W, as beta checks it, against the reference."""
-
-        class _Zero(Interval):
-            pass
-
         rs = [Interval(0, 0), Interval.point(F(0)), _Zero(0, 0), Interval(0, 1), Interval(-1, 0), Interval(1, 1), 0]
         for x in (F(0), 0, 0.0, F(1, 3), float("nan")):
             for r in rs:

@@ -12,6 +12,7 @@ from lipgraph.numerics import (
     Interval,
     NegativeInput,
     Ordering,
+    abs_diff_ends,
     cmp_abs_sq,
     sqrt_enclose,
 )
@@ -362,9 +363,26 @@ class TestFastPathReference:
             for y in xs:
                 assert exact(Interval.max_of(x, y)) == exact(ref_max_of(x, y))
 
+    def test_abs_diff_ends(self):
+        """The integer ends of |b - a| against the Fraction reference, in every sign case and both straddle branches."""
+        ends = [F(-5, 2), F(-1, 3), 0, F(1, 7), F(1, 3), F(4, 3), F(5, 2)]
+        xs = [Interval(a, b) for a in ends for b in ends if a <= b]
+        straddles = set()
+        for a in xs:
+            for b in xs:
+                got = abs_diff_ends(a, b)
+                assert [type(v) for v in got] == [int] * 4 and got[1] > 0 and got[3] > 0
+                assert Interval(F(got[0], got[1]), F(got[2], got[3])) == ref_abs(b - a)
+                d = b - a
+                if d.lo < 0 < d.hi:
+                    straddles.add((-d.lo > d.hi) - (-d.lo < d.hi))
+        assert straddles == {-1, 0, 1}
+
     @settings(max_examples=300, deadline=None)
     @given(a=rationals, b=rationals, c=rationals, d=rationals)
     def test_max_of_and_abs_properties(self, a, b, c, d):
         x, y = Interval(min(a, b), max(a, b)), Interval(min(c, d), max(c, d))
         assert Interval.max_of(x, y) == ref_max_of(x, y) == Interval.max_of(y, x)
         assert x.abs() == ref_abs(x)
+        ln, ld, hn, hd = abs_diff_ends(x, y)
+        assert ld > 0 and hd > 0 and Interval(F(ln, ld), F(hn, hd)) == ref_abs(y - x)

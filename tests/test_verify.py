@@ -697,6 +697,20 @@ def ref_holder_chain(p1, p2, dt):
     return None
 
 
+def check_holder_chain(monkeypatch, t0, dt, r1, r2, kind):
+    """verify_cone's Hölder-chain record for one pair at betas t0 and t0 + dt with r slots r1 and r2, against the reference."""
+    # the first pair sits at betas 0 and 4/9: move it to t0 and t0 + dt and give it the r slots
+    monkeypatch.setattr(verify, "w_point", lambda y, t: w_point(y, t0 + t * dt * F(9, 4)))
+    slots = iter((r1, r2))
+    monkeypatch.setattr(verify, "graph_point", lambda w, depth, memo: GroupPoint(w.x, w.y, w.t, next(slots)))
+    r = verify_cone(1, depth=10)
+    p1, p2 = (GroupPoint(F(0), F(0), t, slot) for t, slot in ((t0, r1), (t0 + dt, r2)))
+    assert ref_holder_chain(p1, p2, dt) == kind
+    assert [f["kind"] for f in r.failures if f["kind"].startswith("holder-chain")] == ([kind] if kind else [])
+    assert [(f["beta1"], f["beta2"]) for f in r.failures] == [(str(t0), str(t0 + dt))] * len(r.failures)
+    assert r.parameters["exact_pairs"] == (r1.is_point() and r2.is_point())
+
+
 def ref_cone_report(sample_count, depth, seed):
     """The canonical cone report and every pair's gap, from pairs built up front and graph points evaluated without a memo."""
     failures = []
@@ -775,18 +789,33 @@ class TestConeCampaign:
             (F(1, 9), Interval(F(1, 3), F(2, 5)), Interval(F(0), F(1, 100)), None),
             (F(1, 4), Interval(F(0), F(1, 4)), Interval(F(3, 4), F(1)), None),
             (F(1, 4), Interval(F(0), F(1, 4)), Interval(F(3, 4) + F(1, 10**9), F(1)), "holder-chain-refuted"),
+            # |r2 - r1|.lo**2 == |dt|, from an unreduced n / d = 9/18: n**2 * td == tn * d**2 refutes nothing
+            (F(1, 4), Interval.point(F(1, 6)), Interval.point(F(2, 3)), None),
+            (F(-1, 4), Interval(F(2, 3), F(5, 6)), Interval(F(-1, 3), F(1, 6)), None),
+            # dt = 0 with |r2 - r1| > 0
+            (F(0), Interval.point(F(0)), Interval.point(F(1, 10**6)), "holder-chain-exact"),
+            (F(0), Interval(F(1, 5), F(1, 4)), Interval(F(0), F(1, 10)), "holder-chain-refuted"),
+            (F(0), Interval(F(0), F(1, 10)), Interval(F(1, 10), F(1, 5)), None),
+            # negative beta2: only |dt| counts
+            (F(-1, 4), Interval.point(F(0)), Interval.point(F(1, 4)), None),
+            (F(-1, 4), Interval(F(0), F(1, 10)), Interval(F(7, 10), F(4, 5)), "holder-chain-refuted"),
         ],
     )
     def test_holder_chain_matches_the_two_branch_reference(self, monkeypatch, dt, r1, r2, kind):
-        # the first pair sits at betas 0 and 4/9: move the second to dt and give both the r slots
-        monkeypatch.setattr(verify, "w_point", lambda y, t: w_point(y, t * dt * F(9, 4)))
-        slots = iter((r1, r2))
-        monkeypatch.setattr(verify, "graph_point", lambda w, depth, memo: GroupPoint(w.x, w.y, w.t, next(slots)))
-        r = verify_cone(1, depth=10)
-        p1, p2 = (GroupPoint(F(0), F(0), t, slot) for t, slot in ((F(0), r1), (dt, r2)))
-        assert ref_holder_chain(p1, p2, dt) == kind
-        assert [f["kind"] for f in r.failures if f["kind"].startswith("holder-chain")] == ([kind] if kind else [])
-        assert r.parameters["exact_pairs"] == (r1.is_point() and r2.is_point())
+        check_holder_chain(monkeypatch, F(0), dt, r1, r2, kind)
+
+    @pytest.mark.parametrize(
+        "t0, dt, r1, r2, kind",
+        [
+            (F(-5, 7), F(1, 9), Interval.point(F(0)), Interval.point(F(1, 2)), "holder-chain-exact"),
+            (F(-5, 7), F(-2, 9), Interval.point(F(1, 3)), Interval.point(F(1, 6)), None),
+            (F(-1, 3), F(-1, 8), Interval(F(0), F(1, 10)), Interval(F(1, 2), F(3, 5)), "holder-chain-refuted"),
+            (F(-1, 3), F(1, 10), Interval(F(1, 2), F(3, 5)), Interval(F(0), F(1, 5)), None),
+            (F(-3, 2), F(1, 4), Interval.point(F(1, 6)), Interval.point(F(2, 3)), None),
+        ],
+    )
+    def test_holder_chain_at_negative_betas(self, monkeypatch, t0, dt, r1, r2, kind):
+        check_holder_chain(monkeypatch, t0, dt, r1, r2, kind)
 
     # depth 1 leaves some pairs undecided at every seed here
     @pytest.mark.parametrize("depth", [1, 10, 25, 30])
@@ -813,14 +842,20 @@ class TestConeCampaign:
 
         Each distinct folded profile argument is evaluated once: 715
         eval_limit calls for the 1 200 graph points at the reference
-        seed.  Counted by `counted_constructions`, a pair builds 6.67
-        Intervals and 25.2 Fractions (4 000 and 15 124 in all; 5 868
-        Fractions from CPython 3.12 on).  The warm-up's enclosure of u(0)
-        stays in the descent store, so the campaign does not build it
-        again (4 001 and 15 125 while every call built its own).  Before
-        the campaign kept its enclosures in a memo, inv and mul did
-        arithmetic on the x = 0 coordinate and the Hölder chain built
-        the Interval |r2 - r1|, it built 8.95 and 32.3 (5 372 and
+        seed.  Counted by `counted_constructions`, a pair builds 4.19
+        Intervals and 17.8 Fractions (2 514 and 10 668 in all; 7 068
+        Fractions from CPython 3.12 on, which count the two Fractions
+        each cone_gap builds from integers but not the arithmetic results
+        they replace).  The warm-up's enclosure of u(0) stays in the
+        descent store, so the campaign does not build it again.  While
+        inv, mul and cone_gap did Interval arithmetic on the r slots
+        (-p.r, -p.r + q.r, its abs and the gap's subtraction) and the
+        Hölder chain subtracted Fractions, a pair built 6.67 and 25.2
+        (4 000 and 15 124; 5 868 Fractions from 3.12 on).  While every call
+        built its own enclosure of u(0), it was 4 001 and 15 125.
+        Before the campaign kept its enclosures in a memo, inv and mul
+        did arithmetic on the x = 0 coordinate and the Hölder chain
+        built the Interval |r2 - r1|, it built 8.95 and 32.3 (5 372 and
         19 361) from 1 200 eval_limit calls.
         """
         calls = []
@@ -834,7 +869,7 @@ class TestConeCampaign:
             r = verify_cone(600, 30)
         assert r.certified and r.checked == 600
         assert len(folded) == 715 and sorted(calls) == sorted(folded)
-        assert counts == {"Interval": 4000, "Fraction": 15124 if sys.version_info < (3, 12) else 5868}
+        assert counts == {"Interval": 2514, "Fraction": 10668 if sys.version_info < (3, 12) else 7068}
 
     @pytest.mark.parametrize(
         "depth, seed, undecided",
