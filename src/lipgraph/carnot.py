@@ -136,9 +136,17 @@ def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
     if width.numerator <= 0:
         raise ValueError("width must be positive")
     x, y = p.x, p.y
-    nxy = Interval.point(abs(y) if type(x) is Fraction and not x else max(abs(x), abs(y)))
+    nxy = abs(y) if type(x) is Fraction and not x else max(abs(x), abs(y))
+    if type(nxy) is not Fraction:
+        nxy = Fraction(nxy)
     nt = sqrt_enclose(abs(p.t), width)
-    norm = Interval.max_of(nxy, nt)
+    # Interval.max_of(Interval.point(nxy), nt), building only the result
+    if nxy < nt.lo:
+        norm = nt
+    elif nxy < nt.hi:
+        norm = Interval(nxy, nt.hi)
+    else:
+        norm = Interval(nxy, nxy)
     r = p.r
     return norm if r is _ZERO else Interval.max_of(norm, r.abs())
 

@@ -3,8 +3,9 @@
 Everything downstream reduces numeric truth to two primitives:
 
 * exact order tests between a rational and the square root of a rational,
-  decided by integer cross multiplication (`cmp_abs_sq`; the campaigns
-  cross-multiply the integers they already hold in the same way), and
+  decided by squaring and cross-multiplying the integer numerators and
+  denominators the callers already hold (`abs_diff_ends` gives the ends
+  of an interval difference as such integers), and
 * certified enclosures of square roots, produced from `math.isqrt` at a
   caller-chosen width (`sqrt_enclose`).  A quotient by a root divides
   each endpoint of the numerator by one endpoint of that enclosure: a
@@ -18,7 +19,6 @@ helpers and performance heuristics elsewhere in the package.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -29,34 +29,6 @@ RationalLike = Union[Fraction, int]
 
 class NegativeInput(ValueError):
     """A square root of a negative rational was requested."""
-
-
-class Ordering(enum.Enum):
-    """Result of an exact three-way comparison."""
-
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-def cmp_abs_sq(a: RationalLike, b: RationalLike) -> Ordering:
-    """Exact order of ``a**2`` versus ``abs(b)``.
-
-    Equivalently, the order of ``abs(a)`` versus ``abs(b) ** (1/2)``,
-    decided without ever forming the root.  Both arguments are rationals;
-    the comparison cross-multiplies integers and is always conclusive.
-    """
-    if type(a) is not Fraction:
-        a = Fraction(a)
-    if type(b) is not Fraction:
-        b = Fraction(b)
-    lhs = a.numerator * a.numerator * b.denominator
-    rhs = abs(b.numerator) * a.denominator * a.denominator
-    if lhs < rhs:
-        return Ordering.LESS
-    if lhs == rhs:
-        return Ordering.EQUAL
-    return Ordering.GREATER
 
 
 _ZERO = Fraction(0)

@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .carnot import (
@@ -108,14 +110,41 @@ class Report:
         }
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(
-            self.to_dict(include_timing), sort_keys=True, indent=2, allow_nan=False
-        ) + "\n"
+        """``json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2, allow_nan=False)`` and a newline."""
+        return _indented(self.to_dict(include_timing), "") + "\n"
+
+
+def _indented(v, pad: str) -> str:
+    """v as ``json.dumps(v, sort_keys=True, indent=2, allow_nan=False)`` writes it, nested at indent pad.
+
+    With an indent CPython runs its pure-Python encoder, so the lists
+    and dicts are written here and only strings and scalars go through
+    the json module: dict keys must be strings.
+    """
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return "[\n" + ",\n".join(inner + _indented(x, inner) for x in v) + "\n" + pad + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        items = ",\n".join(f"{inner}{encode_basestring_ascii(k)}: {_indented(v[k], inner)}" for k in sorted(v))
+        return "{\n" + items + "\n" + pad + "}"
+    return _scalar_json(v)
+
+
+# What json.dumps(v, allow_nan=False) and json.dumps(f, sort_keys=True) run.
+_scalar_json = json.JSONEncoder(allow_nan=False).encode
+_record_key = json.JSONEncoder(sort_keys=True).encode
 
 
 def _finish(campaign: str, parameters: dict, checked: int, failures: list, started: float) -> Report:
     """The Report of a campaign whose failure records are already JSON-ready (strings, ints, lists)."""
-    failures = sorted(failures, key=lambda f: json.dumps(f, sort_keys=True))
+    failures = sorted(failures, key=_record_key)
     elapsed = max(time.perf_counter() - started, 1e-9)
     return Report(campaign, parameters, checked, failures, not failures, elapsed)
 
@@ -182,48 +211,73 @@ def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Rep
     failures = [
         {
             "kind": "quotient-above-one",
-            "s": str(Fraction(ti[j], d_t)),
-            "t": str(Fraction(ti[i], d_t)),
-            "quotient_sq": str(Fraction((vi[j] - vi[i]) ** 2 * d_t, (ti[j] - ti[i]) * ee)),
+            "s": _ratio(ti[j], d_t),
+            "t": _ratio(ti[i], d_t),
+            "quotient_sq": _ratio((vi[j] - vi[i]) ** 2 * d_t, (ti[j] - ti[i]) * ee),
         }
         for i, j in _holder_violations(ti, vi, d_t, ee)
     ]
     return _finish("holder", params, npairs, failures, started)
 
 
-# Breakpoints per block of the Hölder sweep.
-_HOLDER_BLOCK = 32
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    n //= g
+    d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+# Indices per leaf block of the Hölder sweep's pair search.
+_HOLDER_LEAF = 8
 
 
 def _holder_violations(ti: list[int], vi: list[int], d: int, ee: int) -> list[tuple[int, int]]:
     """Pairs i < j with (vi[j] - vi[i])**2 * d > (ti[j] - ti[i]) * ee, in (i, j) order.
 
-    ti must strictly increase.  The indices are cut into fixed blocks of
-    _HOLDER_BLOCK, each with the max and min of vi over it.  For j in a
-    block that starts at s > i, |vi[j] - vi[i]| is at most
+    ti must strictly increase.  Level k of a pyramid holds the max and
+    min of vi over each aligned block of _HOLDER_LEAF * 2**k indices.
+    For j in a block that starts at s > i, |vi[j] - vi[i]| is at most
     max(vmax - vi[i], vi[i] - vmin) and ti[j] - ti[i] is at least
     ti[s] - ti[i]; so when that bound passes, every pair of the block
-    does, exactly.  The rest of i's own block, and every block the bound
-    does not clear, is checked pair by pair.
+    does, exactly.  After the rest of i's own leaf, checked pair by
+    pair, each step tests the largest aligned block at the next index
+    and halves it while the bound fails; a leaf it fails on is checked
+    pair by pair.
     """
     m = len(ti)
-    size = _HOLDER_BLOCK
-    starts = range(0, m, size)
-    vmax = [max(vi[s : s + size]) for s in starts]
-    vmin = [min(vi[s : s + size]) for s in starts]
+    leaf = _HOLDER_LEAF
+    vmax = [[max(vi[s : s + leaf]) for s in range(0, m, leaf)]]
+    vmin = [[min(vi[s : s + leaf]) for s in range(0, m, leaf)]]
+    while len(vmax[-1]) > 1:
+        hi, lo = vmax[-1], vmin[-1]
+        vmax.append([max(hi[b : b + 2]) for b in range(0, len(hi), 2)])
+        vmin.append([min(lo[b : b + 2]) for b in range(0, len(lo), 2)])
+    top = len(vmax) - 1
     out = []
     for i in range(m):
         t_i, v_i = ti[i], vi[i]
-        for k in range(i // size, len(starts)):
-            s = starts[k]
-            if s > i:
-                dv = max(vmax[k] - v_i, v_i - vmin[k])
-                if dv * dv * d <= (ti[s] - t_i) * ee:
-                    continue
-            for j in range(max(s, i + 1), min(s + size, m)):
-                dv = vi[j] - v_i
-                if dv * dv * d > (ti[j] - t_i) * ee:
-                    out.append((i, j))
+        b = i // leaf + 1  # the next leaf
+        for j in range(i + 1, min(b * leaf, m)):
+            dv = vi[j] - v_i
+            if dv * dv * d > (ti[j] - t_i) * ee:
+                out.append((i, j))
+        while b * leaf < m:
+            # the largest aligned block that starts at leaf b
+            k = min((b & -b).bit_length() - 1, top)
+            while True:
+                c = b >> k
+                dv = max(vmax[k][c] - v_i, v_i - vmin[k][c])
+                if dv * dv * d <= (ti[b * leaf] - t_i) * ee:
+                    break
+                if not k:
+                    for j in range(b * leaf, min(b * leaf + leaf, m)):
+                        dv = vi[j] - v_i
+                        if dv * dv * d > (ti[j] - t_i) * ee:
+                            out.append((i, j))
+                    break
+                k -= 1
+            b += 1 << k
     return out
 
 

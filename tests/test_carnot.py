@@ -430,6 +430,7 @@ class TestFastPathReference:
             GroupPoint(_Sub(1, 3), -2, F(-9, 4), Interval(F(1, 3), 1)),
             GroupPoint(F(0), F(0), F(7), Interval(0, 0)),
             GroupPoint(F(1), F(-2), None, Interval(0, 0)),  # a bad width must win over a bad t
+            GroupPoint(F(0), float("nan"), None, Interval(0, 0)),  # so must a bad |y|
         ]
         for p in GROUP_POINTS + GRAPH_POINTS + odd:
             for width in (F(1, 2**30), F(1, 10), 1, 0, -1, F(-1, 7), 0.25, "1/1000", _Sub(1, 8), None):

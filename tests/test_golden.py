@@ -10,10 +10,12 @@ the hash here and say why.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from lipgraph import cli
+from lipgraph.verify import Report
 
 # (argv, where the output goes, sha256 of the output bytes)
 CASES = [
@@ -69,3 +71,20 @@ def test_output_bytes(argv, sink, digest, tmp_path):
     assert code == 0
     data = path.read_bytes() if sink == "file" else buf.getvalue().encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+VERIFY_CASES = [c for c in CASES if c[0][0] == "verify"]
+
+
+@pytest.mark.parametrize("argv", [c[0] for c in VERIFY_CASES], ids=[" ".join(c[0]) for c in VERIFY_CASES])
+def test_report_json_is_json_dumps(argv, monkeypatch):
+    """Report.to_json writes what json.dumps writes, on the report of every verify case, with and without timing."""
+    reports = []
+    to_json = Report.to_json
+    monkeypatch.setattr(Report, "to_json", lambda r, include_timing=True: reports.append(r) or to_json(r, include_timing))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    (r,) = reports
+    for timing in (False, True):
+        expect = json.dumps(r.to_dict(timing), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert r.to_json(timing) == expect

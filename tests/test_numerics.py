@@ -1,5 +1,6 @@
 """Exactness and soundness of the rational/interval arithmetic layer."""
 
+import enum
 import math
 import random
 from fractions import Fraction as F
@@ -11,9 +12,7 @@ from hypothesis import strategies as st
 from lipgraph.numerics import (
     Interval,
     NegativeInput,
-    Ordering,
     abs_diff_ends,
-    cmp_abs_sq,
     sqrt_enclose,
 )
 from lipgraph.selfsim import _root_quotient
@@ -25,6 +24,31 @@ def inside(enc, q):
 
 
 ZERO = Interval.point(0)
+
+
+# The exact comparison of a rational with the root of a rational, as an
+# oracle; the package squares and cross-multiplies inline instead.
+class Ordering(enum.Enum):
+    """Result of an exact three-way comparison."""
+
+    LESS = -1
+    EQUAL = 0
+    GREATER = 1
+
+
+def cmp_abs_sq(a, b):
+    """Exact order of ``a**2`` versus ``abs(b)``, decided by integer cross multiplication."""
+    if type(a) is not F:
+        a = F(a)
+    if type(b) is not F:
+        b = F(b)
+    lhs = a.numerator * a.numerator * b.denominator
+    rhs = abs(b.numerator) * a.denominator * a.denominator
+    if lhs < rhs:
+        return Ordering.LESS
+    if lhs == rhs:
+        return Ordering.EQUAL
+    return Ordering.GREATER
 
 
 def rand_rational(rng, den=720, span=4):

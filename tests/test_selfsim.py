@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lipgraph.numerics import Interval, Ordering, cmp_abs_sq, sqrt_enclose
+from lipgraph.numerics import Interval, sqrt_enclose
 from lipgraph.selfsim import (
     _DESCENTS_KEPT,
     _TABLE_SLOTS,
@@ -394,7 +394,7 @@ class TestDiffQuotient:
         for _ in range(300):
             (s, us), (t, ut) = rng.sample(pts, 2)
             # exact check of (u(s) - u(t))^2 <= |s - t|
-            assert cmp_abs_sq(us - ut, s - t) is not Ordering.GREATER
+            assert (us - ut) ** 2 <= abs(s - t)
 
     def test_branch_self_similarity_exact(self):
         # vertical increments contract by y_scale exactly under each branch map

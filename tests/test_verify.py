@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lipgraph.carnot as carnot
 import lipgraph.verify as verify
 from lipgraph.carnot import GroupPoint, cone_gap, graph_point, w_point
-from lipgraph.numerics import Interval, Ordering, cmp_abs_sq
+from lipgraph.numerics import Interval
 from lipgraph.selfsim import (
     BRANCHES,
     Branch,
@@ -54,6 +54,37 @@ from lipgraph.verify import (
 )
 
 
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600')))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), JSON_TEXT
+)
+# What json.dumps(..., allow_nan=False) refuses: out-of-range floats and types it cannot serialise
+JSON_REFUSED = st.sampled_from([float("nan"), float("inf"), float("-inf"), object(), {1, 2}, F(1, 3), b"x"])
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(JSON_TEXT, inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+
+JSON_VALUES = json_trees(JSON_SCALARS)
+
+
+def json_outcome(fn, *args):
+    """The text fn returns, or the type of what it raises."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
 class TestReport:
     def test_json_shape_and_determinism(self):
         r = verify_holder(2)
@@ -73,6 +104,34 @@ class TestReport:
         d = json.loads(r.to_json(include_timing=True))
         assert isinstance(d["wall_time_s"], float)
         assert d["wall_time_s"] > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.one_of(JSON_VALUES, json_trees(st.booleans().flatmap(lambda bad: JSON_REFUSED if bad else JSON_SCALARS))),
+        timing=st.booleans(),
+    )
+    def test_to_json_is_json_dumps(self, value, timing):
+        r = Report("c", {"p": 1}, 0, [value], False, 0.25)
+
+        def dumps(include_timing):
+            return json.dumps(r.to_dict(include_timing), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+        assert json_outcome(r.to_json, timing) == json_outcome(dumps, timing)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(
+            st.dictionaries(
+                st.sampled_from(("kind", "s", "t", "index")),
+                # few distinct values, so records often agree on their first fields
+                st.one_of(st.sampled_from(("a", "b", "\xe9", '"')), st.integers(-3, 3), st.lists(st.integers(-2, 2), max_size=2)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_finish_sorts_by_json_dumps(self, records):
+        r = verify._finish("c", {}, 0, records, time.perf_counter())
+        assert r.failures == sorted(records, key=lambda f: json.dumps(f, sort_keys=True))
 
 
 class TestHolderCampaign:
@@ -310,7 +369,7 @@ class TestIntegerHolderSweep:
         assert holder_bytes(verify_holder, level, refine, curve) == holder_bytes(ref_verify_holder, level, refine, curve)
 
     def test_block_edges_and_both_sides_of_the_bound(self, monkeypatch):
-        # Small blocks put many pairs on block edges; the planted violation
+        # Small leaves put many pairs on block edges; the planted violation
         # fails on pairs where v falls as well as where it rises, and the
         # step curve (flat, then the diagonal) on pairs that end at (1, 1).
         bad = drifted(BranchTag.LEFT, "x_scale", F(-1, 25))
@@ -321,13 +380,82 @@ class TestIntegerHolderSweep:
             )
         )
         assert any(f["s"] == "1" for f in verify_holder(1, 1, step).failures)
-        for size in (1, 2, 3, 7):
-            monkeypatch.setattr(verify, "_HOLDER_BLOCK", size)
+        for size in (1, 2, 4):
+            monkeypatch.setattr(verify, "_HOLDER_LEAF", size)
             for level, refine in ((1, 1), (3, 0), (3, 2), (4, 1)):
                 for curve in (UNIT_CURVE, bad, step):
                     assert holder_bytes(verify_holder, level, refine, curve) == holder_bytes(
                         ref_verify_holder, level, refine, curve
                     )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.integers(-5, 5),
+        steps=st.lists(st.tuples(st.integers(1, 9), st.integers(-4, 4)), max_size=100),
+        d=st.sampled_from((1, 2, 4)),
+        ee=st.sampled_from((1, 4, 9)),
+        leaf=st.sampled_from((1, 2, 3, 4, 8)),
+    )
+    @example(start=0, steps=[(2 * k + 1, 1) for k in range(40)], d=1, ee=1, leaf=8)
+    @example(start=0, steps=[(2 * k + 1, -1) for k in range(40)], d=1, ee=1, leaf=4)
+    def test_pyramid_matches_the_pairwise_loop(self, start, steps, d, ee, leaf):
+        # Small steps put many pairs exactly on the bound (dv**2 * d == dt * ee),
+        # which passes; the examples' grids (k**2, ±k) put every pair from 0 on it.
+        ti, vi = [start], [0]
+        for dt, dv in steps:
+            ti.append(ti[-1] + dt)
+            vi.append(vi[-1] + dv)
+        saved = verify._HOLDER_LEAF
+        verify._HOLDER_LEAF = leaf
+        try:
+            got = verify._holder_violations(ti, vi, d, ee)
+        finally:
+            verify._HOLDER_LEAF = saved
+        assert got == ref_pair_violations(ti, vi, d, ee) == ref_block_violations(ti, vi, d, ee)
+
+    def test_block_on_its_bound_is_cleared_by_one_comparison(self):
+        """Row 0's first block after its leaf holds with equality, (3 - 0)**2 == 9 - 0, and is not split."""
+        reads = []
+
+        class Start(int):
+            def __rsub__(self, other):
+                reads.append(other)
+                return int(other) - int(self)
+
+        ti = [Start(0)] + list(range(1, 8)) + list(range(9, 17))
+        vi = [0] * 8 + [3] * 8
+        got = verify._holder_violations(ti, vi, 1, 1)
+        # the seven pairs of its own leaf, then one bound for the next leaf
+        assert reads == list(range(1, 8)) + [9]
+        assert got == ref_pair_violations(ti, vi, 1, 1)
+
+
+def ref_pair_violations(ti, vi, d, ee):
+    """Every pair i < j with (vi[j] - vi[i])**2 * d > (ti[j] - ti[i]) * ee, in (i, j) order."""
+    m = len(ti)
+    return [(i, j) for i in range(m) for j in range(i + 1, m) if (vi[j] - vi[i]) ** 2 * d > (ti[j] - ti[i]) * ee]
+
+
+def ref_block_violations(ti, vi, d, ee, size=32):
+    """The pair search the pyramid replaced: fixed blocks of size breakpoints, each cleared by the same bound."""
+    m = len(ti)
+    starts = range(0, m, size)
+    vmax = [max(vi[s : s + size]) for s in starts]
+    vmin = [min(vi[s : s + size]) for s in starts]
+    out = []
+    for i in range(m):
+        t_i, v_i = ti[i], vi[i]
+        for k in range(i // size, len(starts)):
+            s = starts[k]
+            if s > i:
+                dv = max(vmax[k] - v_i, v_i - vmin[k])
+                if dv * dv * d <= (ti[s] - t_i) * ee:
+                    continue
+            for j in range(max(s, i + 1), min(s + size, m)):
+                dv = vi[j] - v_i
+                if dv * dv * d > (ti[j] - t_i) * ee:
+                    out.append((i, j))
+    return out
 
 
 @contextmanager
@@ -689,10 +817,10 @@ def ref_holder_chain(p1, p2, dt):
     """The Hölder-chain record kind of a cone pair, with separate exact and interval branches."""
     if p1.r.is_point() and p2.r.is_point():
         if dt != 0 or p1.r.lo != p2.r.lo:
-            if cmp_abs_sq(p2.r.lo - p1.r.lo, dt) is Ordering.GREATER:
+            if (p2.r.lo - p1.r.lo) ** 2 > abs(dt):
                 return "holder-chain-exact"
         return None
-    if cmp_abs_sq((p2.r - p1.r).abs().lo, dt) is Ordering.GREATER:
+    if (p2.r - p1.r).abs().lo ** 2 > abs(dt):
         return "holder-chain-refuted"
     return None
 
@@ -842,12 +970,15 @@ class TestConeCampaign:
 
         Each distinct folded profile argument is evaluated once: 715
         eval_limit calls for the 1 200 graph points at the reference
-        seed.  Counted by `counted_constructions`, a pair builds 4.19
-        Intervals and 17.8 Fractions (2 514 and 10 668 in all; 7 068
+        seed.  Counted by `counted_constructions`, a pair builds 3.74
+        Intervals and 17.8 Fractions (2 246 and 10 668 in all; 7 068
         Fractions from CPython 3.12 on, which count the two Fractions
         each cone_gap builds from integers but not the arithmetic results
         they replace).  The warm-up's enclosure of u(0) stays in the
         descent store, so the campaign does not build it again.  While
+        hnorm built Interval.point(|y|) on every call, even the 268 whose
+        root enclosure it then returned, a pair built 4.19 Intervals
+        (2 514).  While
         inv, mul and cone_gap did Interval arithmetic on the r slots
         (-p.r, -p.r + q.r, its abs and the gap's subtraction) and the
         Hölder chain subtracted Fractions, a pair built 6.67 and 25.2
@@ -869,7 +1000,7 @@ class TestConeCampaign:
             r = verify_cone(600, 30)
         assert r.certified and r.checked == 600
         assert len(folded) == 715 and sorted(calls) == sorted(folded)
-        assert counts == {"Interval": 2514, "Fraction": 10668 if sys.version_info < (3, 12) else 7068}
+        assert counts == {"Interval": 2246, "Fraction": 10668 if sys.version_info < (3, 12) else 7068}
 
     @pytest.mark.parametrize(
         "depth, seed, undecided",
