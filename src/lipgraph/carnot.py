@@ -172,20 +172,19 @@ def graph_point(w: GroupPoint, depth: int, memo: Optional[dict] = None) -> Group
     """Intrinsic graph point over w: fill the r slot with an enclosure of u(beta(w)).
 
     The profile argument is folded into [0, 1] by the even, 2-periodic
-    extension, so w may sit anywhere on the vertical subgroup.  memo,
-    when given, maps a folded argument t as (t.numerator, t.denominator)
-    to its enclosure; a miss evaluates and stores it.  The key leaves
-    out the depth, so one memo serves one depth only: a campaign makes
-    its own and drops it when it returns.
+    extension, so w may sit anywhere on the vertical subgroup.  memo
+    maps a folded argument t as (t.numerator, t.denominator) to its
+    enclosure; a miss evaluates and stores it, and no memo is an empty
+    one.  The key leaves out the depth, so one memo serves one depth
+    only: a campaign makes its own and drops it when it returns.
     """
-    t = reduce_domain(beta(w))
     if memo is None:
-        enc = UNIT_CURVE.eval_limit(t, depth)
-    else:
-        key = (t.numerator, t.denominator)
-        enc = memo.get(key)
-        if enc is None:
-            enc = memo[key] = UNIT_CURVE.eval_limit(t, depth)
+        memo = {}
+    t = reduce_domain(beta(w))
+    key = (t.numerator, t.denominator)
+    enc = memo.get(key)
+    if enc is None:
+        enc = memo[key] = UNIT_CURVE.eval_limit(t, depth)
     return GroupPoint(w.x, w.y, w.t, enc)
 
 
@@ -329,15 +328,15 @@ def solve_quotient(
     eb = enclose(b)
     if eb.inside_ball(target, tol):
         return b
+    # lo is the end whose quotient lies below the target, hi the other
     if ea.hi < target < eb.lo:
-        increasing = True
+        lo, hi = a, b
     elif eb.hi < target < ea.lo:
-        increasing = False
+        lo, hi = b, a
     else:
         raise NotBracketed(
             f"target {target} not straddled: endpoints enclose {ea} and {eb}"
         )
-    lo, hi = a, b
     for _ in range(_BISECTION_STEPS):
         m = (lo + hi) / 2
         em = enclose(m)
@@ -346,9 +345,9 @@ def solve_quotient(
         # em is at most tol/2 wide, so had it met the target it would lie
         # in the tol-ball: here it lies wholly above or below.
         if em.hi < target:
-            lo, hi = (m, hi) if increasing else (lo, m)
+            lo = m
         else:
-            lo, hi = (lo, m) if increasing else (m, hi)
+            hi = m
     raise TolTooTight(f"no certified solution within {_BISECTION_STEPS} bisection steps")
 
 

@@ -27,18 +27,18 @@ over a common denominator dx, every y constant one over ey.  A descent
 then keeps the point as an integer pair t = p/q and the composed maps
 as integer numerators over powers of dx and ey, so a step is a few
 integer products with no gcd; a Fraction is built only for the
-result.  A step takes L = 3 levels at once (L = 2 for 27 >= dx > 9)
-through a table of composed depth-L cells indexed by the slot
-floor(t * dx**L): every cell endpoint down to level L is an integer
-over dx**L, so the leftmost L-level path is the same for every t
-strictly inside a slot.  Each slot's row is composed on its first use,
-from the row of its parent slot one level up, held the same way.
-The one-level step, a scan of the branch rows, still runs for points
-on the dx**L grid, for slots no path covers, for the last levels when
-fewer than L remain, and for every step of a system whose dx**2
-exceeds the table bound.  An iterate is held as integer numerators
-over dx**n and ey**n.  The limit u is never materialised: `eval_limit`
-returns an Interval whose width contracts like (2/3)**depth, and each
+result.  A step takes L = 3 levels at once through a table of
+composed depth-L cells indexed by the slot floor(t * dx**L): every
+cell endpoint down to level L is an integer over dx**L, so the
+leftmost L-level path is the same for every t strictly inside a slot.
+Each slot's row is composed on its first use, from the row of its
+parent slot one level up, held the same way.  The one-level step, a
+scan of the branch rows, still runs for points on the dx**L grid, for
+slots no path covers, for the last levels when fewer than L remain,
+and for every step of a system with dx > 9, which has no table.  An
+iterate is held as integer numerators over dx**n and ey**n.  The limit
+u is never materialised: `eval_limit` returns an Interval whose width
+contracts like (2/3)**depth, and each
 Curve keeps that Interval beside the descent that built it, so asking
 again for a point at the same depth builds nothing.  A quotient
 enclosure divides the difference of two such Intervals through a
@@ -98,12 +98,10 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # in a memo that lives for one campaign, so it asks for each point once.
 _DESCENTS_KEPT = 256
 
-# Most levels one descent step takes, and most slots its table holds:
-# a Curve takes the largest L in (3, 2) with dx**L <= _TABLE_SLOTS, so
-# the standard system (dx = 9) steps 3 levels over 729 slots, and a
-# system with dx > 27 has no table.
+# Levels one descent step takes through a slot table: a system with
+# dx <= 9, such as the standard one, steps 3 levels over at most
+# 9**3 = 729 slots, and a system with dx > 9 has no table.
 _SPAN = 3
-_TABLE_SLOTS = 9**_SPAN
 
 _ZERO = Fraction(0)
 _RIGHT_PROBES = (Fraction(5, 9), Fraction(1), 1)
@@ -115,7 +113,7 @@ class OutOfDomain(ValueError):
 
 
 class DepthTooLarge(ValueError):
-    """Requested iterate level, descent depth, pair count or scale count exceeds its cap."""
+    """Requested iterate level, descent depth, scale count, or pair or claim3 sample count (verify.MAX_PAIRS) exceeds its cap."""
 
 
 class CoincidentPoints(ValueError):
@@ -342,7 +340,7 @@ class Curve:
             )
             for br in self.branches
         )
-        span = next((n for n in range(_SPAN, 1, -1) if dx**n <= _TABLE_SLOTS), 0)
+        span = _SPAN if dx <= 9 else 0
         object.__setattr__(self, "_dx", dx)
         object.__setattr__(self, "_ey", ey)
         object.__setattr__(self, "_rows", rows)

@@ -57,15 +57,15 @@ from .selfsim import (
     cell_start_depth,
     quotient_gap_floor,
     reduce_domain,
+    window_start_depth,
 )
 
 MAX_PAIRS = 2_000_000
 REFERENCE_SEED = 20259
 
-# Most scales an oscillation scan takes: the window at 9**-927 may start
-# within MAX_DEPTH, but the one at 9**-928 starts at selfsim's window
-# start depth for log_3(9**928) = 1856, which is 4099 > MAX_DEPTH.
-MAX_SCALES = 927
+# Most scales an oscillation scan takes: the last j whose window at
+# 9**-j, in a cell no longer than 9**-j, may start within MAX_DEPTH (927).
+MAX_SCALES = next(j for j in range(MAX_DEPTH) if window_start_depth(2 * (j + 1)) > MAX_DEPTH)
 
 
 class EmptyAfterRestriction(ValueError):
@@ -360,7 +360,12 @@ def verify_unit_gap(grid_size: int, curve: Curve = UNIT_CURVE) -> Report:
 def window_gap_samples(
     count: int, seed: int = REFERENCE_SEED
 ) -> list[tuple[Fraction, Fraction]]:
-    """Deterministic (t, delta) samples: t uniform on a 10**6 grid, delta in {9**-1 .. 9**-8}."""
+    """Deterministic (t, delta) samples: t uniform on a 10**6 grid, delta in {9**-1 .. 9**-8}.
+
+    A count above MAX_PAIRS raises DepthTooLarge before the first draw.
+    """
+    if count > MAX_PAIRS:
+        raise DepthTooLarge(f"{count} samples exceed cap {MAX_PAIRS}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -425,7 +430,7 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
         raise DepthTooLarge(f"{scales} scales exceed cap {MAX_SCALES}")
     t_hat = Fraction(t_hat)
     t_red = reduce_domain(t_hat)
-    reflected = (t_hat % 2) > 1
+    reflected = t_red != t_hat % 2
     floor = quotient_gap_floor()
     deltas = [Fraction(1, 9**j) for j in range(1, scales + 1)]
     cells = []
@@ -442,9 +447,7 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
         w = UNIT_CURVE.window_witnesses(cell)
         probe_records = list(_probe_failures(w, t_red, WINDOW_OFFSET_RATIO * delta, delta, {"delta": str(delta)}))
         failures += probe_records
-        o1, o2 = w.s1 - t_red, w.s2 - t_red
-        if reflected:
-            o1, o2 = -o1, -o2
+        o1, o2 = (t_red - w.s1, t_red - w.s2) if reflected else (w.s1 - t_red, w.s2 - t_red)
         lo = w.gap_lower_bound
         gap_clears = lo >= floor.hi
         windows.append(

@@ -28,7 +28,7 @@ from lipgraph.carnot import (
     w_point,
 )
 from lipgraph.numerics import Interval, sqrt_enclose
-from lipgraph.selfsim import UNIT_CURVE, Curve
+from lipgraph.selfsim import UNIT_CURVE, Curve, reduce_domain
 
 
 def matrix_mul(a, b):
@@ -169,6 +169,20 @@ class TestGraphMap:
         with pytest.raises(NotInW):
             graph_point(gp(1, 0, 0), 5)
 
+    def test_memo_gives_the_points_no_memo_gives(self):
+        # cone's grid: y and t on multiples of 1/1000 in [-2, 2]
+        cone = [w_point(F(k, 1000), F(3 * k - 2000, 1000)) for k in range(0, 1334, 7)]
+        # a blow-up grid: the bases blowup_graph_sample evaluates around t_hat = 1/7
+        w_hat = w_point(0, F(1, 7))
+        offsets = [w_point(y, t) for y in (-1, 0, F(1, 2)) for t in (-1, F(-1, 4), F(1, 4), F(1, 2), 1)]
+        blowup = [mul(w_hat, dilate(1 / F(lam), w)) for lam in (1, 9, 81, 729) for w in offsets]
+        for grid, depth in ((cone, 30), (blowup, 40)):
+            memo = {}
+            first = [graph_point(w, depth, memo) for w in grid]
+            assert first == [graph_point(w, depth) for w in grid]
+            assert [graph_point(w, depth, memo).r for w in grid] == [g.r for g in first]
+            assert len(memo) == len({reduce_domain(beta(w)) for w in grid})
+
 
 class TestConeGap:
     def test_frozen_boundary_case(self):
@@ -278,6 +292,24 @@ class TestSolveQuotient:
             solve_quotient(0, 2, (F(5, 9), F(3, 5)), F(1, 10**4))
         with pytest.raises(NotBracketed):
             solve_quotient(0, F(-1, 2), (F(4, 9), F(1, 2)), F(1, 10**4))
+
+    @pytest.mark.parametrize(
+        "target, bracket, tol, solution, enclosures",
+        [
+            (F(7, 10), (F(4, 9), F(5, 9)), F(1, 10**4), F(601919, 1179648), 19),
+            (F(1, 2), (F(5, 9), F(4, 9)), F(1, 10**6), F(42718628717, 77309411328), 35),
+            (F(9, 10), (F(4, 9), F(1, 2)), F(1, 10**5), F(91075235, 201326592), 27),
+        ],
+    )
+    def test_decreasing_bracket(self, target, bracket, tol, solution, enclosures, monkeypatch):
+        # q(s, 0) falls from 1 at 4/9 to 5 ** (-1/2) at 5/9, so each brackets
+        # its target from above at the left end; the solution and the number
+        # of offsets enclosed pin the midpoints the bisection visits
+        enclosed = []
+        within = carnot._quotient_within
+        monkeypatch.setattr(carnot, "_quotient_within", lambda t, s, w: enclosed.append(s) or within(t, s, w))
+        assert solve_quotient(0, target, bracket, tol) == solution
+        assert len(enclosed) == enclosures and enclosed[:3] == [F(4, 9), max(bracket), (bracket[0] + bracket[1]) / 2]
 
     def test_tol_too_tight(self):
         with pytest.raises(TolTooTight, match=f"cannot reach quotient width 1/{10**60}/2 within depth 256"):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from lipgraph import cli, verify
 from lipgraph.carnot import NotBracketed, TolTooTight
 from lipgraph.selfsim import MAX_DEPTH, Curve, DepthTooLarge, OutOfDomain
-from lipgraph.verify import EmptyAfterRestriction, Report
+from lipgraph.verify import MAX_PAIRS, EmptyAfterRestriction, Report
 
 
 def run(args):
@@ -140,6 +140,7 @@ EXIT_2_TABLE = [
     (["verify", "holder", "--refine", "-1"], ValueError, "cannot run campaign: refine must be nonnegative"),
     (["verify", "claim2", "--grid", "0"], ValueError, "cannot run campaign: grid_size must be at least 1"),
     (["verify", "claim3", "--samples", "0"], ValueError, "cannot run campaign: samples must be at least 1"),
+    (["verify", "claim3", "--samples", "2000001"], DepthTooLarge, "cannot run campaign: 2000001 samples exceed cap"),
     (["verify", "cone", "--samples", "0"], ValueError, "cannot run campaign: sample_count must be at least 1"),
     (["verify", "cone", "--depth", "4097"], DepthTooLarge, "cannot run campaign: depth 4097 exceeds cap"),
     (["verify", "oscillation", "--scales", "0"], ValueError, "cannot run campaign: scales must be at least 1"),
@@ -289,6 +290,21 @@ class TestVerifyCommand:
             code, out = run(argv)
         assert code == 2 and out == ""
         assert err.getvalue() == message + "\n"
+
+    def test_claim3_sample_cap_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(verify.random, "Random", no_draw)
+        for samples in (MAX_PAIRS + 1, 10**10):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run(["verify", "claim3", "--samples", str(samples)])
+            assert code == 2 and out == ""
+            assert err.getvalue() == f"cannot run campaign: {samples} samples exceed cap {MAX_PAIRS}\n"
+        # the cap itself is drawn
+        with pytest.raises(AssertionError, match="a sample was drawn"):
+            verify.window_gap_samples(MAX_PAIRS)
 
     def test_cell_past_the_depth_cap_refused_before_any_witness(self, monkeypatch):
         # at 1/7 the cell at 9**-927 is shorter than the scale, so its window would start at 4098
@@ -481,7 +497,8 @@ _DEPTHS = _ints(-2, 40, MAX_DEPTH + 1, "x")
 _VERIFY_OPTIONS = {
     "holder": {"--level": _ints(-2, 7, 13, "x"), "--refine": _ints(-2, 2)},
     "claim2": {"--grid": _ints(-2, 12)},
-    "claim3": {"--samples": _ints(-2, 4), "--seed": _ints(-3, 3)},
+    # a sample count past the cap is refused before any sample is drawn
+    "claim3": {"--samples": _ints(-2, 4, MAX_PAIRS + 1), "--seed": _ints(-3, 3)},
     "cone": {"--samples": _ints(-2, 30), "--depth": _DEPTHS, "--seed": _ints(-3, 3)},
     # scale counts past the cap (928 and up) are refused before any work
     "oscillation": {"--t-hat": _RATIONALS, "--scales": _ints(-2, 6, 928, 10**10)},

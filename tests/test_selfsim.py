@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from lipgraph.numerics import Interval, sqrt_enclose
 from lipgraph.selfsim import (
     _DESCENTS_KEPT,
-    _TABLE_SLOTS,
     BRANCHES,
     MAX_DEPTH,
     MAX_LEVEL,
@@ -631,8 +630,23 @@ class TestWindowWitnesses:
             assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
         assert w.gap_lower_bound >= quotient_gap_floor().hi
 
+    @pytest.mark.parametrize("j, start", [(5, 37), (10, 59)])
+    def test_float_start_depth_on_the_all_mid_chain(self, j, start):
+        # 1/2 is the mid branch's fixed point, so its cell at 9**-j has length
+        # 9**-j exactly, and 16 + floor(2.2 * 2j) = 16 + floor(22j/5) is one more
+        # than the depth cell_start_depth returns.  The golden scan at
+        # --t-hat 7/2 folds onto this chain, and its window gap at 9**-5
+        # differs between depths 37 and 38.
+        cell = UNIT_CURVE.locate_cell(F(1, 2), F(1, 9**j))
+        assert cell.a == F(1, 9**j) and 16 + 22 * j // 5 == start + 1
+        assert cell_start_depth(cell) == start, (
+            f"math.log(9**{j}, 3) = {math.log(9**j, 3)!r}: the float log_3 of the cell length, "
+            f"not the exact 2j = {2 * j}, decides the start depth"
+        )
+
     def test_start_depth_at_the_scale_cap(self):
         # log_3(9**j) = 2j: the window at 9**-MAX_SCALES may start within MAX_DEPTH, one scale deeper cannot
+        assert MAX_SCALES == 927
         assert window_start_depth(0) == 16
         assert window_start_depth(2 * MAX_SCALES) <= MAX_DEPTH < window_start_depth(2 * (MAX_SCALES + 1))
         assert window_start_depth(2 * (MAX_SCALES + 1)) == 4099
@@ -1214,6 +1228,14 @@ HUGE_EY = _drifted(BranchTag.MID, "y_scale", F(1, 10**6 + 3))
 # dx = 9 with a gap (3/9, 4/9): its slots there are uncovered
 GAP9 = _drifted(BranchTag.LEFT, "x_scale", F(-1, 9))
 TABLE_CURVES = ORACLE_CURVES + [FLAT, S13, HUGE_DX, HUGE_EY, GAP9]
+# dx = 27, tiled with the standard y maps: x cells [0, 11/27], [11/27, 16/27], [16/27, 1]
+DX27 = Curve(
+    branches=(
+        Branch(BranchTag.LEFT, F(11, 27), F(0), F(2, 3), F(0)),
+        Branch(BranchTag.MID, F(5, 27), F(11, 27), F(-1, 3), F(2, 3)),
+        Branch(BranchTag.RIGHT, F(11, 27), F(16, 27), F(2, 3), F(1, 3)),
+    )
+)
 TABLE_DEPTHS = tuple(range(8)) + (16, 30, 31, 64)
 TABLE_TS = [F(0), F(1), F(4, 9), F(5, 9), F(1, 3), F(1, 729), F(364, 729), F(1, 7)]
 TABLE_GRID = [F(i, 729) for i in range(0, 730, 13)] + [F(i, 81) for i in range(1, 81, 5)]
@@ -1261,7 +1283,7 @@ class TestSlotTable:
         assert got == want
         assert outcome(fresh_eval_limit, curve, t, depth) == outcome(ref_eval_limit, curve, t, depth)
 
-    def test_both_exceptions_are_reached_through_tabled_systems(self):
+    def test_both_exceptions_are_reached_through_tabled_systems(self, monkeypatch):
         # a gap of a dx = 9 system, reached after one level or at once
         kept = Curve(branches=GAP9.branches)
         for t, depth in ((F(35, 81), 30), (F(7, 18), 31), (F(1, 7) * 2 + F(1, 20), 64)):
@@ -1269,11 +1291,21 @@ class TestSlotTable:
             assert outcome(kept._descend, (t.numerator, t.denominator, 1, 0, 0), depth) == want
             assert want[0] is UncoveredPoint
         assert () in kept._tables[-1]
-        # the zero-length mid cell at 1/2 of a dx = 18 system, reached from 2/9 after one level
-        zero = ORACLE_CURVES[-1]
-        got, want = descend_outcomes(zero, F(2, 9), 30)
+        # a zero-length mid cell at 5/9 of a dx = 9 system: 320/6561 takes one
+        # three-level step through the table, then a one-level step into it
+        zero = Curve(branches=(_LEFT, Branch(BranchTag.MID, F(0), F(5, 9), F(-1, 3), F(2, 3)), _RIGHT))
+        got, want = descend_outcomes(zero, F(320, 6561), 30)
         assert got == want and got[0] is ZeroDivisionError
-        assert zero._span == 2
+        steps, locate = [], Curve.locate_branch
+
+        def recorded(self, pd, q, levels):
+            row = locate(self, pd, q, levels)
+            steps.append(row[-1])
+            return row
+
+        monkeypatch.setattr(Curve, "locate_branch", recorded)
+        assert outcome(zero._descend, (320, 6561, 1, 0, 0), 30) == got
+        assert zero._span == 3 and steps == [3, 1]
 
     def test_grid_points_take_the_leftmost_cell(self):
         # 4/9 ends the left cell and starts the mid one, 5/9 ends the mid
@@ -1290,12 +1322,23 @@ class TestSlotTable:
         start = time.perf_counter()
         curves = {curve: Curve(branches=curve.branches) for curve in TABLE_CURVES}
         assert time.perf_counter() - start < 1.0
-        assert all(len(table) <= _TABLE_SLOTS for fresh in curves.values() for table in fresh._tables)
-        spans = {UNIT_CURVE: (3, [9, 81, 729]), FLAT: (3, [1, 1, 1]), ORACLE_CURVES[-1]: (2, [18, 324])}
-        spans[S13] = spans[HUGE_DX] = (0, [])
+        assert all(len(table) <= 9**3 for fresh in curves.values() for table in fresh._tables)
+        spans = {UNIT_CURVE: (3, [9, 81, 729]), FLAT: (3, [1, 1, 1])}
+        spans[S13] = spans[HUGE_DX] = spans[ORACLE_CURVES[-1]] = (0, [])
         spans[HUGE_EY] = spans[GAP9] = spans[UNIT_CURVE]
         for curve, (span, slots) in spans.items():
             assert (curves[curve]._span, [len(table) for table in curves[curve]._tables]) == (span, slots)
+
+    @pytest.mark.parametrize("curve", [ORACLE_CURVES[-1], DX27])
+    def test_systems_with_dx_from_10_to_27_have_no_table(self, curve):
+        assert curve._dx in (18, 27) and curve._span == 0 and curve._tables == []
+        for t in TABLE_TS + [F(123457, 10**6)]:
+            for depth in (5, 30):
+                assert outcome(curve.eval_limit, t, depth) == outcome(ref_eval_limit, curve, t, depth)
+            for delta in (F(1, 9), F(1, 729)):
+                assert outcome(curve.locate_cell, t, delta) == outcome(ref_locate_cell, curve, t, delta)
+                window = outcome(lambda: curve.window_witnesses(curve.locate_cell(t, delta)))
+                assert window == outcome(ref_window_witnesses, curve, t, delta)
 
     def test_every_slot_row_is_its_composed_cell(self):
         curve = Curve()
