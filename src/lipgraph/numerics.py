@@ -169,9 +169,11 @@ def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> I
         raise NegativeInput(f"sqrt of negative rational {x}")
     if width.numerator <= 0:
         raise ValueError("width must be positive")
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Interval.point(Fraction(rp, rq))
+    rp = isqrt(p)
+    if rp * rp == p:
+        rq = isqrt(q)
+        if rq * rq == q:
+            return Interval.point(Fraction(rp, rq))
     # p/q is in lowest terms, so p*q*4**k is a square only if p and q are
     m = p * q
     t = _ceil_div(2 * width.denominator, width.numerator * q)

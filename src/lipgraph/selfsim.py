@@ -53,10 +53,13 @@ A scan over shrinking scales at one point walks one chain of nested
 cells: `locate_cell` continues from the cell it returned for the scale
 before, each cell carries its integer descent state and composed
 vertical map, and `window_witnesses` builds a window from its cell
-alone.  On a branch system that passes `continuous_tiling`,
-u(cell(b)) = Y_cell(u(b)), so the descent of a window probe cell(b)
-starts at the cell instead of at the top.  Descent work then grows
-linearly in the number of scales, not quadratically.
+alone: each probe cell(b) is one Fraction of the integers of the cell
+map x -> (a_k*x + b_k) / dx**k, which `_cell_numerators` reads off the
+descent for locate_cell and the probes alike.  On a branch system that
+passes `continuous_tiling`, u(cell(b)) = Y_cell(u(b)), so the descent of
+a window probe cell(b) starts at the cell instead of at the top.
+Descent work then grows linearly in the number of scales, not
+quadratically.
 """
 
 from __future__ import annotations
@@ -178,11 +181,15 @@ class AffineMap1D:
     descent: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     def __call__(self, t: RationalLike) -> Fraction:
-        return self.a * Fraction(t) + self.b
+        if type(t) is not Fraction:
+            t = Fraction(t)
+        return self.a * t + self.b
 
 
 @dataclass(frozen=True)
@@ -598,8 +605,10 @@ class Curve:
         delta' >= delta.  Any other resume starts from t, so the result
         always equals locate_cell(t, delta).
         """
-        t = Fraction(t)
-        delta = Fraction(delta)
+        if type(t) is not Fraction:
+            t = Fraction(t)
+        if type(delta) is not Fraction:
+            delta = Fraction(delta)
         if not 0 <= t <= 1:
             raise OutOfDomain(f"t={t} outside [0, 1]")
         if not 0 < delta <= 1:
@@ -612,9 +621,9 @@ class Curve:
             p, q, k, dk, ya, yb = st[3:]
         else:
             p, q, k, dk, ya, yb = p0, q0, 0, 1, 1, 0
-        # After k steps p/q = (t*dk - b_k) / a_k, where the cell map is
-        # x -> (a_k*x + b_k) / dk; so a_k = q/q0, and the length test
-        # a_k/dk > delta reads q*dd > delta.numerator*q0*dk = dn*dk.
+        # After k steps the cell map is x -> (a_k*x + b_k) / dk with
+        # a_k = q/q0 (`_cell_numerators`), so the length test a_k/dk >
+        # delta reads q*dd > delta.numerator*q0*dk = dn*dk.
         dd = delta.denominator
         dn = delta.numerator * q0
         while q * dd > dn * dk:
@@ -626,11 +635,8 @@ class Curve:
             ya, yb = ya * ys, ya * yo + yb * ey
             dk *= dx
             k += 1
-        return AffineMap1D(
-            Fraction(q // q0, dk),
-            Fraction((p0 * dk - p) // q0, dk),
-            (self, t, delta, p, q, k, dk, ya, yb),
-        )
+        xa, xb = _cell_numerators(t, p, q, dk)
+        return AffineMap1D(Fraction(xa, dk), Fraction(xb, dk), (self, t, delta, p, q, k, dk, ya, yb))
 
     # ------------------------------------------------------------------
     # witnesses
@@ -700,18 +706,21 @@ class Curve:
         Any other cell raises ValueError: the probe descents below start
         from its integer state, which only this Curve's rows composed.
 
-        If the branches pass `continuous_tiling`, the descent of each
-        probe cell(b) starts at the cell: its first k steps follow the
-        cell's branches, so the store holds (b, ya, yb, k) for it while
-        the witness is built, and eval_limit resumes from there.  The
-        probes are dropped afterwards, so a scan's store keeps u(t) and
-        does not fill.  Any other Curve descends the probes from the top.
+        Each probe cell(b) is one Fraction of the integers of the cell
+        map (`_cell_numerators`).  If the branches pass
+        `continuous_tiling`, the descent of each probe starts at the
+        cell: its first k steps follow the cell's branches, so the store
+        holds (b, ya, yb, k) for it while the witness is built, and
+        eval_limit resumes from there.  The probes are dropped
+        afterwards, so a scan's store keeps u(t) and does not fill.  Any
+        other Curve descends the probes from the top.
         """
         if cell.descent is None or cell.descent[0] is not self:
             raise ValueError("window_witnesses needs a cell this curve located")
-        _, t, _, p, q, k, _, ya, yb = cell.descent
+        _, t, _, p, q, k, dk, ya, yb = cell.descent
         b1, b2, side = self._unit_probe(p, q)
-        s1, s2 = cell(b1), cell(b2)
+        xa, xb = _cell_numerators(t, p, q, dk)
+        s1, s2 = (Fraction(xa * b.numerator + xb * b.denominator, dk * b.denominator) for b in (b1, b2))
         start = cell_start_depth(cell)
         depths = range(start, start + 6 * 24, 24)
         if not self._tiled:
@@ -748,6 +757,18 @@ def cell_start_depth(cell: AffineMap1D) -> int:
     5.6e-309).
     """
     return window_start_depth(math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3))
+
+
+def _cell_numerators(t: Fraction, p: int, q: int, dk: int) -> tuple[int, int]:
+    """Numerators (a_k, b_k) over dk of the cell map x -> (a_k*x + b_k) / dk of a descent of t.
+
+    After k steps, dk = dx**k, the descent has moved t to p/q in the
+    cell's coordinates: p/q = (t*dk - b_k) / a_k with q a multiple of
+    t.denominator, so a_k = q/q0 and b_k = (p0*dk - p)/q0 for t = p0/q0,
+    both exact integer divisions.
+    """
+    q0 = t.denominator
+    return q // q0, (t.numerator * dk - p) // q0
 
 
 UNIT_CURVE = Curve()

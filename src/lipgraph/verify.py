@@ -286,57 +286,64 @@ def _holder_violations(ti: list[int], vi: list[int], d: int, ee: int) -> list[tu
 
 
 def _check_witnesses(
-    campaign: str, params: dict, bases: Iterable, build: Callable, started: float
+    campaign: str, params: dict, bases: Iterable, build: Callable, key: Callable, started: float
 ) -> Report:
     """The witness checks of claim2 and claim3.
 
-    bases yields (t, near, delta, key): a base point, the probe distances
-    [near, delta] its scale admits and the fields that name it in failure
-    records.  build(t, delta) makes the witness, whose probes must sit on
-    one side of t within those distances, with quotient gap certified
-    above the guaranteed gap floor.  A witness that cannot be built is a
-    "construction" failure record, except that OutOfDomain and
-    DepthTooLarge are refusals of the arguments and propagate.
+    bases yields (t, near, delta): a base point and the probe distances
+    [near, delta] its scale admits.  build(t, delta) makes the witness,
+    whose probes must sit on one side of t within those distances, with
+    quotient gap certified above the guaranteed gap floor.  A witness
+    that cannot be built is a "construction" failure record, except that
+    OutOfDomain and DepthTooLarge are refusals of the arguments and
+    propagate.  key(t, delta) gives the fields that name a base point in
+    its failure records, built only for a base point that fails.
     """
     floor = quotient_gap_floor()
     failures = []
     checked = 0
     min_gap: Optional[Fraction] = None
-    for t, near, delta, key in bases:
+    for t, near, delta in bases:
         checked += 1
         try:
             w = build(t, delta)
         except (OutOfDomain, DepthTooLarge):
             raise
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            failures.append({"kind": "construction", "detail": str(exc), **key})
+            failures.append({"kind": "construction", "detail": str(exc), **key(t, delta)})
             continue
-        failures += _probe_failures(w, t, near, delta, key)
+        records = _probe_failures(w, t, near, delta)
         lo = w.gap_lower_bound
         min_gap = lo if min_gap is None else min(min_gap, lo)
         if lo < floor.hi:
-            failures.append(
-                {"kind": "gap-below-floor", "gap_lo": str(lo), "floor_hi": str(floor.hi), **key}
-            )
+            records.append({"kind": "gap-below-floor", "gap_lo": str(lo), "floor_hi": str(floor.hi)})
+        if records:
+            named = key(t, delta)
+            failures += ({**r, **named} for r in records)
     params["gap_floor"] = floor
     params["min_gap_lo"] = min_gap
     return _finish(campaign, params, checked, failures, started)
 
 
-def _probe_failures(w, t: Fraction, near: Fraction, delta: Fraction, key: dict) -> Iterator[dict]:
-    """Records for the probes of witness w that are not at distance [near, delta] from t on side w.side."""
+def _probe_failures(w, t: Fraction, near: Fraction, delta: Fraction) -> list[dict]:
+    """Records for the probes of witness w that are not at distance [near, delta] from t on side w.side.
+
+    The fields that name t are left out: a caller adds them only when there is a record.
+    """
     # near <= |s - t| <= delta and (s - t) * side > 0, times s.denominator * t.denominator > 0
     tn, td = t.numerator, t.denominator
     nn, nd = near.numerator, near.denominator
     dn, dd = delta.numerator, delta.denominator
+    records = []
     for s in (w.s1, w.s2):
         sd = s.denominator
         diff = s.numerator * td - tn * sd
         dist, den = abs(diff), sd * td
         if dist * nd < nn * den or dist * dd > dn * den:
-            yield {"kind": "offset-range", "s": str(s), "distance": str(abs(s - t)), **key}
+            records.append({"kind": "offset-range", "s": str(s), "distance": str(abs(s - t))})
         if diff * w.side <= 0:
-            yield {"kind": "side", "s": str(s), **key}
+            records.append({"kind": "side", "s": str(s)})
+    return records
 
 
 def verify_unit_gap(grid_size: int, curve: Curve = UNIT_CURVE) -> Report:
@@ -353,8 +360,10 @@ def verify_unit_gap(grid_size: int, curve: Curve = UNIT_CURVE) -> Report:
     params = {"grid_size": grid_size, "min_offset": UNIT_MIN_OFFSET}
     den = grid_size - 1 if grid_size > 1 else 1
     t0s = (Fraction(i, den) for i in range(grid_size))
-    bases = ((t0, UNIT_MIN_OFFSET, 1, {"t0": str(t0)}) for t0 in t0s)
-    return _check_witnesses("claim2", params, bases, lambda t0, _: curve.unit_witnesses(t0), started)
+    bases = ((t0, UNIT_MIN_OFFSET, 1) for t0 in t0s)
+    return _check_witnesses(
+        "claim2", params, bases, lambda t0, _: curve.unit_witnesses(t0), lambda t0, _: {"t0": str(t0)}, started
+    )
 
 
 def window_gap_samples(
@@ -391,11 +400,10 @@ def verify_window_gap(
         raise ValueError("samples must be at least 1")
     params = {"samples": len(samples), "offset_ratio": WINDOW_OFFSET_RATIO}
     pairs = ((Fraction(t), Fraction(delta)) for t, delta in samples)
-    bases = (
-        (t, WINDOW_OFFSET_RATIO * delta, delta, {"t": str(t), "delta": str(delta)}) for t, delta in pairs
-    )
+    bases = ((t, WINDOW_OFFSET_RATIO * delta, delta) for t, delta in pairs)
     return _check_witnesses(
-        "claim3", params, bases, lambda t, delta: curve.window_witnesses(curve.locate_cell(t, delta)), started
+        "claim3", params, bases, lambda t, delta: curve.window_witnesses(curve.locate_cell(t, delta)),
+        lambda t, delta: {"t": str(t), "delta": str(delta)}, started,
     )
 
 
@@ -431,7 +439,8 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     t_hat = Fraction(t_hat)
     t_red = reduce_domain(t_hat)
     reflected = t_red != t_hat % 2
-    floor = quotient_gap_floor()
+    floor_hi = quotient_gap_floor().hi
+    fn, fd = floor_hi.numerator, floor_hi.denominator
     deltas = [Fraction(1, 9**j) for j in range(1, scales + 1)]
     cells = []
     cell = None
@@ -445,11 +454,13 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     failures = []
     for delta, cell in zip(deltas, cells):
         w = UNIT_CURVE.window_witnesses(cell)
-        probe_records = list(_probe_failures(w, t_red, WINDOW_OFFSET_RATIO * delta, delta, {"delta": str(delta)}))
-        failures += probe_records
+        probe_records = _probe_failures(w, t_red, WINDOW_OFFSET_RATIO * delta, delta)
+        if probe_records:
+            named = {"delta": str(delta)}
+            failures += ({**r, **named} for r in probe_records)
         o1, o2 = (t_red - w.s1, t_red - w.s2) if reflected else (w.s1 - t_red, w.s2 - t_red)
         lo = w.gap_lower_bound
-        gap_clears = lo >= floor.hi
+        gap_clears = lo.numerator * fd >= fn * lo.denominator
         windows.append(
             {
                 "delta": delta,

@@ -331,6 +331,28 @@ def ref_sqrt_enclose(x, width=F(1, 2**30)):
     return Interval(F(s, den), F(s + 1, den))
 
 
+def parent_sqrt_enclose(x, width=F(1, 2**30)):
+    """sqrt_enclose as it was while it took isqrt(q) before knowing whether p is a square."""
+    if type(x) is not F:
+        x = F(x)
+    if type(width) is not F:
+        width = F(width)
+    p, q = x.numerator, x.denominator
+    if p < 0:
+        raise NegativeInput(f"sqrt of negative rational {x}")
+    if width.numerator <= 0:
+        raise ValueError("width must be positive")
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp == p and rq * rq == q:
+        return Interval.point(F(rp, rq))
+    m = p * q
+    t = -((-2 * width.denominator) // (width.numerator * q))
+    k = (t - 1).bit_length() if t > 1 else 0
+    s = math.isqrt(m << (2 * k))
+    den = (1 << k) * q
+    return Interval(F(s, den), F(s + 1, den))
+
+
 def ref_point(q):
     q = F(q)
     return Interval(q, q)
@@ -374,6 +396,21 @@ class TestFastPathReference:
                 assert exact(got) == exact(outcome(ref_sqrt_enclose, x, width))
         for x in xs:
             assert exact(outcome(sqrt_enclose, x)) == exact(outcome(ref_sqrt_enclose, x))
+
+    def test_sqrt_enclose_against_the_parent(self):
+        """Square numerator only, square denominator only, both, neither, zero, and 500-bit inputs."""
+        big = random.Random(500)
+        p500, q500 = big.getrandbits(500) | 1 << 499, big.getrandbits(500) | 1 << 499
+        r250, s250 = big.getrandbits(250) | 1 << 249, big.getrandbits(250) | 1 << 249
+        xs = [F(4, 7), F(9, 2), F(49, 8), F(3, 25), F(2, 49), F(5, 121), F(4, 9), F(49, 4), F(1, 81), 25,
+              F(2, 3), F(7, 5), 0, F(0), 1, F(1),
+              F(r250**2, q500), F(p500, s250**2), F(r250**2, s250**2), F(p500, q500), F(r250**2 + 1, s250**2)]
+        square = lambda n: math.isqrt(n) ** 2 == n
+        kinds = {(square(F(x).numerator), square(F(x).denominator)) for x in xs[-5:]}
+        assert kinds == {(True, False), (False, True), (True, True), (False, False)}
+        for x in xs:
+            for width in (F(1, 2**30), F(1, 10**12), F(1, 10), 1, F(1, 2**600)):
+                assert exact(outcome(sqrt_enclose, x, width)) == exact(outcome(parent_sqrt_enclose, x, width)), (x, width)
 
     def test_point(self):
         for q in SCALARS:

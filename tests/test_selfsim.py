@@ -5,6 +5,7 @@ import random
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction as F
 from unittest import mock
 
@@ -1549,6 +1550,173 @@ class TestCellChain:
         # before one chain per scan: 386 603 and 13 691 levels, one per step then
         assert scan_levels(monkeypatch, F(1, 7), 340) <= 3000
         assert scan_levels(monkeypatch, F(123457, 10**6), 64) <= 600
+
+
+# ----------------------------------------------------------------------
+# Window probes come from the integers of the cell's descent: checked
+# against the Fraction oracle cell(b) on a cell located by the Fraction
+# reference, with the witness search stubbed out so every cell is cheap.
+
+
+def probes_of(curve, cell):
+    """The probes and side window_witnesses builds in cell, before any witness search."""
+    w = curve.window_witnesses(cell)
+    assert type(w.s1) is F and type(w.s2) is F
+    return w.s1, w.s2, w.side
+
+
+def ref_probes(curve, t, delta):
+    cell = ref_locate_cell(curve, t, delta)
+    b1, b2, side = (F(5, 9), F(1), 1) if cell_inverse(cell, t) <= F(1, 2) else (F(0), F(4, 9), -1)
+    return cell(b1), cell(b2), side
+
+
+def chained_probes(curve, t, deltas, resume):
+    """Each delta's probes, or what locating its cell raises; each cell continues the one before if resume."""
+    out, cell = [], None
+    for delta in deltas:
+        try:
+            cell = curve.locate_cell(t, delta, cell if resume else None)
+        except (ArithmeticError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+            cell = None
+            continue
+        out.append(probes_of(curve, cell))
+    return out
+
+
+@pytest.fixture
+def no_witness_search(monkeypatch):
+    monkeypatch.setattr(Curve, "_deepen", lambda self, s1, s2, t, side, depths: QuotientWitness(s1, s2, F(0), side))
+
+
+@pytest.mark.usefixtures("no_witness_search")
+class TestIntegerProbes:
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_every_cell_of_the_chains(self, resume):
+        sides, curve = set(), Curve()
+        for t in CHAIN_TS:
+            got = chained_probes(curve, t, CHAIN_DELTAS, resume)
+            for delta, probes in zip(CHAIN_DELTAS, got):
+                assert probes == ref_probes(UNIT_CURVE, t, delta), (t, delta)
+                sides.add(probes[2])
+            # the probes' seeded descents are dropped
+            assert not curve._descents.keys() & {(s.numerator, s.denominator) for p in got for s in p[:2]}
+        assert sides == {1, -1}
+
+    @pytest.mark.parametrize("t", [F(0), F(1, 2), F(1)])
+    def test_ends_and_the_mid_fixed_point(self, t):
+        deltas = [F(1)] + CHAIN_DELTAS
+        for resume in (True, False):
+            assert chained_probes(Curve(), t, deltas, resume) == [ref_probes(UNIT_CURVE, t, d) for d in deltas]
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES[1:25])
+    def test_drifted_curves(self, curve):
+        deltas = CHAIN_DELTAS[:8]
+        ts = CHAIN_TS[:10]
+        for resume in (True, False):
+            for t in ts:
+                assert chained_probes(curve, t, deltas, resume) == [outcome(ref_probes, curve, t, d) for d in deltas]
+
+    def test_drifts_cover_both_denominators(self):
+        assert sorted({curve._dx for curve in ORACLE_CURVES[1:25]}) == [9, 900]
+
+
+# ----------------------------------------------------------------------
+# Arguments are coerced to Fraction only when their type is not exactly
+# Fraction.  The bodies before that change, kept here, must give the same
+# values, result types, exceptions and messages.
+
+
+@dataclass(frozen=True)
+class ParentAffineMap1D:
+    a: F
+    b: F
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", F(self.a))
+        object.__setattr__(self, "b", F(self.b))
+
+    def __call__(self, t):
+        return self.a * F(t) + self.b
+
+
+def parent_locate_cell(curve, t, delta, resume=None):
+    t = F(t)
+    delta = F(delta)
+    if not 0 <= t <= 1:
+        raise OutOfDomain(f"t={t} outside [0, 1]")
+    if not 0 < delta <= 1:
+        raise OutOfDomain(f"delta={delta} outside (0, 1]")
+    dx, ey = curve._dx, curve._ey
+    p0, q0 = t.numerator, t.denominator
+    st = resume.descent if resume is not None else None
+    if st is not None and st[0] is curve and st[1] == t and delta <= st[2]:
+        p, q, k, dk, ya, yb = st[3:]
+    else:
+        p, q, k, dk, ya, yb = p0, q0, 0, 1, 1, 0
+    dd = delta.denominator
+    dn = delta.numerator * q0
+    while q * dd > dn * dk:
+        pd = p * dx
+        _, _, xs, xo, ys, yo, _, _, _ = curve.locate_branch(pd, q, 1)
+        if xs >= dx:
+            raise UncoveredPoint("descent does not contract; branch system broken")
+        p, q = pd - xo * q, q * xs
+        ya, yb = ya * ys, ya * yo + yb * ey
+        dk *= dx
+        k += 1
+    return AffineMap1D(F(q // q0, dk), F((p0 * dk - p) // q0, dk), (curve, t, delta, p, q, k, dk, ya, yb))
+
+
+def typed(value):
+    """value with the type of every rational in it, so 1 and Fraction(1) differ; a map as its (a, b)."""
+    if isinstance(value, (AffineMap1D, ParentAffineMap1D)):
+        value = (value.a, value.b)
+    if isinstance(value, tuple):
+        return tuple(typed(v) for v in value)
+    return type(value), value
+
+
+def coerced(fn, *args):
+    """typed(fn(*args)) and a located cell's typed descent, or the type and message of what fn raises."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    descent = getattr(value, "descent", None)
+    return typed(value) if descent is None else typed(value) + (typed(descent),)
+
+
+COERCED = [0, 1, 2, False, True, 0.5, 0.125, float("nan"), float("inf"), F(1, 7), F(2, 3), _SubF(1, 3), _SubF(1),
+           "1/7", "2/3", "0.25", "x", None]
+
+
+class TestCoercionAgainstTheParent:
+    def test_affine_map(self):
+        for a in COERCED:
+            for b in COERCED[::3]:
+                assert coerced(AffineMap1D, a, b) == coerced(ParentAffineMap1D, a, b), (a, b)
+
+    def test_affine_map_call(self):
+        pairs = [(F(1, 9), F(4, 9)), (1, 0), (_SubF(4, 9), "1/3")]
+        for a, b in pairs:
+            cell, parent = AffineMap1D(a, b), ParentAffineMap1D(a, b)
+            for t in COERCED:
+                assert coerced(cell, t) == coerced(parent, t), (a, b, t)
+
+    def test_locate_cell(self):
+        deltas = [F(1, 81), 1, True, 0.5, _SubF(1, 9), "1/729", F(0), 2, "y", float("nan"), None]
+        for t in COERCED:
+            for delta in deltas:
+                got = coerced(UNIT_CURVE.locate_cell, t, delta)
+                assert got == coerced(parent_locate_cell, UNIT_CURVE, t, delta), (t, delta)
+        t = _SubF(1, 7)
+        cell = UNIT_CURVE.locate_cell(t, "1/81")
+        for delta in (F(1, 729), "1/6561", _SubF(1, 6561), 0.001):
+            got = coerced(UNIT_CURVE.locate_cell, t, delta, cell)
+            assert got == coerced(parent_locate_cell, UNIT_CURVE, t, delta, cell)
+            assert got == coerced(parent_locate_cell, UNIT_CURVE, t, delta)
 
 
 # ----------------------------------------------------------------------

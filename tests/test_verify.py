@@ -686,6 +686,74 @@ class TestWitnessFailureRecords:
             assert hashlib.sha256(r.to_json(include_timing=False).encode()).hexdigest() == WINDOW_DIGESTS[case], case
 
 
+def _double_failure(t, near, delta):
+    """A witness with its first probe on the wrong side, its second at 2 * delta and its gap below the floor."""
+    return QuotientWitness(t - near, t + 2 * delta, quotient_gap_floor().hi - _EPS, 1)
+
+
+# Digests of the reports test_failing_base_points_match_the_parent builds,
+# taken while every base point's key was built before its witness.
+DOUBLE_FAILURE_DIGESTS = {
+    "claim2": "e8ac0fb78f418522f88d7b8c3ed83e45856851c0cc95b2d4f45c56dcffd31f96",
+    "claim3": "2a1149bb7ae33dc2500dc44575b6dd5eca0464aa0e0b5ea92c905c4b12e33105",
+    "1/2": "9802f2f8d9a9208845ec4f390ed3c0ac9044ba5c6cd5d1582e08064408615ff1",
+    "7/2": "675490443da71bc35d90f714117c52468e0ee8857bb3ab3419fe959857d2ec12",
+}
+
+
+class TestFailureKeys:
+    """A failure record's naming fields are built only for a base point or window that fails."""
+
+    @pytest.fixture
+    def str_calls(self, monkeypatch):
+        calls = []
+        to_str = F.__str__
+        monkeypatch.setattr(F, "__str__", lambda self: calls.append(self) or to_str(self))
+        return calls
+
+    def test_passing_runs_format_no_fraction(self, str_calls):
+        reports = [
+            verify_unit_gap(19),
+            verify_window_gap(WINDOW_SAMPLES),
+            oscillation_scan(F(1, 7), 6),
+            oscillation_scan(F(-23, 9), 6),
+        ]
+        assert all(r.certified for r in reports)
+        assert str_calls == []
+
+    def test_failing_base_points_match_the_parent(self, monkeypatch, str_calls):
+        unit, window = Curve.unit_witnesses, Curve.window_witnesses
+
+        def unit_witnesses(self, t0):
+            return _double_failure(t0, F(1, 18), 1) if t0 in (F(1, 6), F(1, 2)) else unit(self, t0)
+
+        def window_witnesses(self, cell):
+            _, t, delta = cell.descent[:3]
+            return _double_failure(t, delta / 162, delta) if delta == F(1, 81) or t == F(5, 9) else window(self, cell)
+
+        monkeypatch.setattr(Curve, "unit_witnesses", unit_witnesses)
+        monkeypatch.setattr(Curve, "window_witnesses", window_witnesses)
+        samples = [(F(123457, 10**6), F(1, 9)), (F(1, 2), F(1, 81)), (F(0), F(1, 729)), (F(5, 9), F(1, 6561))]
+        reports = {
+            "claim2": verify_unit_gap(7),
+            "claim3": verify_window_gap(samples),
+            "1/2": oscillation_scan(F(1, 2), 3),
+            "7/2": oscillation_scan(F(7, 2), 3),
+        }
+        # three records for each failing base point of claim2 and claim3, two probe records and
+        # one gap record for the failing window
+        assert [len(r.failures) for r in reports.values()] == [6, 6, 3, 3]
+        assert reports["claim3"].failures[:3] == [
+            {"kind": "offset-range", "s": "3647/6561", "distance": "2/6561", "t": "5/9", "delta": "1/6561"},
+            {"kind": "gap-below-floor", "gap_lo": str(quotient_gap_floor().hi - _EPS),
+             "floor_hi": str(quotient_gap_floor().hi), "t": "5/9", "delta": "1/6561"},
+            {"kind": "side", "s": "590489/1062882", "t": "5/9", "delta": "1/6561"},
+        ]
+        for name, r in reports.items():
+            assert not r.certified
+            assert hashlib.sha256(r.to_json(include_timing=False).encode()).hexdigest() == DOUBLE_FAILURE_DIGESTS[name]
+
+
 class TestOscillation:
     def test_windows_certified_at_half(self):
         deltas = [F(1, 9) ** j for j in range(1, 5)]
@@ -712,6 +780,24 @@ class TestOscillation:
         assert abs(refl["offset2"]) == abs(base["offset2"])
         assert refl["offset1"] == -base["offset1"]
         assert refl["osc_lower_bound"] == base["osc_lower_bound"]
+
+    def test_work_per_scan(self, monkeypatch):
+        """Interval and Fraction constructions of oscillation_scan(123457/10**6, 64), as test_work_per_base_point counts them.
+
+        On a Curve whose store starts empty a window builds 7 Intervals
+        and about 25 Fractions (448 and 1 602 in all; 1 411 from CPython
+        3.12 on, measured on 3.12.1 and 3.13.0).  While each probe was
+        cell(b), a Fraction product and sum, and locate_cell and
+        AffineMap1D coerced Fractions to Fractions, a scan built 2 114
+        Fractions (1 667 from 3.12 on).
+        """
+        quotient_gap_floor()
+        t = F(123457, 10**6)
+        monkeypatch.setattr(verify, "UNIT_CURVE", Curve())
+        with counted_constructions() as counts:
+            r = oscillation_scan(t, 64)
+        assert r.certified and r.checked == 64
+        assert counts == {"Interval": 448, "Fraction": 1602 if sys.version_info < (3, 12) else 1411}
 
     def test_no_scales_refused(self):
         for scales in (0, -3):
