@@ -19,6 +19,11 @@ coordinate through `beta`, and the intrinsic graph of the rough profile
 from `selfsim` sends w to w * (u(beta(w)) * v0), which in coordinates
 just fills the r slot with an enclosure of u.
 
+A `GroupPoint` is a named tuple of the four coordinates, cheap to build
+in bulk.  Its fields are read-only and equal points hash alike; the
+tuple's concatenation, repetition and ordering are turned off, so
+`p + q` raises TypeError.
+
 The r coordinate is an Interval rather than a rational because graph
 points carry certified enclosures of the profile; group operations
 propagate those enclosures soundly and exactly cancel the rational
@@ -45,11 +50,10 @@ the campaign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numerics import Interval, RationalLike, abs_diff_ends, sqrt_enclose
 from .selfsim import UNIT_CURVE, reduce_domain
@@ -84,14 +88,17 @@ class TolTooTight(ValueError):
 QUOTIENT_MAX_DEPTH = 256
 
 
-@dataclass(frozen=True)
-class GroupPoint:
+class GroupPoint(NamedTuple):
     """Group element in exponential coordinates; see module docstring."""
 
     x: Fraction
     y: Fraction
     t: Fraction
     r: Interval
+
+    # A point is no sequence: p + q, p * n and p < q raise TypeError, not act on the tuple.
+    __add__ = __mul__ = __rmul__ = None
+    __lt__ = __le__ = __gt__ = __ge__ = None
 
 
 def mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:

@@ -74,7 +74,8 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        # Interval.point shares one Fraction between its ends
+        return self.lo is self.hi or self.lo == self.hi
 
     def intersects(self, other: "Interval") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)

@@ -116,7 +116,7 @@ class OutOfDomain(ValueError):
 
 
 class DepthTooLarge(ValueError):
-    """Requested iterate level, descent depth, scale count, or pair or claim3 sample count (verify.MAX_PAIRS) exceeds its cap."""
+    """Requested iterate level, descent depth, scale count, or pair (holder, cone) or claim3 sample count (verify.MAX_PAIRS) exceeds its cap."""
 
 
 class CoincidentPoints(ValueError):

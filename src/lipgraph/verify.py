@@ -23,6 +23,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -528,6 +529,15 @@ def _check_depth(depth: int) -> None:
         raise DepthTooLarge(f"depth {depth} exceeds cap {MAX_DEPTH}")
 
 
+@lru_cache(maxsize=1)
+def _draw_grid() -> tuple[Fraction, ...]:
+    """The 4 001 values k/1000, k = -2000 .. 2000, that cone draws from.
+
+    grid[rng.randrange(4001)] is Fraction(rng.randrange(-2000, 2001), 1000) from the same draw.
+    """
+    return tuple(Fraction(k, 1000) for k in range(-2000, 2001))
+
+
 def _cone_pairs(seed: int) -> Iterator[tuple[GroupPoint, GroupPoint]]:
     """The 12 breakpoint pairs, then pairs drawn from random.Random(seed), without end."""
     rng = random.Random(seed)
@@ -535,8 +545,10 @@ def _cone_pairs(seed: int) -> Iterator[tuple[GroupPoint, GroupPoint]]:
     for b1, b2 in combinations(breakpoint_betas, 2):
         yield w_point(0, b1), w_point(0, b2)
         yield w_point(0, b1), w_point(1, b2)
+    grid = _draw_grid()
+    draw, n = rng.randrange, len(grid)
     while True:
-        y1, t1, y2, t2 = (Fraction(rng.randrange(-2000, 2001), 1000) for _ in range(4))
+        y1, t1, y2, t2 = grid[draw(n)], grid[draw(n)], grid[draw(n)], grid[draw(n)]
         yield w_point(y1, t1), w_point(y2, t2)
 
 
@@ -550,17 +562,23 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     as cone-undecided when its gap enclosure straddles zero, as happens
     at shallow depths; a deeper run may decide it.  Pairs whose
     profile arguments are breakpoint values evaluate exactly and are
-    counted in parameters["exact_pairs"].  Pairs are drawn as checked.
+    counted in parameters["exact_pairs"].  More than MAX_PAIRS pairs are
+    refused with DepthTooLarge before the first draw.  Pairs are drawn as
+    checked, each coordinate from one shared tuple of the 4 001 values
+    k/1000, built on the first campaign, so no draw builds a Fraction.
     Each distinct folded profile argument is descended once: the
     campaign keeps the enclosures in a memo of its own (see
     carnot.graph_point), which is dropped when it returns.  The profile
     difference test (the Hölder chain) reads |r2 - r1|.lo = n / d and
     |beta2 - beta1| = tn / td from the endpoints' integer numerators and
-    denominators, unreduced, and refutes when n**2 * td > tn * d**2.
+    denominators, unreduced, and refutes when n**2 * td > tn * d**2.  The
+    gap's signs and the smallest gap lower end are read from integers too.
     """
     started = time.perf_counter()
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
+    if sample_count > MAX_PAIRS:
+        raise DepthTooLarge(f"{sample_count} pairs exceed cap {MAX_PAIRS}")
     _check_depth(depth)
     failures = []
     exact_pairs = 0
@@ -570,9 +588,11 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
         p1 = graph_point(w1, depth, memo)
         p2 = graph_point(w2, depth, memo)
         g = cone_gap(p1, p2, depth)
-        min_gap_lo = g.lo if min_gap_lo is None else min(min_gap_lo, g.lo)
-        if g.lo < 0:
-            kind = "cone-gap-negative" if g.hi < 0 else "cone-undecided"
+        lo = g.lo
+        if min_gap_lo is None or lo.numerator * min_gap_lo.denominator < min_gap_lo.numerator * lo.denominator:
+            min_gap_lo = lo
+        if lo.numerator < 0:
+            kind = "cone-gap-negative" if g.hi.numerator < 0 else "cone-undecided"
             failures.append({"kind": kind, "gap": _jsonable(g), **_pair_key(idx, w1, w2)})
         r1, r2 = p1.r, p2.r
         exact = r1.is_point() and r2.is_point()

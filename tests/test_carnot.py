@@ -88,6 +88,47 @@ class TestGroupLaw:
         assert mul(p, q).r == mul(q, p).r
 
 
+class TestGroupPoint:
+    """A GroupPoint behaves as the frozen dataclass it was: a point, not a sequence."""
+
+    def test_repr(self):
+        p = GroupPoint(F(0), F(1, 3), F(-2, 9), Interval(F(1, 5), F(1, 4)))
+        assert repr(p) == "GroupPoint(x=Fraction(0, 1), y=Fraction(1, 3), t=Fraction(-2, 9), r=[1/5, 1/4])"
+        assert repr(w_point(1, F(4, 9))) == "GroupPoint(x=Fraction(0, 1), y=Fraction(1, 1), t=Fraction(4, 9), r=[0, 0])"
+
+    def test_equal_points_hash_alike(self):
+        p, q = gp(F(1, 2), 3, F(-5, 7), F(1, 9)), gp(F(2, 4), 3, F(-10, 14), F(3, 27))
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != gp(F(1, 2), 3, F(-5, 7), F(1, 8))
+        assert w_point(0, F(4, 9)) == GroupPoint(F(0), F(0), F(4, 9), Interval(0, 0))
+
+    @pytest.mark.parametrize("field", ["x", "y", "t", "r"])
+    def test_fields_are_read_only(self, field):
+        p = gp(1, 2, 3, 4)
+        with pytest.raises(AttributeError):
+            setattr(p, field, F(0))
+        assert p == gp(1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda p, q: p + q, lambda p, q: p * 2, lambda p, q: 2 * p, lambda p, q: p < q, lambda p, q: p <= q,
+         lambda p, q: p > q, lambda p, q: p >= q],
+        ids=["p + q", "p * 2", "2 * p", "p < q", "p <= q", "p > q", "p >= q"],
+    )
+    def test_no_sequence_arithmetic_or_ordering(self, op):
+        with pytest.raises(TypeError):
+            op(gp(0, 1, 2, 3), gp(0, 1, 2, 3))
+
+    def test_operations_return_points(self):
+        p, q = gp(F(1, 3), 2, F(1, 5), F(1, 7)), gp(0, F(-1, 2), 3, 1)
+        assert type(mul(p, q)) is type(inv(p)) is type(dilate(2, p)) is GroupPoint
+        assert type(graph_point(w_point(1, F(1, 7)), 10)) is GroupPoint
+        # the shared zero r slot of W survives inv and mul by identity
+        w1, w2 = w_point(1, F(1, 7)), w_point(F(-2, 3), 5)
+        assert w1.r is w2.r is carnot._ZERO
+        assert inv(w1).r is carnot._ZERO and mul(w1, w2).r is carnot._ZERO
+
+
 class TestDilationsAndNorm:
     def test_dilation_weights(self):
         p = gp(F(1, 2), F(-1, 3), F(1, 5), F(1, 7))

@@ -143,6 +143,7 @@ EXIT_2_TABLE = [
     (["verify", "claim3", "--samples", "2000001"], DepthTooLarge, "cannot run campaign: 2000001 samples exceed cap"),
     (["verify", "cone", "--samples", "0"], ValueError, "cannot run campaign: sample_count must be at least 1"),
     (["verify", "cone", "--depth", "4097"], DepthTooLarge, "cannot run campaign: depth 4097 exceeds cap"),
+    (["verify", "cone", "--samples", "2000001"], DepthTooLarge, "cannot run campaign: 2000001 pairs exceed cap"),
     (["verify", "oscillation", "--scales", "0"], ValueError, "cannot run campaign: scales must be at least 1"),
     (["verify", "oscillation", "--scales", "928"], DepthTooLarge, "cannot run campaign: 928 scales exceed cap"),
     (["verify", "blowup-divergence", "--tol", "0"], ValueError, "cannot run campaign: tol must be positive"),
@@ -305,6 +306,21 @@ class TestVerifyCommand:
         # the cap itself is drawn
         with pytest.raises(AssertionError, match="a sample was drawn"):
             verify.window_gap_samples(MAX_PAIRS)
+
+    def test_cone_pair_cap_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a pair was drawn")
+
+        monkeypatch.setattr(verify.random, "Random", no_draw)
+        for samples in (MAX_PAIRS + 1, 10**10):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run(["verify", "cone", "--samples", str(samples)])
+            assert code == 2 and out == ""
+            assert err.getvalue() == f"cannot run campaign: {samples} pairs exceed cap {MAX_PAIRS}\n"
+        # the cap itself is drawn
+        with pytest.raises(AssertionError, match="a pair was drawn"):
+            verify.verify_cone(MAX_PAIRS)
 
     def test_cell_past_the_depth_cap_refused_before_any_witness(self, monkeypatch):
         # at 1/7 the cell at 9**-927 is shorter than the scale, so its window would start at 4098
@@ -499,7 +515,8 @@ _VERIFY_OPTIONS = {
     "claim2": {"--grid": _ints(-2, 12)},
     # a sample count past the cap is refused before any sample is drawn
     "claim3": {"--samples": _ints(-2, 4, MAX_PAIRS + 1), "--seed": _ints(-3, 3)},
-    "cone": {"--samples": _ints(-2, 30), "--depth": _DEPTHS, "--seed": _ints(-3, 3)},
+    # as for claim3, a pair count past the cap is refused before any pair is drawn
+    "cone": {"--samples": _ints(-2, 30, MAX_PAIRS + 1), "--depth": _DEPTHS, "--seed": _ints(-3, 3)},
     # scale counts past the cap (928 and up) are refused before any work
     "oscillation": {"--t-hat": _RATIONALS, "--scales": _ints(-2, 6, 928, 10**10)},
     "blowup-divergence": {

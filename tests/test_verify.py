@@ -8,7 +8,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, islice
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -968,6 +968,15 @@ def cone_with_gaps(monkeypatch, sample_count, depth, seed):
 
 
 class TestConeCampaign:
+    @pytest.mark.parametrize("seed", [verify.REFERENCE_SEED, 77])
+    def test_draws_match_the_reference(self, seed):
+        got = list(islice(verify._cone_pairs(seed), 10**4))
+        assert got == ref_cone_pairs(10**4, seed)
+        drawn = [v for pair in got for w in pair for v in (w.y, w.t)]
+        assert all(type(v) is F for v in drawn)
+        # both ends of the grid are drawn
+        assert {F(-2), F(2)} <= set(drawn[48:])
+
     @pytest.mark.parametrize("count", [1, 5, 12, 13, 40])
     def test_pairs_are_built_as_they_are_checked(self, monkeypatch, count):
         made, checked, memos = [], [], []
@@ -1057,11 +1066,15 @@ class TestConeCampaign:
         Each distinct folded profile argument is evaluated once: 715
         eval_limit calls for the 1 200 graph points at the reference
         seed.  Counted by `counted_constructions`, a pair builds 3.74
-        Intervals and 17.8 Fractions (2 246 and 10 668 in all; 7 068
+        Intervals and 13.9 Fractions (2 246 and 8 316 in all; 4 716
         Fractions from CPython 3.12 on, which count the two Fractions
         each cone_gap builds from integers but not the arithmetic results
         they replace).  The warm-up's enclosure of u(0) stays in the
-        descent store, so the campaign does not build it again.  While
+        descent store, so the campaign does not build it again, and the
+        warm-up builds the shared tuple of the 4 001 values a draw takes
+        (a first campaign builds it too: 12 317 Fractions in all).
+        While each of the 2 352 draws built its own Fraction k/1000, a
+        pair built 17.8 Fractions (10 668; 7 068 from 3.12 on).  While
         hnorm built Interval.point(|y|) on every call, even the 268 whose
         root enclosure it then returned, a pair built 4.19 Intervals
         (2 514).  While
@@ -1081,12 +1094,13 @@ class TestConeCampaign:
         monkeypatch.setattr(carnot, "UNIT_CURVE", Curve())
         folded = {reduce_domain(w.t) for pair in ref_cone_pairs(600, verify.REFERENCE_SEED) for w in pair}
         cone_gap(graph_point(w_point(), 30), graph_point(w_point(), 30), 30)  # caches the norm width at depth 30
+        verify._draw_grid()  # cached before counting, as in every campaign but the first
         calls.clear()
         with counted_constructions() as counts:
             r = verify_cone(600, 30)
         assert r.certified and r.checked == 600
         assert len(folded) == 715 and sorted(calls) == sorted(folded)
-        assert counts == {"Interval": 2246, "Fraction": 10668 if sys.version_info < (3, 12) else 7068}
+        assert counts == {"Interval": 2246, "Fraction": 8316 if sys.version_info < (3, 12) else 4716}
 
     @pytest.mark.parametrize(
         "depth, seed, undecided",
