@@ -41,11 +41,7 @@ equal to 0 take the general path.  So the cone campaign does no
 arithmetic on terms that are 0 and roots only |t|; `cone_gap` reads the
 v part from the integer numerators and denominators of the four r
 endpoints and takes its norm width (2/3)**depth from a per-depth
-cache.  A campaign that evaluates many graph points at one depth passes
-`graph_point` a dict of its own that keeps the enclosure of each folded
-profile argument, so every distinct argument is descended once per
-campaign; the dict's key leaves out the depth, so it must not outlive
-the campaign.
+cache.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .numerics import Interval, RationalLike, abs_diff_ends, sqrt_enclose
 from .selfsim import UNIT_CURVE, reduce_domain
@@ -175,24 +171,13 @@ def w_point(y: RationalLike = 0, t: RationalLike = 0) -> GroupPoint:
     return GroupPoint(_FZERO, y, t, _ZERO)
 
 
-def graph_point(w: GroupPoint, depth: int, memo: Optional[dict] = None) -> GroupPoint:
+def graph_point(w: GroupPoint, depth: int) -> GroupPoint:
     """Intrinsic graph point over w: fill the r slot with an enclosure of u(beta(w)).
 
     The profile argument is folded into [0, 1] by the even, 2-periodic
-    extension, so w may sit anywhere on the vertical subgroup.  memo
-    maps a folded argument t as (t.numerator, t.denominator) to its
-    enclosure; a miss evaluates and stores it, and no memo is an empty
-    one.  The key leaves out the depth, so one memo serves one depth
-    only: a campaign makes its own and drops it when it returns.
+    extension, so w may sit anywhere on the vertical subgroup.
     """
-    if memo is None:
-        memo = {}
-    t = reduce_domain(beta(w))
-    key = (t.numerator, t.denominator)
-    enc = memo.get(key)
-    if enc is None:
-        enc = memo[key] = UNIT_CURVE.eval_limit(t, depth)
-    return GroupPoint(w.x, w.y, w.t, enc)
+    return GroupPoint(w.x, w.y, w.t, UNIT_CURVE.eval_limit(reduce_domain(beta(w)), depth))
 
 
 def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:

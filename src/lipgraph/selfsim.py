@@ -40,9 +40,11 @@ iterate is held as integer numerators over dx**n and ey**n.  The limit
 u is never materialised: `eval_limit` returns an Interval whose width
 contracts like (2/3)**depth, and each
 Curve keeps that Interval beside the descent that built it, so asking
-again for a point at the same depth builds nothing.  A quotient
-enclosure divides the difference of two such Intervals through a
-certified root enclosure from `numerics`, each endpoint one Fraction of
+again for a point at the same depth builds nothing.  The store is the
+one cache of a campaign, and lives for one: every campaign in `verify`
+ends by emptying the standard curve's store with `Curve.forget`.  A
+quotient enclosure divides the difference of two such Intervals through
+a certified root enclosure from `numerics`, each endpoint one Fraction of
 cross-multiplied numerators (`_root_quotient`); the order of the two
 abscissas and their distance come from cross-multiplied numerators too.
 A witness gap is the one Fraction that bounds the distance of two
@@ -92,14 +94,17 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # Descents each Curve keeps for eval_limit to resume, each with the
 # enclosure it returned, which a repeated call gets back as it is; only
 # eval_limit reads the bound, and clears the store when a new point finds
-# it full.  A claim2 base point needs 3 live points, and so does an
-# oscillation scan at any length: u(t) plus the two probes of the current
-# window, which window_witnesses seeds at its cell (even into a full store)
-# and drops.
-# Cone's profile arguments fold onto the 1 003 points of a 1/1000 grid,
-# more than this bound holds; verify_cone keeps their enclosures itself,
-# in a memo that lives for one campaign, so it asks for each point once.
-_DESCENTS_KEPT = 256
+# it full.  Every campaign empties the standard curve's store when it
+# returns.  The bound fits one cone campaign, whose profile arguments
+# fold onto the 1 001 points k/1000 of [0, 1] plus the breakpoints 4/9
+# and 5/9: 1 003 points, so each is descended once (715 of them at 600
+# pairs, all 1 003 at 10**4).  A claim2 base point needs 3 live points;
+# its campaign keeps one per base point beside the probes (603 at 601
+# points) and clears when full.  An oscillation scan keeps u(t) and the
+# two probes of each window, which window_witnesses seeds at its cell
+# even into a full store: at most 1 + 2 * scales points (121 at 64
+# scales) until the scan returns.
+_DESCENTS_KEPT = 1024
 
 # Levels one descent step takes through a slot table: a system with
 # dx <= 9, such as the standard one, steps 3 levels over at most
@@ -116,7 +121,7 @@ class OutOfDomain(ValueError):
 
 
 class DepthTooLarge(ValueError):
-    """Requested iterate level, descent depth, scale count, or pair (holder, cone) or claim3 sample count (verify.MAX_PAIRS) exceeds its cap."""
+    """Requested iterate level, descent depth, scale count, or pair (holder, cone), claim2 base point or claim3 sample count (verify.MAX_PAIRS) exceeds its cap."""
 
 
 class CoincidentPoints(ValueError):
@@ -513,7 +518,7 @@ class Curve:
         stopped, and only a shallower call starts again from t.  Probes
         that `window_witnesses` seeds carry a descent state but no
         Interval until their first call.  A descent that raises keeps
-        nothing.
+        nothing, and `forget` drops every kept descent.
         """
         if type(t) is not Fraction:
             t = Fraction(t)
@@ -547,6 +552,10 @@ class Curve:
             enc = Interval(Fraction(lo, den), Fraction(hi, den))
         kept[key] = (p, q, a, b, k, enc)
         return enc
+
+    def forget(self) -> None:
+        """Drop every kept descent, as the end of each campaign does."""
+        self._descents.clear()
 
     # ------------------------------------------------------------------
     # difference quotients
@@ -710,10 +719,10 @@ class Curve:
         map (`_cell_numerators`).  If the branches pass
         `continuous_tiling`, the descent of each probe starts at the
         cell: its first k steps follow the cell's branches, so the store
-        holds (b, ya, yb, k) for it while the witness is built, and
-        eval_limit resumes from there.  The probes are dropped
-        afterwards, so a scan's store keeps u(t) and does not fill.  Any
-        other Curve descends the probes from the top.
+        is seeded with (b, ya, yb, k) for it, and eval_limit resumes
+        from there.  The probes stay in the store
+        until the campaign's end empties it (`forget`).  Any other Curve
+        descends the probes from the top.
         """
         if cell.descent is None or cell.descent[0] is not self:
             raise ValueError("window_witnesses needs a cell this curve located")
@@ -723,19 +732,10 @@ class Curve:
         s1, s2 = (Fraction(xa * b.numerator + xb * b.denominator, dk * b.denominator) for b in (b1, b2))
         start = cell_start_depth(cell)
         depths = range(start, start + 6 * 24, 24)
-        if not self._tiled:
-            return self._deepen(s1, s2, t, side, depths)
-        kept = self._descents
-        probes = {
-            (s.numerator, s.denominator): (b.numerator, b.denominator, ya, yb, k, None)
-            for s, b in ((s1, b1), (s2, b2))
-        }
-        kept.update(probes)
-        try:
-            return self._deepen(s1, s2, t, side, depths)
-        finally:
-            for key in probes:
-                kept.pop(key, None)
+        if self._tiled:
+            for s, b in ((s1, b1), (s2, b2)):
+                self._descents[s.numerator, s.denominator] = (b.numerator, b.denominator, ya, yb, k, None)
+        return self._deepen(s1, s2, t, side, depths)
 
 
 def window_start_depth(log3_inv_a: float) -> int:

@@ -144,7 +144,12 @@ _record_key = json.JSONEncoder(sort_keys=True).encode
 
 
 def _finish(campaign: str, parameters: dict, checked: int, failures: list, started: float) -> Report:
-    """The Report of a campaign whose failure records are already JSON-ready (strings, ints, lists)."""
+    """The Report of a campaign whose failure records are already JSON-ready (strings, ints, lists).
+
+    Every campaign returns through here, which empties the standard
+    curve's descent store: no descent outlives the campaign that took it.
+    """
+    UNIT_CURVE.forget()
     failures = sorted(failures, key=_record_key)
     elapsed = max(time.perf_counter() - started, 1e-9)
     return Report(campaign, parameters, checked, failures, not failures, elapsed)
@@ -353,11 +358,15 @@ def verify_unit_gap(grid_size: int, curve: Curve = UNIT_CURVE) -> Report:
     For every t0 on the grid the two probes must sit on one side of t0
     at distance between 1/18 and 1, and the enclosure of their quotient
     gap must clear the guaranteed gap floor (about 0.00855).  The
-    campaign id is "claim2" to match the command-line interface.
+    campaign id is "claim2" to match the command-line interface.  A grid
+    of more than MAX_PAIRS base points is refused with DepthTooLarge
+    before the first witness.
     """
     started = time.perf_counter()
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
+    if grid_size > MAX_PAIRS:
+        raise DepthTooLarge(f"{grid_size} base points exceed cap {MAX_PAIRS}")
     params = {"grid_size": grid_size, "min_offset": UNIT_MIN_OFFSET}
     den = grid_size - 1 if grid_size > 1 else 1
     t0s = (Fraction(i, den) for i in range(grid_size))
@@ -566,9 +575,9 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     refused with DepthTooLarge before the first draw.  Pairs are drawn as
     checked, each coordinate from one shared tuple of the 4 001 values
     k/1000, built on the first campaign, so no draw builds a Fraction.
-    Each distinct folded profile argument is descended once: the
-    campaign keeps the enclosures in a memo of its own (see
-    carnot.graph_point), which is dropped when it returns.  The profile
+    Each distinct folded profile argument is descended once, since the
+    standard curve's descent store, which every campaign leaves empty,
+    holds all of them (see selfsim._DESCENTS_KEPT).  The profile
     difference test (the Hölder chain) reads |r2 - r1|.lo = n / d and
     |beta2 - beta1| = tn / td from the endpoints' integer numerators and
     denominators, unreduced, and refutes when n**2 * td > tn * d**2.  The
@@ -583,10 +592,9 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     failures = []
     exact_pairs = 0
     min_gap_lo: Optional[Fraction] = None
-    memo: dict = {}
     for idx, (w1, w2) in enumerate(islice(_cone_pairs(seed), sample_count)):
-        p1 = graph_point(w1, depth, memo)
-        p2 = graph_point(w2, depth, memo)
+        p1 = graph_point(w1, depth)
+        p2 = graph_point(w2, depth)
         g = cone_gap(p1, p2, depth)
         lo = g.lo
         if min_gap_lo is None or lo.numerator * min_gap_lo.denominator < min_gap_lo.numerator * lo.denominator:

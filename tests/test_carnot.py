@@ -210,19 +210,20 @@ class TestGraphMap:
         with pytest.raises(NotInW):
             graph_point(gp(1, 0, 0), 5)
 
-    def test_memo_gives_the_points_no_memo_gives(self):
+    def test_points_match_a_fresh_curve_and_repeat_from_the_store(self, monkeypatch):
         # cone's grid: y and t on multiples of 1/1000 in [-2, 2]
         cone = [w_point(F(k, 1000), F(3 * k - 2000, 1000)) for k in range(0, 1334, 7)]
         # a blow-up grid: the bases blowup_graph_sample evaluates around t_hat = 1/7
         w_hat = w_point(0, F(1, 7))
         offsets = [w_point(y, t) for y in (-1, 0, F(1, 2)) for t in (-1, F(-1, 4), F(1, 4), F(1, 2), 1)]
         blowup = [mul(w_hat, dilate(1 / F(lam), w)) for lam in (1, 9, 81, 729) for w in offsets]
+        monkeypatch.setattr(carnot, "UNIT_CURVE", Curve())
         for grid, depth in ((cone, 30), (blowup, 40)):
-            memo = {}
-            first = [graph_point(w, depth, memo) for w in grid]
-            assert first == [graph_point(w, depth) for w in grid]
-            assert [graph_point(w, depth, memo).r for w in grid] == [g.r for g in first]
-            assert len(memo) == len({reduce_domain(beta(w)) for w in grid})
+            first = [graph_point(w, depth) for w in grid]
+            fresh = Curve()
+            assert first == [GroupPoint(w.x, w.y, w.t, fresh.eval_limit(reduce_domain(beta(w)), depth)) for w in grid]
+            # a repeated point gets the stored Interval back, not a new one
+            assert all(graph_point(w, depth).r is g.r for w, g in zip(grid, first))
 
 
 class TestConeGap:

@@ -10,6 +10,7 @@ import re
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,7 @@ EXIT_2_TABLE = [
     (["verify", "holder", "--level", "13"], DepthTooLarge, "cannot run campaign: level 13 exceeds cap 12"),
     (["verify", "holder", "--refine", "-1"], ValueError, "cannot run campaign: refine must be nonnegative"),
     (["verify", "claim2", "--grid", "0"], ValueError, "cannot run campaign: grid_size must be at least 1"),
+    (["verify", "claim2", "--grid", "2000001"], DepthTooLarge, "cannot run campaign: 2000001 base points exceed cap"),
     (["verify", "claim3", "--samples", "0"], ValueError, "cannot run campaign: samples must be at least 1"),
     (["verify", "claim3", "--samples", "2000001"], DepthTooLarge, "cannot run campaign: 2000001 samples exceed cap"),
     (["verify", "cone", "--samples", "0"], ValueError, "cannot run campaign: sample_count must be at least 1"),
@@ -340,7 +342,9 @@ class TestVerifyCommand:
         assert rows == [(argv[1], exc_type.__name__) for argv, exc_type, _ in EXIT_2_TABLE]
 
     @pytest.mark.parametrize("argv, exc_type, prefix", EXIT_2_TABLE, ids=[" ".join(row[0][1:]) for row in EXIT_2_TABLE])
-    def test_exit_code_table(self, argv, exc_type, prefix):
+    def test_exit_code_table(self, argv, exc_type, prefix, monkeypatch):
+        # every row is refused before any witness, so none may build one
+        monkeypatch.setattr(Curve, "unit_witnesses", _no_witness)
         args = cli.build_parser().parse_args(argv)
         with pytest.raises(exc_type) as raised:
             args.run(args)
@@ -512,7 +516,8 @@ _DEPTHS = _ints(-2, 40, MAX_DEPTH + 1, "x")
 # Values for each flag of each campaign; TestArgumentVectors checks these are all its flags.
 _VERIFY_OPTIONS = {
     "holder": {"--level": _ints(-2, 7, 13, "x"), "--refine": _ints(-2, 2)},
-    "claim2": {"--grid": _ints(-2, 12)},
+    # a grid past the cap is refused before any witness (the test stubs the witness out)
+    "claim2": {"--grid": _ints(-2, 12, MAX_PAIRS + 1)},
     # a sample count past the cap is refused before any sample is drawn
     "claim3": {"--samples": _ints(-2, 4, MAX_PAIRS + 1), "--seed": _ints(-3, 3)},
     # as for claim3, a pair count past the cap is refused before any pair is drawn
@@ -564,6 +569,10 @@ def _argv(draw):
     return argv
 
 
+def _no_witness(*args):
+    raise AssertionError("a witness was built for a refused campaign")
+
+
 def _foreign_flags(argv):
     """The flags in a verify argument vector that its campaign does not accept."""
     own = _VERIFY_OPTIONS.get(argv[1], {}) if argv[0] == "verify" else {}
@@ -580,7 +589,10 @@ class TestArgumentVectors:
     @settings(max_examples=80, deadline=None)
     @given(argv=_argv())
     def test_documented_exit_code(self, argv):
-        with tempfile.TemporaryDirectory() as tmp:
+        # a claim2 grid past the cap must be refused before any witness: never run it
+        over_cap = argv[:2] == ["verify", "claim2"] and str(MAX_PAIRS + 1) in argv
+        stub = mock.patch.object(Curve, "unit_witnesses", _no_witness) if over_cap else contextlib.nullcontext()
+        with tempfile.TemporaryDirectory() as tmp, stub:
             paths = {"@file": os.path.join(tmp, "out"), "@dir": tmp, "@missing/out": os.path.join(tmp, "no", "out")}
             argv = [paths.get(a, a) for a in argv]
             err = io.StringIO()

@@ -2,8 +2,9 @@
 
 Each case runs one command at fixed arguments and hashes what a user
 gets: the report JSON on stdout for `verify`, the written file for the
-plots, and the printed enclosure for `eval`.  A refactor that keeps
-behaviour must keep every hash; a deliberate output change must update
+plots, and the printed enclosure for `eval`.  Each `verify` case must
+also leave the standard curve's descent store empty.  A refactor that
+keeps behaviour must keep every hash; a deliberate output change must update
 the hash here and say why.
 """
 
@@ -11,10 +12,12 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from lipgraph import cli
+from lipgraph.selfsim import UNIT_CURVE
 from lipgraph.verify import Report
 
 # (argv, where the output goes, sha256 of the output bytes)
@@ -65,12 +68,17 @@ def test_output_bytes(argv, sink, digest, tmp_path):
     path = tmp_path / "out"
     if sink == "file":
         argv = argv + ["--out", str(path)]
+    campaign = argv[0] == "verify"
+    if campaign:
+        UNIT_CURVE.eval_limit(Fraction(1, 7), 16)  # a descent the campaign must not keep
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     assert code == 0
     data = path.read_bytes() if sink == "file" else buf.getvalue().encode()
     assert hashlib.sha256(data).hexdigest() == digest
+    if campaign:
+        assert UNIT_CURVE._descents == {}
 
 
 VERIFY_CASES = [c for c in CASES if c[0][0] == "verify"]

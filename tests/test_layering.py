@@ -1,7 +1,8 @@
 """Module layering and the command lines README shows.
 
 The modules form one stack, numerics <- selfsim <- carnot <- verify <- cli:
-each may import only modules below it.  Every `lipgraph ...` line in
+each may import only modules below it, and only `selfsim` names the
+curve's descent store `_descents`.  Every `lipgraph ...` line in
 README's code blocks must parse with the real argument parser; the
 commands are parsed, never run.  README's Python example is run, so a
 changed API cannot leave it stale.
@@ -48,6 +49,13 @@ def test_no_module_imports_a_layer_above_it(module):
     assert imported <= set(LAYERS)
     above = {name for name in imported if LAYERS.index(name) >= LAYERS.index(module)}
     assert above == set(), f"{module} imports {sorted(above)}"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_only_selfsim_names_the_descent_store(module):
+    # the store has one owner; a campaign empties it through Curve.forget()
+    named = re.search(r"\b_descents\b", (PACKAGE / f"{module}.py").read_text())
+    assert bool(named) == (module == "selfsim")
 
 
 def readme_blocks(lang="[a-z]*"):

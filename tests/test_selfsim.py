@@ -963,6 +963,11 @@ class TestResumableDescent:
         assert outcome(gap.eval_limit, t, 30) == expected
         assert gap._descents[t.numerator, t.denominator][4] == 1
 
+    def test_store_holds_one_cone_campaign(self):
+        # cone's profile arguments fold onto k/1000 in [0, 1], and its breakpoint pairs add 4/9 and 5/9
+        folded = {reduce_domain(v) for v in verify._draw_grid()} | {F(4, 9), F(5, 9)}
+        assert len(folded) == 1003 and _DESCENTS_KEPT >= len(folded)
+
     def test_store_stays_bounded(self):
         curve = Curve()
         for i in range(3 * _DESCENTS_KEPT):
@@ -1421,6 +1426,11 @@ def chained_windows(curve, t, deltas):
     return out
 
 
+def probe_points(witnesses):
+    """The probes s1 and s2 of each witness, in order."""
+    return [s for w in witnesses for s in (w.s1, w.s2)]
+
+
 def scan_levels(monkeypatch, t, scales):
     """Branch levels the descent steps of an oscillation scan took, on a Curve whose store starts empty."""
     levels = []
@@ -1509,13 +1519,31 @@ class TestCellChain:
     def test_windows_match_a_new_curve_and_the_reference(self):
         kept = Curve()
         for t in CHAIN_TS:
-            for delta, w in zip(CHAIN_DELTAS, chained_windows(kept, t, CHAIN_DELTAS)):
+            ws = chained_windows(kept, t, CHAIN_DELTAS)
+            for delta, w in zip(CHAIN_DELTAS, ws):
                 assert w == window(Curve(), t, delta)
                 assert w == ref_window_witnesses(UNIT_CURVE, t, delta)
-                # the probes' seeded descents are dropped once the witness is built
-                assert (w.s1.numerator, w.s1.denominator) not in kept._descents
-                assert (w.s2.numerator, w.s2.denominator) not in kept._descents
-            assert len(kept._descents) <= _DESCENTS_KEPT
+            # the store holds u(t) and each window's two probes until it is emptied
+            assert set(kept._descents) == {(s.numerator, s.denominator) for s in [t] + probe_points(ws)}
+            kept.forget()
+
+    def test_a_running_scan_keeps_its_probes_and_the_scan_keeps_nothing(self, monkeypatch):
+        curve = Curve()
+        monkeypatch.setattr(verify, "UNIT_CURVE", curve)
+        held, stores = [], []  # each window's witness, and the store's keys as its witness search starts
+        build, deepen = Curve.window_witnesses, Curve._deepen
+        monkeypatch.setattr(Curve, "window_witnesses", lambda self, cell: held.append(build(self, cell)) or held[-1])
+        monkeypatch.setattr(Curve, "_deepen", lambda self, *args: stores.append(set(self._descents)) or deepen(self, *args))
+        for t in CHAIN_TS[:8] + [F(7, 2)]:
+            held.clear()
+            stores.clear()
+            t_red = reduce_domain(t)
+            assert oscillation_scan(t, 12).certified
+            # each window's witness search sees u(t), asked since the first window, and the probes of every window so far
+            u_t = {(t_red.numerator, t_red.denominator)}
+            for j, store in enumerate(stores):
+                assert store == {(s.numerator, s.denominator) for s in probe_points(held[: j + 1])} | (u_t if j else set())
+            assert curve._descents == {} and len(stores) == len(held) == 12
 
     @pytest.mark.parametrize("curve", ORACLE_CURVES[1:25])
     def test_curves_failing_the_premise_keep_the_top_down_probes(self, curve):
@@ -1600,8 +1628,9 @@ class TestIntegerProbes:
             for delta, probes in zip(CHAIN_DELTAS, got):
                 assert probes == ref_probes(UNIT_CURVE, t, delta), (t, delta)
                 sides.add(probes[2])
-            # the probes' seeded descents are dropped
-            assert not curve._descents.keys() & {(s.numerator, s.denominator) for p in got for s in p[:2]}
+            # the store holds each window's seeded probes until it is emptied
+            assert set(curve._descents) == {(s.numerator, s.denominator) for p in got for s in p[:2]}
+            curve.forget()
         assert sides == {1, -1}
 
     @pytest.mark.parametrize("t", [F(0), F(1, 2), F(1)])

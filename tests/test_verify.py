@@ -506,14 +506,27 @@ class TestUnitGapCampaign:
         floor = quotient_gap_floor()
         assert r.parameters["min_gap_lo"] >= floor.hi
 
+    def test_grid_past_the_cap_refused_before_any_witness(self, monkeypatch):
+        def no_witness(*args):
+            raise AssertionError("a witness was built before the refusal")
+
+        monkeypatch.setattr(Curve, "unit_witnesses", no_witness)
+        for grid_size in (verify.MAX_PAIRS + 1, 10**10):
+            with pytest.raises(DepthTooLarge) as raised:
+                verify_unit_gap(grid_size)
+            assert str(raised.value) == f"{grid_size} base points exceed cap {verify.MAX_PAIRS}"
+
     def test_work_per_base_point(self):
         """Interval and Fraction constructions of verify_unit_gap(601): a work gate host speed cannot move.
 
         Counted by `counted_constructions`.  A base point builds 5.0
-        Intervals and 16.0 Fractions (3 013 and 9 643 in all; 9 634
+        Intervals and 16.0 Fractions (3 007 and 9 637 in all; 9 628
         Fractions from CPython 3.12 on): the enclosure of u(t0), and a
         root and a quotient per probe, since a repeated enclosure comes
-        from the descent store.  While each call built its enclosure
+        from the descent store, which holds the whole campaign.  While
+        the store held 256 points and so cleared twice mid-campaign, the
+        four probe enclosures were built again: 3 013 and 9 643 (9 634
+        from 3.12 on).  While each call built its enclosure
         again and the gap was two Fraction differences, it built 8.0 and
         21.0 (4 808 and 12 638 in all); while the witness gap was the
         Interval (q1 - q2).abs() and kept descents at 0 or 1 were
@@ -525,7 +538,7 @@ class TestUnitGapCampaign:
         with counted_constructions() as counts:
             r = verify_unit_gap(601, curve=Curve())
         assert r.certified and r.checked == 601
-        assert counts == {"Interval": 3013, "Fraction": 9643 if sys.version_info < (3, 12) else 9634}
+        assert counts == {"Interval": 3007, "Fraction": 9637 if sys.version_info < (3, 12) else 9628}
 
 
 class TestWindowGapCampaign:
@@ -916,7 +929,7 @@ def check_holder_chain(monkeypatch, t0, dt, r1, r2, kind):
     # the first pair sits at betas 0 and 4/9: move it to t0 and t0 + dt and give it the r slots
     monkeypatch.setattr(verify, "w_point", lambda y, t: w_point(y, t0 + t * dt * F(9, 4)))
     slots = iter((r1, r2))
-    monkeypatch.setattr(verify, "graph_point", lambda w, depth, memo: GroupPoint(w.x, w.y, w.t, next(slots)))
+    monkeypatch.setattr(verify, "graph_point", lambda w, depth: GroupPoint(w.x, w.y, w.t, next(slots)))
     r = verify_cone(1, depth=10)
     p1, p2 = (GroupPoint(F(0), F(0), t, slot) for t, slot in ((t0, r1), (t0 + dt, r2)))
     assert ref_holder_chain(p1, p2, dt) == kind
@@ -926,7 +939,7 @@ def check_holder_chain(monkeypatch, t0, dt, r1, r2, kind):
 
 
 def ref_cone_report(sample_count, depth, seed):
-    """The canonical cone report and every pair's gap, from pairs built up front and graph points evaluated without a memo."""
+    """The canonical cone report and every pair's gap, from pairs built up front and graph points evaluated one by one."""
     failures = []
     exact_pairs = 0
     min_gap_lo = None
@@ -979,26 +992,28 @@ class TestConeCampaign:
 
     @pytest.mark.parametrize("count", [1, 5, 12, 13, 40])
     def test_pairs_are_built_as_they_are_checked(self, monkeypatch, count):
-        made, checked, memos = [], [], []
-        real_w_point, real_graph_point = verify.w_point, verify.graph_point
+        made, checked, descents = [], [], []
+        real_w_point, real_graph_point, real_descend = verify.w_point, verify.graph_point, Curve._descend
 
-        def graph_point_spy(w, depth, memo):
+        def graph_point_spy(w, depth):
             checked.append((len(made), w))
-            memos.append(memo)
-            return real_graph_point(w, depth, memo)
+            return real_graph_point(w, depth)
 
         monkeypatch.setattr(verify, "w_point", lambda *a: made.append(a) or real_w_point(*a))
         monkeypatch.setattr(verify, "graph_point", graph_point_spy)
+        monkeypatch.setattr(Curve, "_descend", lambda self, state, depth: descents.append(state[:2]) or real_descend(self, state, depth))
+        UNIT_CURVE.forget()
         assert verify_cone(count, depth=10).checked == count
         assert checked[0][0] <= 24
         assert len(made) == 2 * count
         ws = [w for _, w in checked]
         assert list(zip(ws[::2], ws[1::2])) == ref_cone_pairs(count, verify.REFERENCE_SEED)
-        # one memo for the whole campaign, holding each folded argument once
-        assert all(m is memos[0] for m in memos)
-        assert sorted(memos[0]) == sorted({(t.numerator, t.denominator) for t in map(reduce_domain, (w.t for w in ws))})
+        # each distinct folded argument is descended once, and the next campaign descends it again
+        folded = sorted({(t.numerator, t.denominator) for t in map(reduce_domain, (w.t for w in ws))})
+        assert sorted(descents) == folded
+        descents.clear()
         verify_cone(count, depth=10)
-        assert memos[-1] is not memos[0]
+        assert sorted(descents) == folded
 
     @pytest.mark.parametrize(
         "dt, r1, r2, kind",
@@ -1061,11 +1076,15 @@ class TestConeCampaign:
         assert runs == [fresh[30], fresh[10], fresh[30]]
 
     def test_work_per_pair(self, monkeypatch):
-        """eval_limit calls and Interval and Fraction constructions of verify_cone(600, 30): a work gate host speed cannot move.
+        """Descents and Interval and Fraction constructions of verify_cone(600, 30): a work gate host speed cannot move.
 
-        Each distinct folded profile argument is evaluated once: 715
-        eval_limit calls for the 1 200 graph points at the reference
-        seed.  Counted by `counted_constructions`, a pair builds 3.74
+        Each distinct folded profile argument is descended once: the
+        1 200 graph points at the reference seed, 1 200 eval_limit
+        calls, fold onto 715 arguments, and the campaign takes 714
+        descents (`Curve._descend` calls), since the warm-up's u(0) is
+        kept.  While the campaign kept its enclosures in a memo of its
+        own, it made 715 eval_limit calls and the same descents.
+        Counted by `counted_constructions`, a pair builds 3.74
         Intervals and 13.9 Fractions (2 246 and 8 316 in all; 4 716
         Fractions from CPython 3.12 on, which count the two Fractions
         each cone_gap builds from integers but not the arithmetic results
@@ -1088,18 +1107,19 @@ class TestConeCampaign:
         built the Interval |r2 - r1|, it built 8.95 and 32.3 (5 372 and
         19 361) from 1 200 eval_limit calls.
         """
-        calls = []
-        real_eval_limit = Curve.eval_limit
-        monkeypatch.setattr(Curve, "eval_limit", lambda c, t, depth: calls.append(t) or real_eval_limit(c, t, depth))
+        descents = []
+        real_descend = Curve._descend
+        monkeypatch.setattr(Curve, "_descend", lambda c, state, depth: descents.append(state[:2]) or real_descend(c, state, depth))
         monkeypatch.setattr(carnot, "UNIT_CURVE", Curve())
         folded = {reduce_domain(w.t) for pair in ref_cone_pairs(600, verify.REFERENCE_SEED) for w in pair}
         cone_gap(graph_point(w_point(), 30), graph_point(w_point(), 30), 30)  # caches the norm width at depth 30
         verify._draw_grid()  # cached before counting, as in every campaign but the first
-        calls.clear()
+        descents.clear()
         with counted_constructions() as counts:
             r = verify_cone(600, 30)
         assert r.certified and r.checked == 600
-        assert len(folded) == 715 and sorted(calls) == sorted(folded)
+        # every folded argument but 0, which the warm-up left in the store, is descended once
+        assert len(folded) == 715 and sorted(descents) == sorted((t.numerator, t.denominator) for t in folded if t)
         assert counts == {"Interval": 2246, "Fraction": 8316 if sys.version_info < (3, 12) else 4716}
 
     @pytest.mark.parametrize(
@@ -1232,3 +1252,27 @@ class TestMutationSensitivity:
         left = BRANCHES[0]
         reports = mutation_probe(BranchTag.LEFT, "x_scale", left.x_scale)
         assert not mutation_detected(reports)
+
+
+# ----------------------------------------------------------------------
+# The standard curve's descent store lives for one campaign: each
+# campaign returns with it empty, whatever it held before.
+
+
+STORE_CAMPAIGNS = {
+    "holder": lambda: verify_holder(3),
+    "claim2": lambda: verify_unit_gap(11),
+    "claim3": lambda: verify_window_gap(window_gap_samples(5)),
+    "cone": lambda: verify_cone(40, 20),
+    "oscillation": lambda: oscillation_scan(F(7, 2), 6),
+    "blowup-divergence": lambda: blowup_divergence(0, 1, F(4472135954999579, 10**16), 1, TestBlowupDivergence.GRID, 30),
+    "mutation": lambda: mutation_probe(BranchTag.MID, "y_scale", F(-7, 20), 3, 9, 4),
+}
+
+
+@pytest.mark.parametrize("name", STORE_CAMPAIGNS)
+def test_every_campaign_leaves_the_store_empty(name):
+    UNIT_CURVE.eval_limit(F(1, 7), 16)
+    report = STORE_CAMPAIGNS[name]()
+    assert report
+    assert UNIT_CURVE._descents == {}
