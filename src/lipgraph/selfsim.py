@@ -42,7 +42,8 @@ contracts like (2/3)**depth, and each
 Curve keeps that Interval beside the descent that built it, so asking
 again for a point at the same depth builds nothing.  The store is the
 one cache of a campaign, and lives for one: every campaign in `verify`
-ends by emptying the standard curve's store with `Curve.forget`.  A
+empties the standard curve's store with `Curve.forget` on every exit,
+return or raise.  A
 quotient enclosure divides the difference of two such Intervals through
 a certified root enclosure from `numerics`, each endpoint one Fraction of
 cross-multiplied numerators (`_root_quotient`); the order of the two
@@ -94,16 +95,16 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # Descents each Curve keeps for eval_limit to resume, each with the
 # enclosure it returned, which a repeated call gets back as it is; only
 # eval_limit reads the bound, and clears the store when a new point finds
-# it full.  Every campaign empties the standard curve's store when it
-# returns.  The bound fits one cone campaign, whose profile arguments
-# fold onto the 1 001 points k/1000 of [0, 1] plus the breakpoints 4/9
-# and 5/9: 1 003 points, so each is descended once (715 of them at 600
-# pairs, all 1 003 at 10**4).  A claim2 base point needs 3 live points;
-# its campaign keeps one per base point beside the probes (603 at 601
-# points) and clears when full.  An oscillation scan keeps u(t) and the
-# two probes of each window, which window_witnesses seeds at its cell
-# even into a full store: at most 1 + 2 * scales points (121 at 64
-# scales) until the scan returns.
+# it full.  Every campaign empties the standard curve's store on every
+# exit, return or raise.  The bound fits one cone campaign, whose
+# profile arguments fold onto the 1 001 points k/1000 of [0, 1] plus the
+# breakpoints 4/9 and 5/9: 1 003 points, so each is descended once (715
+# of them at 600 pairs, all 1 003 at 10**4).  A claim2 base point needs
+# 3 live points; its campaign keeps one per base point beside the probes
+# (603 at 601 points) and clears when full.  An oscillation scan keeps
+# u(t) and the two probes of each window, which window_witnesses seeds
+# at its cell even into a full store: at most 1 + 2 * scales points (121
+# at 64 scales) until the scan ends.
 _DESCENTS_KEPT = 1024
 
 # Levels one descent step takes through a slot table: a system with
@@ -121,7 +122,7 @@ class OutOfDomain(ValueError):
 
 
 class DepthTooLarge(ValueError):
-    """Requested iterate level, descent depth, scale count, or pair (holder, cone), claim2 base point or claim3 sample count (verify.MAX_PAIRS) exceeds its cap."""
+    """Requested iterate level, descent depth, scale count, or pair (holder, cone), claim2 base point, claim3 sample or blow-up offset pair count (verify.MAX_PAIRS) exceeds its cap."""
 
 
 class CoincidentPoints(ValueError):

@@ -9,6 +9,8 @@ lands in the failure list when it is *conclusively* violated (exact
 comparison, or an interval bound strict enough to refute) or when the
 object under test could not even be constructed; undecided enclosures
 are failures too, so `certified` never overstates what was proved.
+Each campaign is a body framed by `_campaign`, which times it, builds
+the Report and empties the standard curve's descent store on every exit.
 
 Randomised campaigns draw from `random.Random(seed)` so every report is
 reproducible; JSON serialisation is canonical (sorted keys, exact
@@ -23,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -143,22 +145,45 @@ _scalar_json = json.JSONEncoder(allow_nan=False).encode
 _record_key = json.JSONEncoder(sort_keys=True).encode
 
 
-def _finish(campaign: str, parameters: dict, checked: int, failures: list, started: float) -> Report:
-    """The Report of a campaign whose failure records are already JSON-ready (strings, ints, lists).
+def _campaign(name: str) -> Callable:
+    """Frame a body that returns (parameters, checked, JSON-ready failure records) as the campaign `name`.
 
-    Every campaign returns through here, which empties the standard
-    curve's descent store: no descent outlives the campaign that took it.
+    The campaign times the body and returns the Report its annotation
+    names, failures sorted canonically.  On every exit, return or raise,
+    it empties the standard curve's descent store: no descent outlives
+    the campaign that took it.
     """
-    UNIT_CURVE.forget()
-    failures = sorted(failures, key=_record_key)
-    elapsed = max(time.perf_counter() - started, 1e-9)
-    return Report(campaign, parameters, checked, failures, not failures, elapsed)
+
+    def frame(body: Callable) -> Callable:
+        @wraps(body)
+        def campaign(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                parameters, checked, failures = body(*args, **kwargs)
+            finally:
+                UNIT_CURVE.forget()
+            failures = sorted(failures, key=_record_key)
+            elapsed = max(time.perf_counter() - started, 1e-9)
+            return Report(name, parameters, checked, failures, not failures, elapsed)
+
+        return campaign
+
+    return frame
+
+
+def _check_count(n: int, things: str, cap: int = MAX_PAIRS, name: str = "") -> None:
+    """Refuse a campaign of n things before any work: above cap, or below 1 when the argument's name is given."""
+    if name and n < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if n > cap:
+        raise DepthTooLarge(f"{n} {things} exceed cap {cap}")
 
 
 # ----------------------------------------------------------------------
 # Hölder sweep
 
 
+@_campaign("holder")
 def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Report:
     """Square-root Hölder sweep with constant 1 over an iterate's grid.
 
@@ -178,7 +203,6 @@ def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Rep
     checked a block of breakpoints at a time (see `_holder_violations`),
     which clears most of them by one exact comparison per block.
     """
-    started = time.perf_counter()
     params = {
         "level": level,
         "refine": refine,
@@ -189,19 +213,12 @@ def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Rep
     try:
         pl = curve.iterate(level)
     except InvalidCurve as exc:
-        return _finish(
-            "holder",
-            params,
-            0,
-            [{"kind": "construction", "detail": str(exc)}],
-            started,
-        )
+        return params, 0, [{"kind": "construction", "detail": str(exc)}]
     d_t, d_v, pts = pl.dt, pl.dv, pl.points
     n = len(pts)
     m = n + (n - 1) * refine
     npairs = m * (m - 1) // 2
-    if npairs > MAX_PAIRS:
-        raise DepthTooLarge(f"{npairs} pairs exceed cap {MAX_PAIRS}")
+    _check_count(npairs, "pairs")
     params["points"] = m
     ti = [t for t, _ in pts]
     vi = [v for _, v in pts]
@@ -223,7 +240,7 @@ def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Rep
         }
         for i, j in _holder_violations(ti, vi, d_t, ee)
     ]
-    return _finish("holder", params, npairs, failures, started)
+    return params, npairs, failures
 
 
 def _ratio(n: int, d: int) -> str:
@@ -291,10 +308,8 @@ def _holder_violations(ti: list[int], vi: list[int], d: int, ee: int) -> list[tu
 # witness campaigns
 
 
-def _check_witnesses(
-    campaign: str, params: dict, bases: Iterable, build: Callable, key: Callable, started: float
-) -> Report:
-    """The witness checks of claim2 and claim3.
+def _check_witnesses(params: dict, bases: Iterable, build: Callable, key: Callable) -> tuple[dict, int, list]:
+    """The witness checks of claim2 and claim3, as (parameters, checked, failures).
 
     bases yields (t, near, delta): a base point and the probe distances
     [near, delta] its scale admits.  build(t, delta) makes the witness,
@@ -328,7 +343,7 @@ def _check_witnesses(
             failures += ({**r, **named} for r in records)
     params["gap_floor"] = floor
     params["min_gap_lo"] = min_gap
-    return _finish(campaign, params, checked, failures, started)
+    return params, checked, failures
 
 
 def _probe_failures(w, t: Fraction, near: Fraction, delta: Fraction) -> list[dict]:
@@ -352,6 +367,7 @@ def _probe_failures(w, t: Fraction, near: Fraction, delta: Fraction) -> list[dic
     return records
 
 
+@_campaign("claim2")
 def verify_unit_gap(grid_size: int, curve: Curve = UNIT_CURVE) -> Report:
     """Certify the unit-scale witness pair over a uniform base-point grid.
 
@@ -362,18 +378,12 @@ def verify_unit_gap(grid_size: int, curve: Curve = UNIT_CURVE) -> Report:
     of more than MAX_PAIRS base points is refused with DepthTooLarge
     before the first witness.
     """
-    started = time.perf_counter()
-    if grid_size < 1:
-        raise ValueError("grid_size must be at least 1")
-    if grid_size > MAX_PAIRS:
-        raise DepthTooLarge(f"{grid_size} base points exceed cap {MAX_PAIRS}")
+    _check_count(grid_size, "base points", name="grid_size")
     params = {"grid_size": grid_size, "min_offset": UNIT_MIN_OFFSET}
     den = grid_size - 1 if grid_size > 1 else 1
     t0s = (Fraction(i, den) for i in range(grid_size))
     bases = ((t0, UNIT_MIN_OFFSET, 1) for t0 in t0s)
-    return _check_witnesses(
-        "claim2", params, bases, lambda t0, _: curve.unit_witnesses(t0), lambda t0, _: {"t0": str(t0)}, started
-    )
+    return _check_witnesses(params, bases, lambda t0, _: curve.unit_witnesses(t0), lambda t0, _: {"t0": str(t0)})
 
 
 def window_gap_samples(
@@ -383,8 +393,7 @@ def window_gap_samples(
 
     A count above MAX_PAIRS raises DepthTooLarge before the first draw.
     """
-    if count > MAX_PAIRS:
-        raise DepthTooLarge(f"{count} samples exceed cap {MAX_PAIRS}")
+    _check_count(count, "samples")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -394,6 +403,7 @@ def window_gap_samples(
     return out
 
 
+@_campaign("claim3")
 def verify_window_gap(
     samples: Sequence[tuple[RationalLike, RationalLike]],
     curve: Curve = UNIT_CURVE,
@@ -405,15 +415,14 @@ def verify_window_gap(
     same floor as at unit scale; this is scale invariance made checkable.
     The campaign id is "claim3" to match the command-line interface.
     """
-    started = time.perf_counter()
     if not samples:
         raise ValueError("samples must be at least 1")
     params = {"samples": len(samples), "offset_ratio": WINDOW_OFFSET_RATIO}
     pairs = ((Fraction(t), Fraction(delta)) for t, delta in samples)
     bases = ((t, WINDOW_OFFSET_RATIO * delta, delta) for t, delta in pairs)
     return _check_witnesses(
-        "claim3", params, bases, lambda t, delta: curve.window_witnesses(curve.locate_cell(t, delta)),
-        lambda t, delta: {"t": str(t), "delta": str(delta)}, started,
+        params, bases, lambda t, delta: curve.window_witnesses(curve.locate_cell(t, delta)),
+        lambda t, delta: {"t": str(t), "delta": str(delta)},
     )
 
 
@@ -421,6 +430,7 @@ def verify_window_gap(
 # oscillation scan
 
 
+@_campaign("oscillation")
 def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     """Witness oscillation of difference quotients at the scales 9**-1 .. 9**-scales.
 
@@ -441,11 +451,7 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     delta whose own cell would start its window deeper than MAX_DEPTH is
     refused before the first window.
     """
-    started = time.perf_counter()
-    if scales < 1:
-        raise ValueError("scales must be at least 1")
-    if scales > MAX_SCALES:
-        raise DepthTooLarge(f"{scales} scales exceed cap {MAX_SCALES}")
+    _check_count(scales, "scales", MAX_SCALES, "scales")
     t_hat = Fraction(t_hat)
     t_red = reduce_domain(t_hat)
     reflected = t_red != t_hat % 2
@@ -483,7 +489,7 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
         if not gap_clears:
             failures.append({"kind": "window-uncertified", "delta": str(delta), "osc_lower_bound": str(lo)})
     params = {"t_hat": t_hat, "deltas": deltas, "windows": windows}
-    return _finish("oscillation", params, len(deltas), failures, started)
+    return params, len(deltas), failures
 
 
 # ----------------------------------------------------------------------
@@ -561,6 +567,7 @@ def _cone_pairs(seed: int) -> Iterator[tuple[GroupPoint, GroupPoint]]:
         yield w_point(y1, t1), w_point(y2, t2)
 
 
+@_campaign("cone")
 def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) -> Report:
     """Cone condition with constant 1 over graph point pairs.
 
@@ -583,11 +590,7 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     denominators, unreduced, and refutes when n**2 * td > tn * d**2.  The
     gap's signs and the smallest gap lower end are read from integers too.
     """
-    started = time.perf_counter()
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    if sample_count > MAX_PAIRS:
-        raise DepthTooLarge(f"{sample_count} pairs exceed cap {MAX_PAIRS}")
+    _check_count(sample_count, "pairs", name="sample_count")
     _check_depth(depth)
     failures = []
     exact_pairs = 0
@@ -623,7 +626,7 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
         "min_gap_lo": min_gap_lo,
         "cone_constant": Fraction(1),
     }
-    return _finish("cone", params, sample_count, failures, started)
+    return params, sample_count, failures
 
 
 def _pair_key(idx: int, w1: GroupPoint, w2: GroupPoint) -> dict:
@@ -641,6 +644,7 @@ BRACKET1 = (Fraction(4, 9), Fraction(1, 2))
 BRACKET2 = (Fraction(5, 9), Fraction(3, 5))
 
 
+@_campaign("blowup-divergence")
 def blowup_divergence(
     t_hat: RationalLike,
     target1: RationalLike,
@@ -662,10 +666,12 @@ def blowup_divergence(
     positive (its enclosure is close to |target1 - target2|), and the
     sample-set Hausdorff distance inside the radius is positive when the
     targets differ.  One base point with two non-collapsing rescaling
-    limits is exactly a point of blow-up divergence.
+    limits is exactly a point of blow-up divergence.  The Hausdorff step
+    takes a norm per ordered pair of samples, so more than MAX_PAIRS
+    offset pairs are refused with DepthTooLarge before the first solve.
     """
-    started = time.perf_counter()
     _check_depth(depth)
+    _check_count(len(grid) ** 2, "offset pairs")
     t_hat = Fraction(t_hat)
     target1 = Fraction(target1)
     target2 = Fraction(target2)
@@ -730,7 +736,7 @@ def blowup_divergence(
         "profile_gap": gap,
         "hausdorff": hd,
     }
-    return _finish("blowup-divergence", params, checked, failures, started)
+    return params, checked, failures
 
 
 # ----------------------------------------------------------------------

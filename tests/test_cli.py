@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from lipgraph import cli, verify
 from lipgraph.carnot import NotBracketed, TolTooTight
-from lipgraph.selfsim import MAX_DEPTH, Curve, DepthTooLarge, OutOfDomain
+from lipgraph.selfsim import MAX_DEPTH, UNIT_CURVE, Curve, DepthTooLarge, OutOfDomain
 from lipgraph.verify import MAX_PAIRS, EmptyAfterRestriction, Report
 
 
@@ -150,11 +150,18 @@ EXIT_2_TABLE = [
     (["verify", "oscillation", "--scales", "928"], DepthTooLarge, "cannot run campaign: 928 scales exceed cap"),
     (["verify", "blowup-divergence", "--tol", "0"], ValueError, "cannot run campaign: tol must be positive"),
     (["verify", "blowup-divergence", "--depth", "4097"], DepthTooLarge, "cannot run campaign: depth 4097 exceeds cap"),
+    (["verify", "blowup-divergence", "--offsets", ",".join(["0"] * 1415)], DepthTooLarge,
+     "cannot run campaign: 2002225 offset pairs exceed cap 2000000"),
     (["verify", "blowup-divergence", "--target1", "2"], NotBracketed, "cannot run campaign: target 2 not straddled"),
     (["verify", "blowup-divergence", "--tol", f"1/{10**60}"], TolTooTight, "cannot run campaign: cannot reach quotient width"),
     (["verify", "blowup-divergence", "--radius", "-1"], EmptyAfterRestriction,
      "cannot run campaign: radius -1 keeps 0 of 6"),
 ]
+
+
+def exit_row_id(argv):
+    """The test id of an EXIT_2_TABLE row: its arguments after "verify", a long offset list by its length."""
+    return " ".join(f"<{a.count(',') + 1} offsets>" if len(a) > 100 else a for a in argv[1:])
 
 
 class TestVerifyCommand:
@@ -324,6 +331,22 @@ class TestVerifyCommand:
         with pytest.raises(AssertionError, match="a pair was drawn"):
             verify.verify_cone(MAX_PAIRS)
 
+    def test_blowup_offset_cap_refused_before_any_solve(self, monkeypatch):
+        # 1 414**2 = 1 999 396 offset pairs are within the cap, 1 415**2 = 2 002 225 are not
+        def no_solve(*args):
+            raise AssertionError("a quotient was solved")
+
+        monkeypatch.setattr(verify, "solve_quotient", no_solve)
+        for n in (1415, 10**4):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run(["verify", "blowup-divergence", "--offsets", ",".join(["0"] * n)])
+            assert code == 2 and out == ""
+            assert err.getvalue() == f"cannot run campaign: {n * n} offset pairs exceed cap {MAX_PAIRS}\n"
+        # the cap itself is solved
+        with pytest.raises(AssertionError, match="a quotient was solved"):
+            verify.blowup_divergence(0, 1, F(1, 2), 1, [verify.w_point(0, 0)] * 1414, 40)
+
     def test_cell_past_the_depth_cap_refused_before_any_witness(self, monkeypatch):
         # at 1/7 the cell at 9**-927 is shorter than the scale, so its window would start at 4098
         def no_witness(*args):
@@ -341,14 +364,17 @@ class TestVerifyCommand:
         rows = re.findall(r"^\| `([\w-]+)` \| `(\w+)` \|", readme, re.MULTILINE)
         assert rows == [(argv[1], exc_type.__name__) for argv, exc_type, _ in EXIT_2_TABLE]
 
-    @pytest.mark.parametrize("argv, exc_type, prefix", EXIT_2_TABLE, ids=[" ".join(row[0][1:]) for row in EXIT_2_TABLE])
+    @pytest.mark.parametrize("argv, exc_type, prefix", EXIT_2_TABLE, ids=[exit_row_id(row[0]) for row in EXIT_2_TABLE])
     def test_exit_code_table(self, argv, exc_type, prefix, monkeypatch):
-        # every row is refused before any witness, so none may build one
+        # every row is refused before any witness, so none may build one,
+        # and the refused campaign keeps none of the descents it took
         monkeypatch.setattr(Curve, "unit_witnesses", _no_witness)
         args = cli.build_parser().parse_args(argv)
+        UNIT_CURVE.forget()
         with pytest.raises(exc_type) as raised:
             args.run(args)
         assert type(raised.value) is exc_type
+        assert UNIT_CURVE._descents == {}
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, out = run(argv)

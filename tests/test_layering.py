@@ -2,7 +2,9 @@
 
 The modules form one stack, numerics <- selfsim <- carnot <- verify <- cli:
 each may import only modules below it, and only `selfsim` names the
-curve's descent store `_descents`.  Every `lipgraph ...` line in
+curve's descent store `_descents`.  Every function of `verify` that
+returns a Report is a campaign framed by `verify._campaign`, the one
+place that reads the clock.  Every `lipgraph ...` line in
 README's code blocks must parse with the real argument parser; the
 commands are parsed, never run.  README's Python example is run, so a
 changed API cannot leave it stale.
@@ -10,6 +12,7 @@ changed API cannot leave it stale.
 
 import ast
 import contextlib
+import inspect
 import io
 import re
 import shlex
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from lipgraph import cli
+from lipgraph import cli, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lipgraph"
@@ -56,6 +59,28 @@ def test_only_selfsim_names_the_descent_store(module):
     # the store has one owner; a campaign empties it through Curve.forget()
     named = re.search(r"\b_descents\b", (PACKAGE / f"{module}.py").read_text())
     assert bool(named) == (module == "selfsim")
+
+
+def test_every_campaign_passes_the_campaign_frame():
+    # a function of verify that returns a Report is framed by _campaign, and only the frame reads the clock
+    campaigns = [
+        f for f in vars(verify).values() if inspect.isfunction(f) and f.__annotations__.get("return") == "Report"
+    ]
+    assert len(campaigns) >= 6
+    framed = verify._campaign("c")(lambda: ({}, 0, [])).__code__
+    unframed = [f.__name__ for f in campaigns if f.__code__ is not framed]
+    assert unframed == []
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    (frame,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_campaign")
+    inside = {id(node) for node in ast.walk(frame)}
+    clocks = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "perf_counter"
+        or isinstance(node, ast.Name) and node.id == "perf_counter"
+        or isinstance(node, ast.alias) and node.name == "perf_counter"
+    ]
+    assert clocks and all(id(node) in inside for node in clocks)
 
 
 def readme_blocks(lang="[a-z]*"):

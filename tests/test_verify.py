@@ -5,7 +5,6 @@ import json
 import math
 import random
 import sys
-import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations, islice
@@ -130,7 +129,7 @@ class TestReport:
         )
     )
     def test_finish_sorts_by_json_dumps(self, records):
-        r = verify._finish("c", {}, 0, records, time.perf_counter())
+        r = verify._campaign("c")(lambda: ({}, 0, records))()
         assert r.failures == sorted(records, key=lambda f: json.dumps(f, sort_keys=True))
 
 
@@ -259,8 +258,8 @@ def ref_iterate(curve, n):
     return bps
 
 
+@verify._campaign("holder")
 def ref_verify_holder(level, refine=0, curve=UNIT_CURVE):
-    started = time.perf_counter()
     params = {
         "level": level,
         "refine": refine,
@@ -271,7 +270,7 @@ def ref_verify_holder(level, refine=0, curve=UNIT_CURVE):
     try:
         pl = ref_iterate(curve, level)
     except InvalidCurve as exc:
-        return verify._finish("holder", params, 0, [{"kind": "construction", "detail": str(exc)}], started)
+        return params, 0, [{"kind": "construction", "detail": str(exc)}]
     pts = list(pl)
     m = len(pts) + (len(pts) - 1) * refine
     npairs = m * (m - 1) // 2
@@ -305,7 +304,7 @@ def ref_verify_holder(level, refine=0, curve=UNIT_CURVE):
                         "quotient_sq": str((pts[j][1] - pts[i][1]) ** 2 / (s_j - t_j)),
                     }
                 )
-    return verify._finish("holder", params, npairs, failures, started)
+    return params, npairs, failures
 
 
 def outcome(fn, *args):
@@ -1275,4 +1274,26 @@ def test_every_campaign_leaves_the_store_empty(name):
     UNIT_CURVE.eval_limit(F(1, 7), 16)
     report = STORE_CAMPAIGNS[name]()
     assert report
+    assert UNIT_CURVE._descents == {}
+
+
+# A campaign that raises partway empties the store too.
+STORE_REFUSALS = {
+    "claim3 past the depth cap": (
+        lambda: verify_window_gap([(F(1, 7), F(1, 9)), (F(2, 7), F(1, 81)), (F(1, 7), F(1, 9**1000))]),
+        DepthTooLarge,
+    ),
+    "blowup-divergence not bracketed": (
+        lambda: blowup_divergence(0, 2, F(1, 2), 1, [w_point(0, F(1, 2))], 40),
+        carnot.NotBracketed,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STORE_REFUSALS)
+def test_a_refused_campaign_leaves_the_store_empty(name):
+    run, refusal = STORE_REFUSALS[name]
+    UNIT_CURVE.eval_limit(F(1, 7), 16)
+    with pytest.raises(refusal):
+        run()
     assert UNIT_CURVE._descents == {}
