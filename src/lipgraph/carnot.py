@@ -202,11 +202,8 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
     norm = hnorm(mul(inv(wp), wq), _norm_width(depth))
     # |q.r - p.r| = [an / ad, bn / bd]
     an, ad, bn, bd = abs_diff_ends(p.r, q.r)
-    lo, hi = norm.lo, norm.hi
-    return Interval(
-        Fraction(lo.numerator * bd - bn * lo.denominator, lo.denominator * bd),
-        Fraction(hi.numerator * ad - an * hi.denominator, hi.denominator * ad),
-    )
+    (ln, ld), (hn, hd) = norm.lo.as_integer_ratio(), norm.hi.as_integer_ratio()
+    return Interval(Fraction(ln * bd - bn * ld, ld * bd), Fraction(hn * ad - an * hd, hd * ad))
 
 
 @lru_cache(maxsize=16, typed=True)

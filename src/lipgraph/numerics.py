@@ -2,10 +2,12 @@
 
 Everything downstream reduces numeric truth to two primitives:
 
-* exact order tests between a rational and the square root of a rational,
-  decided by squaring and cross-multiplying the integer numerators and
-  denominators the callers already hold (`abs_diff_ends` gives the ends
-  of an interval difference as such integers), and
+* exact order tests, of two rationals or of a rational and the square
+  root of one, decided by cross-multiplying (and squaring) integer
+  numerators and denominators, each Fraction's pair read with one
+  `as_integer_ratio()` call rather than through its two properties
+  (`abs_diff_ends` gives the ends of an interval difference as such
+  integers), and
 * certified enclosures of square roots, produced from `math.isqrt` at a
   caller-chosen width (`sqrt_enclose`).  A quotient by a root divides
   each endpoint of the numerator by one endpoint of that enclosure: a
@@ -58,7 +60,9 @@ class Interval:
         if type(hi) is not Fraction:
             hi = Fraction(hi)
             object.__setattr__(self, "hi", hi)
-        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+        ln, ld = lo.as_integer_ratio()
+        hn, hd = hi.as_integer_ratio()
+        if ln * hd > hn * ld:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
 
     @classmethod
@@ -139,11 +143,12 @@ def abs_diff_ends(a: Interval, b: Interval) -> tuple[int, int, int, int]:
     of its absolute value are picked by their signs as `Interval.abs`
     picks them, so no Fraction is built.
     """
-    al, ah, bl, bh = a.lo, a.hi, b.lo, b.hi
-    dld = bl.denominator * ah.denominator
-    dln = bl.numerator * ah.denominator - ah.numerator * bl.denominator
-    dhd = bh.denominator * al.denominator
-    dhn = bh.numerator * al.denominator - al.numerator * bh.denominator
+    aln, ald = a.lo.as_integer_ratio()
+    ahn, ahd = a.hi.as_integer_ratio()
+    bln, bld = b.lo.as_integer_ratio()
+    bhn, bhd = b.hi.as_integer_ratio()
+    dln, dld = bln * ahd - ahn * bld, bld * ahd
+    dhn, dhd = bhn * ald - aln * bhd, bhd * ald
     if dln >= 0:
         return dln, dld, dhn, dhd
     if dhn <= 0:
@@ -165,10 +170,11 @@ def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> I
         x = Fraction(x)
     if type(width) is not Fraction:
         width = Fraction(width)
-    p, q = x.numerator, x.denominator
+    p, q = x.as_integer_ratio()
     if p < 0:
         raise NegativeInput(f"sqrt of negative rational {x}")
-    if width.numerator <= 0:
+    wn, wd = width.as_integer_ratio()
+    if wn <= 0:
         raise ValueError("width must be positive")
     rp = isqrt(p)
     if rp * rp == p:
@@ -177,7 +183,7 @@ def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> I
             return Interval.point(Fraction(rp, rq))
     # p/q is in lowest terms, so p*q*4**k is a square only if p and q are
     m = p * q
-    t = _ceil_div(2 * width.denominator, width.numerator * q)
+    t = _ceil_div(2 * wd, wn * q)
     k = (t - 1).bit_length() if t > 1 else 0
     s = isqrt(m << (2 * k))
     den = (1 << k) * q

@@ -262,7 +262,7 @@ def reduce_domain(t: RationalLike) -> Fraction:
     """
     if type(t) is not Fraction:
         t = Fraction(t)
-    p, q = t.numerator, t.denominator
+    p, q = t.as_integer_ratio()
     if 0 <= p <= q:
         return t
     # p/q mod 2 is (p mod 2q)/q, still in lowest terms; so is its reflection.
@@ -523,7 +523,7 @@ class Curve:
         """
         if type(t) is not Fraction:
             t = Fraction(t)
-        p, q = t.numerator, t.denominator
+        p, q = t.as_integer_ratio()
         if p < 0 or p > q:
             raise OutOfDomain(f"t={t} outside [0, 1]")
         if depth < 0:
@@ -564,11 +564,12 @@ class Curve:
     def diff_quotient(self, s: RationalLike, t: RationalLike, depth: int) -> Interval:
         """Enclosure of q(s, t) = (u(s) - u(t)) / (sgn(s-t) |s-t|**(1/2)).
 
-        Arguments may be anywhere on the line; they are folded into
-        [0, 1] for evaluation while the gap |s - t| is taken between the
-        original abscissas.  Whether s and t coincide, their order and
-        the gap come from the cross-multiplied numerators; the gap is
-        the one Fraction built here.  Its root is enclosed to width
+        Arguments may be anywhere on the line; one outside [0, 1] is
+        folded into it (`reduce_domain`) for evaluation, while the gap
+        |s - t| is taken between the original abscissas.  Whether s and t
+        coincide, their order and the gap come from the cross-multiplied
+        integers of s and t, each read once; the gap is the one Fraction
+        built here.  Its root is enclosed to width
         min(gap, 1) * (2/3)**depth, as tight as the numerator, and each
         quotient endpoint is one Fraction (`_root_quotient`).
         """
@@ -576,16 +577,17 @@ class Curve:
             s = Fraction(s)
         if type(t) is not Fraction:
             t = Fraction(t)
-        sd, td = s.denominator, t.denominator
-        n = s.numerator * td - t.numerator * sd  # (s - t) * sd * td
+        sn, sd = s.as_integer_ratio()
+        tn, td = t.as_integer_ratio()
+        n = sn * td - tn * sd  # (s - t) * sd * td
         if not n:
             raise CoincidentPoints("difference quotient needs s != t")
-        us = self.eval_limit(reduce_domain(s), depth)
-        ut = self.eval_limit(reduce_domain(t), depth)
+        us = self.eval_limit(s if 0 <= sn <= sd else reduce_domain(s), depth)
+        ut = self.eval_limit(t if 0 <= tn <= td else reduce_domain(t), depth)
         if n < 0:  # q(s, t) = q(t, s): divide by the positive root, with no sign flip
             n, us, ut = -n, ut, us
         gap = Fraction(n, sd * td)
-        gn, gd, depth = gap.numerator, gap.denominator, index(depth)
+        (gn, gd), depth = gap.as_integer_ratio(), index(depth)
         return _root_quotient(us, ut, sqrt_enclose(gap, Fraction(min(gn, gd) << depth, gd * 3**depth)))
 
     # ------------------------------------------------------------------
@@ -619,23 +621,24 @@ class Curve:
             t = Fraction(t)
         if type(delta) is not Fraction:
             delta = Fraction(delta)
-        if not 0 <= t <= 1:
+        p0, q0 = t.as_integer_ratio()
+        if not 0 <= p0 <= q0:
             raise OutOfDomain(f"t={t} outside [0, 1]")
-        if not 0 < delta <= 1:
+        dn, dd = delta.as_integer_ratio()
+        if not 0 < dn <= dd:
             raise OutOfDomain(f"delta={delta} outside (0, 1]")
         dx, ey = self._dx, self._ey
         locate = self.locate_branch
-        p0, q0 = t.numerator, t.denominator
+        p, q, k, dk, ya, yb = p0, q0, 0, 1, 1, 0
         st = resume.descent if resume is not None else None
-        if st is not None and st[0] is self and st[1] == t and delta <= st[2]:
-            p, q, k, dk, ya, yb = st[3:]
-        else:
-            p, q, k, dk, ya, yb = p0, q0, 0, 1, 1, 0
+        if st is not None and st[0] is self and st[1].as_integer_ratio() == (p0, q0):
+            kn, kd = st[2].as_integer_ratio()
+            if dn * kd <= kn * dd:  # delta at most the kept delta
+                p, q, k, dk, ya, yb = st[3:]
         # After k steps the cell map is x -> (a_k*x + b_k) / dk with
         # a_k = q/q0 (`_cell_numerators`), so the length test a_k/dk >
         # delta reads q*dd > delta.numerator*q0*dk = dn*dk.
-        dd = delta.denominator
-        dn = delta.numerator * q0
+        dn *= q0
         while q * dd > dn * dk:
             pd = p * dx
             _, _, xs, xo, ys, yo, _, _, _ = locate(pd, q, 1)
@@ -675,19 +678,18 @@ class Curve:
         by cross-multiplying, and the returned gap is one Fraction of
         the positive one (0 if neither is).
         """
-        floor_hi = quotient_gap_floor().hi
-        fn, fd = floor_hi.numerator, floor_hi.denominator
+        fn, fd = quotient_gap_floor().hi.as_integer_ratio()
         for depth in depths:
             q1 = self.diff_quotient(s1, t, depth)
             q2 = self.diff_quotient(s2, t, depth)
             # At most one of q1.lo - q2.hi and q2.lo - q1.hi is positive;
             # the gap is n/d for that one, or 0.
-            lo, hi = q1.lo, q2.hi
-            n = lo.numerator * hi.denominator - hi.numerator * lo.denominator
+            (ln, ld), (hn, hd) = q1.lo.as_integer_ratio(), q2.hi.as_integer_ratio()
+            n = ln * hd - hn * ld
             if n <= 0:
-                lo, hi = q2.lo, q1.hi
-                n = lo.numerator * hi.denominator - hi.numerator * lo.denominator
-            d = lo.denominator * hi.denominator
+                (ln, ld), (hn, hd) = q2.lo.as_integer_ratio(), q1.hi.as_integer_ratio()
+                n = ln * hd - hn * ld
+            d = ld * hd
             if n * fd >= fn * d:
                 break
         return QuotientWitness(s1, s2, Fraction(n, d) if n > 0 else _ZERO, side)
@@ -701,9 +703,10 @@ class Curve:
         """
         if type(t0) is not Fraction:
             t0 = Fraction(t0)
-        if t0.numerator < 0 or t0.numerator > t0.denominator:
+        p, q = t0.as_integer_ratio()
+        if p < 0 or p > q:
             raise OutOfDomain(f"t0={t0} outside [0, 1]")
-        s1, s2, side = self._unit_probe(t0.numerator, t0.denominator)
+        s1, s2, side = self._unit_probe(p, q)
         return self._deepen(s1, s2, t0, side, (16, 24, 32, 48, 64, 96))
 
     def window_witnesses(self, cell: AffineMap1D) -> QuotientWitness:
@@ -735,7 +738,7 @@ class Curve:
         depths = range(start, start + 6 * 24, 24)
         if self._tiled:
             for s, b in ((s1, b1), (s2, b2)):
-                self._descents[s.numerator, s.denominator] = (b.numerator, b.denominator, ya, yb, k, None)
+                self._descents[s.as_integer_ratio()] = (*b.as_integer_ratio(), ya, yb, k, None)
         return self._deepen(s1, s2, t, side, depths)
 
 
@@ -757,7 +760,8 @@ def cell_start_depth(cell: AffineMap1D) -> int:
     is finite however short the cell (1/a overflows a float once a <
     5.6e-309).
     """
-    return window_start_depth(math.log(cell.a.denominator, 3) - math.log(cell.a.numerator, 3))
+    an, ad = cell.a.as_integer_ratio()
+    return window_start_depth(math.log(ad, 3) - math.log(an, 3))
 
 
 def _cell_numerators(t: Fraction, p: int, q: int, dk: int) -> tuple[int, int]:
@@ -768,8 +772,8 @@ def _cell_numerators(t: Fraction, p: int, q: int, dk: int) -> tuple[int, int]:
     t.denominator, so a_k = q/q0 and b_k = (p0*dk - p)/q0 for t = p0/q0,
     both exact integer divisions.
     """
-    q0 = t.denominator
-    return q // q0, (t.numerator * dk - p) // q0
+    p0, q0 = t.as_integer_ratio()
+    return q // q0, (p0 * dk - p) // q0
 
 
 UNIT_CURVE = Curve()
@@ -783,13 +787,13 @@ def _root_quotient(a: Interval, b: Interval, root: Interval) -> Interval:
     else over root.hi: the least and greatest of the four endpoint
     quotients.  Each end is one Fraction of cross-multiplied numerators.
     """
-    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
-    n = alo.numerator * bhi.denominator - bhi.numerator * alo.denominator
-    r = root.hi if n >= 0 else root.lo
-    lo = Fraction(n * r.denominator, alo.denominator * bhi.denominator * r.numerator)
-    n = ahi.numerator * blo.denominator - blo.numerator * ahi.denominator
-    r = root.lo if n >= 0 else root.hi
-    hi = Fraction(n * r.denominator, ahi.denominator * blo.denominator * r.numerator)
+    (aln, ald), (ahn, ahd) = a.lo.as_integer_ratio(), a.hi.as_integer_ratio()
+    (bln, bld), (bhn, bhd) = b.lo.as_integer_ratio(), b.hi.as_integer_ratio()
+    (rln, rld), (rhn, rhd) = root.lo.as_integer_ratio(), root.hi.as_integer_ratio()
+    n = aln * bhd - bhn * ald
+    lo = Fraction(n * rhd, ald * bhd * rhn) if n >= 0 else Fraction(n * rld, ald * bhd * rln)
+    n = ahn * bld - bln * ahd
+    hi = Fraction(n * rld, ahd * bld * rln) if n >= 0 else Fraction(n * rhd, ahd * bld * rhn)
     return Interval(lo, hi)
 
 

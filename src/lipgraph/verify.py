@@ -25,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -321,9 +321,11 @@ def _check_witnesses(params: dict, bases: Iterable, build: Callable, key: Callab
     its failure records, built only for a base point that fails.
     """
     floor = quotient_gap_floor()
+    fn, fd = floor.hi.as_integer_ratio()
     failures = []
     checked = 0
     min_gap: Optional[Fraction] = None
+    mn = md = 0  # the integers of min_gap
     for t, near, delta in bases:
         checked += 1
         try:
@@ -335,8 +337,10 @@ def _check_witnesses(params: dict, bases: Iterable, build: Callable, key: Callab
             continue
         records = _probe_failures(w, t, near, delta)
         lo = w.gap_lower_bound
-        min_gap = lo if min_gap is None else min(min_gap, lo)
-        if lo < floor.hi:
+        ln, ld = lo.as_integer_ratio()
+        if min_gap is None or ln * md < mn * ld:  # a tie keeps the first, as min does
+            min_gap, mn, md = lo, ln, ld
+        if ln * fd < fn * ld:
             records.append({"kind": "gap-below-floor", "gap_lo": str(lo), "floor_hi": str(floor.hi)})
         if records:
             named = key(t, delta)
@@ -352,13 +356,13 @@ def _probe_failures(w, t: Fraction, near: Fraction, delta: Fraction) -> list[dic
     The fields that name t are left out: a caller adds them only when there is a record.
     """
     # near <= |s - t| <= delta and (s - t) * side > 0, times s.denominator * t.denominator > 0
-    tn, td = t.numerator, t.denominator
-    nn, nd = near.numerator, near.denominator
-    dn, dd = delta.numerator, delta.denominator
+    tn, td = t.as_integer_ratio()
+    nn, nd = near.as_integer_ratio()
+    dn, dd = delta.as_integer_ratio()
     records = []
     for s in (w.s1, w.s2):
-        sd = s.denominator
-        diff = s.numerator * td - tn * sd
+        sn, sd = s.as_integer_ratio()
+        diff = sn * td - tn * sd
         dist, den = abs(diff), sd * td
         if dist * nd < nn * den or dist * dd > dn * den:
             records.append({"kind": "offset-range", "s": str(s), "distance": str(abs(s - t))})
@@ -418,7 +422,10 @@ def verify_window_gap(
     if not samples:
         raise ValueError("samples must be at least 1")
     params = {"samples": len(samples), "offset_ratio": WINDOW_OFFSET_RATIO}
-    pairs = ((Fraction(t), Fraction(delta)) for t, delta in samples)
+    pairs = (
+        (t if type(t) is Fraction else Fraction(t), delta if type(delta) is Fraction else Fraction(delta))
+        for t, delta in samples
+    )
     bases = ((t, WINDOW_OFFSET_RATIO * delta, delta) for t, delta in pairs)
     return _check_witnesses(
         params, bases, lambda t, delta: curve.window_witnesses(curve.locate_cell(t, delta)),
@@ -508,7 +515,9 @@ def hausdorff_distance(
     is outside).  Distances are left-invariant: |p**-1 q|.  The max-min
     combination is interval-sound: the lower endpoint is attained by
     some true configuration of values inside the enclosures, as is the
-    upper endpoint.
+    upper endpoint.  Each pair's norm is taken once, since |q**-1 p| =
+    |p**-1 q| and min_of and max_of work end by end: each point of a takes
+    the minimum of its row of norms, each point of b a running minimum.
     """
     radius = Fraction(radius)
     a = [p for p in a_pts if hnorm(p).lo <= radius]
@@ -517,19 +526,14 @@ def hausdorff_distance(
         raise EmptyAfterRestriction(
             f"radius {radius} keeps {len(a)} of {len(a_pts)} and {len(b)} of {len(b_pts)} points"
         )
-
-    def directed(src: list[GroupPoint], dst: list[GroupPoint]) -> Interval:
-        worst: Optional[Interval] = None
-        for p in src:
-            p_inv = inv(p)
-            nearest: Optional[Interval] = None
-            for q in dst:
-                d = hnorm(mul(p_inv, q))
-                nearest = d if nearest is None else Interval.min_of(nearest, d)
-            worst = nearest if worst is None else Interval.max_of(worst, nearest)
-        return worst
-
-    return Interval.max_of(directed(a, b), directed(b, a))
+    worst = cols = None
+    for p in a:
+        p_inv = inv(p)
+        row = [hnorm(mul(p_inv, q)) for q in b]
+        nearest = reduce(Interval.min_of, row)
+        worst = nearest if worst is None else Interval.max_of(worst, nearest)
+        cols = row if cols is None else list(map(Interval.min_of, cols, row))
+    return Interval.max_of(worst, reduce(Interval.max_of, cols))
 
 
 # ----------------------------------------------------------------------
@@ -595,14 +599,16 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     failures = []
     exact_pairs = 0
     min_gap_lo: Optional[Fraction] = None
+    mn = md = 0  # the integers of min_gap_lo
     for idx, (w1, w2) in enumerate(islice(_cone_pairs(seed), sample_count)):
         p1 = graph_point(w1, depth)
         p2 = graph_point(w2, depth)
         g = cone_gap(p1, p2, depth)
         lo = g.lo
-        if min_gap_lo is None or lo.numerator * min_gap_lo.denominator < min_gap_lo.numerator * lo.denominator:
-            min_gap_lo = lo
-        if lo.numerator < 0:
+        ln, ld = lo.as_integer_ratio()
+        if min_gap_lo is None or ln * md < mn * ld:
+            min_gap_lo, mn, md = lo, ln, ld
+        if ln < 0:
             kind = "cone-gap-negative" if g.hi.numerator < 0 else "cone-undecided"
             failures.append({"kind": kind, "gap": _jsonable(g), **_pair_key(idx, w1, w2)})
         r1, r2 = p1.r, p2.r
@@ -612,9 +618,8 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
         n, d, _, _ = abs_diff_ends(r1, r2)
         if n:
             # |beta2 - beta1| = tn / td; the chain is refuted when (n / d)**2 > tn / td
-            t1, t2 = w1.t, w2.t
-            tn = abs(t2.numerator * t1.denominator - t1.numerator * t2.denominator)
-            td = t1.denominator * t2.denominator
+            (tn1, td1), (tn2, td2) = w1.t.as_integer_ratio(), w2.t.as_integer_ratio()
+            tn, td = abs(tn2 * td1 - tn1 * td2), td1 * td2
             if n * n * td > tn * d * d:
                 kind = "holder-chain-exact" if exact else "holder-chain-refuted"
                 failures.append({"kind": kind, **_pair_key(idx, w1, w2)})

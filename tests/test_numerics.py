@@ -112,6 +112,17 @@ class TestSqrtEnclose:
         with pytest.raises(ValueError):
             sqrt_enclose(2, 0)
 
+    def test_refusal_order(self):
+        """A negative x is refused before a bad width, each with its message."""
+        for x, width in ((-1, 0), (F(-2, 3), 0), (F(-2, 3), -1)):
+            with pytest.raises(NegativeInput) as raised:
+                sqrt_enclose(x, width)
+            assert str(raised.value) == f"sqrt of negative rational {x}"
+        for x in (0, 2, F(2, 3)):
+            with pytest.raises(ValueError) as raised:
+                sqrt_enclose(x, -1)
+            assert type(raised.value) is ValueError and str(raised.value) == "width must be positive"
+
     def test_soundness_random(self):
         rng = random.Random(303)
         for _ in range(300):

@@ -1748,6 +1748,27 @@ class TestCoercionAgainstTheParent:
             assert got == coerced(parent_locate_cell, UNIT_CURVE, t, delta)
 
 
+# Refusals of the range tests that read integers, each with the type and
+# message it had while those tests compared Fractions.
+T_REFUSED = {F(-1, 3): "t=-1/3 outside [0, 1]", F(4, 3): "t=4/3 outside [0, 1]"}
+DELTA_REFUSED = {0: "delta=0 outside (0, 1]", F(-1, 9): "delta=-1/9 outside (0, 1]", F(3, 2): "delta=3/2 outside (0, 1]"}
+
+
+class TestRefusalsOnIntegers:
+    @pytest.mark.parametrize("t", [*T_REFUSED, 0.5, True])
+    @pytest.mark.parametrize("delta", list(DELTA_REFUSED))
+    def test_locate_cell(self, t, delta):
+        """t is tested before delta, from the top and on resume alike."""
+        refusal = (OutOfDomain, T_REFUSED.get(t) or DELTA_REFUSED[delta])
+        assert outcome(UNIT_CURVE.locate_cell, t, delta) == refusal
+        assert outcome(parent_locate_cell, UNIT_CURVE, t, delta) == refusal
+        cell = UNIT_CURVE.locate_cell(F(t) if t in (0.5, True) else F(1, 7), F(1, 81))
+        assert outcome(UNIT_CURVE.locate_cell, t, delta, cell) == refusal
+
+    def test_eval_limit(self):
+        assert outcome(UNIT_CURVE.eval_limit, F(3, 2), 10) == (OutOfDomain, "t=3/2 outside [0, 1]")
+
+
 # ----------------------------------------------------------------------
 # properties of the descent on the standard curve
 

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations, islice
 from dataclasses import dataclass
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -490,6 +491,33 @@ def counted_constructions():
         F.__new__ = saved_new
 
 
+@contextmanager
+def counted_comparisons():
+    """Fraction rich comparisons inside the block, as a dict filled in as they happen.
+
+    Counted by wrapping Fraction's __lt__, __le__, __gt__, __ge__ and
+    __eq__, which also run for an int or float compared with a Fraction
+    from either side.
+    """
+    counts = {"Fraction": 0}
+    saved = {name: F.__dict__[name] for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__")}
+
+    def counted(compare):
+        def wrapper(a, b):
+            counts["Fraction"] += 1
+            return compare(a, b)
+
+        return wrapper
+
+    for name, compare in saved.items():
+        setattr(F, name, counted(compare))
+    try:
+        yield counts
+    finally:
+        for name, compare in saved.items():
+            setattr(F, name, compare)
+
+
 class TestUnitGapCampaign:
     def test_certified_small_grid(self):
         r = verify_unit_gap(101)
@@ -539,6 +567,14 @@ class TestUnitGapCampaign:
         assert r.certified and r.checked == 601
         assert counts == {"Interval": 3007, "Fraction": 9637 if sys.version_info < (3, 12) else 9628}
 
+    def test_no_fraction_comparison(self):
+        """verify_unit_gap(601) orders every gap on integers: 1 201 Fraction comparisons before (`<` with the floor and `min`)."""
+        quotient_gap_floor()
+        with counted_comparisons() as counts:
+            r = verify_unit_gap(601)
+        assert r.certified and r.checked == 601
+        assert counts == {"Fraction": 0}
+
 
 class TestWindowGapCampaign:
     def test_sampler_deterministic_and_in_range(self):
@@ -584,6 +620,15 @@ class TestWindowGapCampaign:
     def test_start_depth_beyond_floats_certified(self):
         r = verify_window_gap([(F(1, 7), F(1, 9**330))])
         assert r.certified and r.failures == []
+
+    def test_no_fraction_comparison(self):
+        """claim3 at 60 samples tests ranges and gaps on integers: 359 Fraction comparisons before (locate_cell's ranges, the floor, `min`)."""
+        quotient_gap_floor()
+        samples = window_gap_samples(60)
+        with counted_comparisons() as counts:
+            r = verify_window_gap(samples)
+        assert r.certified and r.checked == 60
+        assert counts == {"Fraction": 0}
 
 
 # ----------------------------------------------------------------------
@@ -896,6 +941,44 @@ class TestHausdorff:
             db = max(min(abs(float(p.y - q.y)) for q in a) for p in b)
             expect = max(da, db)
             assert float(got.lo) - 1e-9 <= expect <= float(got.hi) + 1e-9
+
+    def test_one_norm_per_pair_matches_two_pass_reference(self, monkeypatch):
+        """On the default blow-up samples and on random group points: the reference's Interval, from one norm per pair."""
+        samples = []
+        real = verify.hausdorff_distance
+        monkeypatch.setattr(verify, "hausdorff_distance", lambda a, b, radius: samples.append((a, b, radius)) or real(a, b, radius))
+        offsets = (-1, F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), 1)
+        blowup_divergence(0, 1, F(4472135954999579, 10**16), 1, [w_point(0, h) for h in offsets], 40)
+        rng = random.Random(1)
+
+        def point():
+            lo = F(rng.randrange(-20, 21), 7)
+            r = Interval(lo, lo + F(rng.randrange(4), 13)) if rng.randrange(4) else carnot._ZERO
+            return GroupPoint(F(rng.randrange(-9, 10), 5), F(rng.randrange(-9, 10), 5), F(rng.randrange(-99, 100), 11), r)
+
+        samples += [([point() for _ in range(n)], [point() for _ in range(m)], F(5, 2)) for n, m in ((1, 1), (3, 7), (12, 9))]
+        norms = []
+        monkeypatch.setattr(verify, "hnorm", lambda p: norms.append(p) or carnot.hnorm(p))
+        for a, b, radius in samples:
+            expect = ref_hausdorff(a, b, radius)
+            kept = [sum(carnot.hnorm(p).lo <= radius for p in pts) for pts in (a, b)]
+            assert 0 < kept[0] <= len(a) and 0 < kept[1] <= len(b)
+            norms.clear()
+            got = real(a, b, radius)
+            assert (str(got.lo), str(got.hi)) == (str(expect.lo), str(expect.hi))
+            assert len(norms) == len(a) + len(b) + kept[0] * kept[1]
+
+
+def ref_hausdorff(a_pts, b_pts, radius):
+    """The two-pass Hausdorff distance: max-min over a, then over b, of every ordered pair's norm."""
+    a = [p for p in a_pts if carnot.hnorm(p).lo <= radius]
+    b = [q for q in b_pts if carnot.hnorm(q).lo <= radius]
+
+    def directed(src, dst):
+        nearest = (reduce(Interval.min_of, [carnot.hnorm(carnot.mul(carnot.inv(p), q)) for q in dst]) for p in src)
+        return reduce(Interval.max_of, nearest)
+
+    return Interval.max_of(directed(a, b), directed(b, a))
 
 
 def ref_cone_pairs(sample_count, seed):
