@@ -143,10 +143,12 @@ def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
     if type(nxy) is not Fraction:
         nxy = Fraction(nxy)
     nt = sqrt_enclose(abs(p.t), width)
-    # Interval.max_of(Interval.point(nxy), nt), building only the result
-    if nxy < nt.lo:
+    # Interval.max_of(Interval.point(nxy), nt), building only the result; the order tests read integers
+    nn, nd = nxy.as_integer_ratio()
+    (ln, ld), (hn, hd) = nt.lo.as_integer_ratio(), nt.hi.as_integer_ratio()
+    if nn * ld < ln * nd:
         norm = nt
-    elif nxy < nt.hi:
+    elif nn * hd < hn * nd:
         norm = Interval(nxy, nt.hi)
     else:
         norm = Interval(nxy, nxy)

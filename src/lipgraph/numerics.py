@@ -36,10 +36,6 @@ class NegativeInput(ValueError):
 _ZERO = Fraction(0)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed interval with exact rational endpoints.
@@ -78,8 +74,8 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def is_point(self) -> bool:
-        # Interval.point shares one Fraction between its ends
-        return self.lo is self.hi or self.lo == self.hi
+        # Interval.point shares one Fraction between its ends; Fractions are reduced, so equal ends have equal ratios
+        return self.lo is self.hi or self.lo.as_integer_ratio() == self.hi.as_integer_ratio()
 
     def intersects(self, other: "Interval") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)
@@ -183,7 +179,7 @@ def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> I
             return Interval.point(Fraction(rp, rq))
     # p/q is in lowest terms, so p*q*4**k is a square only if p and q are
     m = p * q
-    t = _ceil_div(2 * wd, wn * q)
+    t = -(-2 * wd // (wn * q))  # ceil(2 * wd / (wn * q))
     k = (t - 1).bit_length() if t > 1 else 0
     s = isqrt(m << (2 * k))
     den = (1 << k) * q

@@ -42,8 +42,8 @@ contracts like (2/3)**depth, and each
 Curve keeps that Interval beside the descent that built it, so asking
 again for a point at the same depth builds nothing.  The store is the
 one cache of a campaign, and lives for one: every campaign in `verify`
-empties the standard curve's store with `Curve.forget` on every exit,
-return or raise.  A
+empties the store of the standard curve, and of a curve its caller
+passed, with `Curve.forget` on every exit, return or raise.  A
 quotient enclosure divides the difference of two such Intervals through
 a certified root enclosure from `numerics`, each endpoint one Fraction of
 cross-multiplied numerators (`_root_quotient`); the order of the two
@@ -54,11 +54,11 @@ that are apart.
 
 A scan over shrinking scales at one point walks one chain of nested
 cells: `locate_cell` continues from the cell it returned for the scale
-before, each cell carries its integer descent state and composed
-vertical map, and `window_witnesses` builds a window from its cell
-alone: each probe cell(b) is one Fraction of the integers of the cell
-map x -> (a_k*x + b_k) / dx**k, which `_cell_numerators` reads off the
-descent for locate_cell and the probes alike.  On a branch system that
+before.  A located cell is a record, not a callable map: it carries its
+integer descent state, its cell map x -> (xa*x + xb) / dx**k and its
+composed vertical map, each derived once, and `window_witnesses` builds
+a window from its cell alone: each probe cell(b) is one Fraction of
+those integers.  On a branch system that
 passes `continuous_tiling`, u(cell(b)) = Y_cell(u(b)), so the descent of
 a window probe cell(b) starts at the cell instead of at the top.
 Descent work then grows linearly in the number of scales, not
@@ -95,8 +95,8 @@ WINDOW_OFFSET_RATIO = Fraction(1, 162)
 # Descents each Curve keeps for eval_limit to resume, each with the
 # enclosure it returned, which a repeated call gets back as it is; only
 # eval_limit reads the bound, and clears the store when a new point finds
-# it full.  Every campaign empties the standard curve's store on every
-# exit, return or raise.  The bound fits one cone campaign, whose
+# it full.  Every campaign empties the store of the curves it ran on, on
+# every exit, return or raise.  The bound fits one cone campaign, whose
 # profile arguments fold onto the 1 001 points k/1000 of [0, 1] plus the
 # breakpoints 4/9 and 5/9: 1 003 points, so each is descended once (715
 # of them at 600 pairs, all 1 003 at 10**4).  A claim2 base point needs
@@ -175,27 +175,17 @@ BRANCHES: tuple[Branch, ...] = (
 
 @dataclass(frozen=True)
 class AffineMap1D:
-    """Increasing affine map t -> a*t + b used for cell coordinates.
+    """A located cell: the increasing affine map t -> a*t + b from [0, 1] onto it.
 
-    A cell that Curve.locate_cell returns also carries the descent that
-    found it, for the next locate_cell to continue; descent takes no part
-    in equality or repr.
+    A record, not a callable map.  A cell that Curve.locate_cell returns
+    also carries the descent that found it, with the map's integers, for
+    the next locate_cell to continue and for window_witnesses to read;
+    descent takes no part in equality or repr.
     """
 
     a: Fraction
     b: Fraction
     descent: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
-
-    def __call__(self, t: RationalLike) -> Fraction:
-        if type(t) is not Fraction:
-            t = Fraction(t)
-        return self.a * t + self.b
 
 
 @dataclass(frozen=True)
@@ -609,8 +599,9 @@ class Curve:
         every other step shrinks it, so the descent ends at any delta.
 
         The cell carries its descent as `cell.descent`, the tuple (curve,
-        t, delta, p, q, k, dk, ya, yb): after k steps t sits at p/q in the
-        cell's coordinates, dk = dx**k, and the composed vertical map is
+        t, delta, p, q, k, dk, xa, xb, ya, yb): after k steps t sits at p/q
+        in the cell's coordinates, the cell map is x -> (xa*x + xb) / dk
+        with dk = dx**k, and the composed vertical map is
         y -> (ya*y + yb) / ey**k, built as in `_descend`.  If resume is a
         cell this Curve returned for the same t at some delta' >= delta,
         the descent continues from it: every cell above it is longer than
@@ -634,10 +625,10 @@ class Curve:
         if st is not None and st[0] is self and st[1].as_integer_ratio() == (p0, q0):
             kn, kd = st[2].as_integer_ratio()
             if dn * kd <= kn * dd:  # delta at most the kept delta
-                p, q, k, dk, ya, yb = st[3:]
-        # After k steps the cell map is x -> (a_k*x + b_k) / dk with
-        # a_k = q/q0 (`_cell_numerators`), so the length test a_k/dk >
-        # delta reads q*dd > delta.numerator*q0*dk = dn*dk.
+                _, _, _, p, q, k, dk, _, _, ya, yb = st
+        # After k steps p/q = (t*dk - xb) / xa, and q is a multiple of q0,
+        # so xa = q/q0 and xb = (p0*dk - p)/q0, both exact; the length
+        # test xa/dk > delta reads q*dd > delta.numerator*q0*dk = dn*dk.
         dn *= q0
         while q * dd > dn * dk:
             pd = p * dx
@@ -648,8 +639,8 @@ class Curve:
             ya, yb = ya * ys, ya * yo + yb * ey
             dk *= dx
             k += 1
-        xa, xb = _cell_numerators(t, p, q, dk)
-        return AffineMap1D(Fraction(xa, dk), Fraction(xb, dk), (self, t, delta, p, q, k, dk, ya, yb))
+        xa, xb = q // q0, (p0 * dk - p) // q0
+        return AffineMap1D(Fraction(xa, dk), Fraction(xb, dk), (self, t, delta, p, q, k, dk, xa, xb, ya, yb))
 
     # ------------------------------------------------------------------
     # witnesses
@@ -714,32 +705,31 @@ class Curve:
 
         Replays the unit-scale probe construction inside the cell this
         Curve's locate_cell returned for (t, delta), reading t, p/q =
-        cell^-1(t) (which picks the probe side) and the vertical map from
-        cell.descent.  Probe distances from t lie in [delta/162, delta].
+        cell^-1(t) (which picks the probe side), the cell map and the
+        vertical map from cell.descent.  Probe distances from t lie in [delta/162, delta].
         Any other cell raises ValueError: the probe descents below start
         from its integer state, which only this Curve's rows composed.
 
-        Each probe cell(b) is one Fraction of the integers of the cell
-        map (`_cell_numerators`).  If the branches pass
-        `continuous_tiling`, the descent of each probe starts at the
+        Each probe cell(b), b = bn/bd, is the one Fraction (xa*bn +
+        xb*bd) / (dk*bd) of the cell map's integers.  If the branches
+        pass `continuous_tiling`, the descent of each probe starts at the
         cell: its first k steps follow the cell's branches, so the store
-        is seeded with (b, ya, yb, k) for it, and eval_limit resumes
+        is seeded with (bn, bd, ya, yb, k) for it, and eval_limit resumes
         from there.  The probes stay in the store
         until the campaign's end empties it (`forget`).  Any other Curve
         descends the probes from the top.
         """
         if cell.descent is None or cell.descent[0] is not self:
             raise ValueError("window_witnesses needs a cell this curve located")
-        _, t, _, p, q, k, dk, ya, yb = cell.descent
+        _, t, _, p, q, k, dk, xa, xb, ya, yb = cell.descent
         b1, b2, side = self._unit_probe(p, q)
-        xa, xb = _cell_numerators(t, p, q, dk)
-        s1, s2 = (Fraction(xa * b.numerator + xb * b.denominator, dk * b.denominator) for b in (b1, b2))
-        start = cell_start_depth(cell)
-        depths = range(start, start + 6 * 24, 24)
+        ratios = b1.as_integer_ratio(), b2.as_integer_ratio()
+        s1, s2 = (Fraction(xa * bn + xb * bd, dk * bd) for bn, bd in ratios)
         if self._tiled:
-            for s, b in ((s1, b1), (s2, b2)):
-                self._descents[s.as_integer_ratio()] = (*b.as_integer_ratio(), ya, yb, k, None)
-        return self._deepen(s1, s2, t, side, depths)
+            for s, (bn, bd) in zip((s1, s2), ratios):
+                self._descents[s.as_integer_ratio()] = (bn, bd, ya, yb, k, None)
+        start = cell_start_depth(cell)
+        return self._deepen(s1, s2, t, side, range(start, start + 6 * 24, 24))
 
 
 def window_start_depth(log3_inv_a: float) -> int:
@@ -762,18 +752,6 @@ def cell_start_depth(cell: AffineMap1D) -> int:
     """
     an, ad = cell.a.as_integer_ratio()
     return window_start_depth(math.log(ad, 3) - math.log(an, 3))
-
-
-def _cell_numerators(t: Fraction, p: int, q: int, dk: int) -> tuple[int, int]:
-    """Numerators (a_k, b_k) over dk of the cell map x -> (a_k*x + b_k) / dk of a descent of t.
-
-    After k steps, dk = dx**k, the descent has moved t to p/q in the
-    cell's coordinates: p/q = (t*dk - b_k) / a_k with q a multiple of
-    t.denominator, so a_k = q/q0 and b_k = (p0*dk - p)/q0 for t = p0/q0,
-    both exact integer divisions.
-    """
-    p0, q0 = t.as_integer_ratio()
-    return q // q0, (p0 * dk - p) // q0
 
 
 UNIT_CURVE = Curve()

@@ -10,7 +10,8 @@ comparison, or an interval bound strict enough to refute) or when the
 object under test could not even be constructed; undecided enclosures
 are failures too, so `certified` never overstates what was proved.
 Each campaign is a body framed by `_campaign`, which times it, builds
-the Report and empties the standard curve's descent store on every exit.
+the Report and empties the descent store of the standard curve, and of
+the curve a caller passed, on every exit.
 
 Randomised campaigns draw from `random.Random(seed)` so every report is
 reproducible; JSON serialisation is canonical (sorted keys, exact
@@ -150,11 +151,15 @@ def _campaign(name: str) -> Callable:
 
     The campaign times the body and returns the Report its annotation
     names, failures sorted canonically.  On every exit, return or raise,
-    it empties the standard curve's descent store: no descent outlives
-    the campaign that took it.
+    it empties the descent store of the standard curve and of the curve
+    the body was given as its `curve` argument, by keyword or by
+    position: no descent outlives the campaign that took it.
     """
 
     def frame(body: Callable) -> Callable:
+        names = body.__code__.co_varnames[: body.__code__.co_argcount]
+        at = names.index("curve") if "curve" in names else None
+
         @wraps(body)
         def campaign(*args, **kwargs):
             started = time.perf_counter()
@@ -162,6 +167,8 @@ def _campaign(name: str) -> Callable:
                 parameters, checked, failures = body(*args, **kwargs)
             finally:
                 UNIT_CURVE.forget()
+                if at is not None:
+                    (args[at] if at < len(args) else kwargs.get("curve", UNIT_CURVE)).forget()
             failures = sorted(failures, key=_record_key)
             elapsed = max(time.perf_counter() - started, 1e-9)
             return Report(name, parameters, checked, failures, not failures, elapsed)
@@ -461,7 +468,7 @@ def oscillation_scan(t_hat: RationalLike, scales: int) -> Report:
     _check_count(scales, "scales", MAX_SCALES, "scales")
     t_hat = Fraction(t_hat)
     t_red = reduce_domain(t_hat)
-    reflected = t_red != t_hat % 2
+    reflected = t_red.as_integer_ratio() != (t_hat % 2).as_integer_ratio()
     floor_hi = quotient_gap_floor().hi
     fn, fd = floor_hi.numerator, floor_hi.denominator
     deltas = [Fraction(1, 9**j) for j in range(1, scales + 1)]

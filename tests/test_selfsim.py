@@ -5,7 +5,6 @@ import random
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction as F
 from unittest import mock
 
@@ -1402,7 +1401,7 @@ def ref_window_witnesses(curve, t, delta):
     t, delta = F(t), F(delta)
     cell = ref_locate_cell(curve, t, delta)
     b1, b2, side = (F(5, 9), F(1), 1) if cell_inverse(cell, t) <= F(1, 2) else (F(0), F(4, 9), -1)
-    s1, s2 = cell(b1), cell(b2)
+    s1, s2 = cell.a * b1 + cell.b, cell.a * b2 + cell.b
     start = cell_start_depth(cell)
     floor_hi = quotient_gap_floor().hi
     for depth in range(start, start + 6 * 24, 24):
@@ -1476,14 +1475,18 @@ class TestCellChain:
             cell = None
             for j, delta in enumerate(CHAIN_DELTAS, 1):
                 cell = UNIT_CURVE.locate_cell(t, delta, cell)
-                assert cell == ref_locate_cell(UNIT_CURVE, t, delta)
-                curve, t_, _, p, q, k, dk, ya, yb = cell.descent
+                ref = ref_locate_cell(UNIT_CURVE, t, delta)
+                assert cell == ref
+                curve, t_, _, p, q, k, dk, xa, xb, ya, yb = cell.descent
                 assert curve is UNIT_CURVE and t_ == t
                 assert F(p, q) == cell_inverse(cell, t) and dk == UNIT_CURVE._dx**k
+                # the carried integer cell map is the reference cell's
+                assert (F(xa, dk), F(xb, dk)) == (ref.a, ref.b)
                 # the identity the probe descents rest on: u(cell(b)) = Y_cell(u(b))
                 if j % 8 == 0:
                     for b, ub in u_probe.items():
-                        assert fresh_eval_limit(UNIT_CURVE, cell(b), k + 1) == Interval.point((ya * ub + yb) / ey**k)
+                        s = cell.a * b + cell.b
+                        assert fresh_eval_limit(UNIT_CURVE, s, k + 1) == Interval.point((ya * ub + yb) / ey**k)
 
     def test_chain_takes_the_steps_of_one_descent(self, monkeypatch):
         steps = []
@@ -1596,7 +1599,7 @@ def probes_of(curve, cell):
 def ref_probes(curve, t, delta):
     cell = ref_locate_cell(curve, t, delta)
     b1, b2, side = (F(5, 9), F(1), 1) if cell_inverse(cell, t) <= F(1, 2) else (F(0), F(4, 9), -1)
-    return cell(b1), cell(b2), side
+    return cell.a * b1 + cell.b, cell.a * b2 + cell.b, side
 
 
 def chained_probes(curve, t, deltas, resume):
@@ -1653,21 +1656,8 @@ class TestIntegerProbes:
 
 # ----------------------------------------------------------------------
 # Arguments are coerced to Fraction only when their type is not exactly
-# Fraction.  The bodies before that change, kept here, must give the same
-# values, result types, exceptions and messages.
-
-
-@dataclass(frozen=True)
-class ParentAffineMap1D:
-    a: F
-    b: F
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", F(self.a))
-        object.__setattr__(self, "b", F(self.b))
-
-    def __call__(self, t):
-        return self.a * F(t) + self.b
+# Fraction.  The body before that change, kept here with today's descent
+# layout, must give the same values, result types, exceptions and messages.
 
 
 def parent_locate_cell(curve, t, delta, resume=None):
@@ -1681,7 +1671,7 @@ def parent_locate_cell(curve, t, delta, resume=None):
     p0, q0 = t.numerator, t.denominator
     st = resume.descent if resume is not None else None
     if st is not None and st[0] is curve and st[1] == t and delta <= st[2]:
-        p, q, k, dk, ya, yb = st[3:]
+        _, _, _, p, q, k, dk, _, _, ya, yb = st
     else:
         p, q, k, dk, ya, yb = p0, q0, 0, 1, 1, 0
     dd = delta.denominator
@@ -1695,12 +1685,13 @@ def parent_locate_cell(curve, t, delta, resume=None):
         ya, yb = ya * ys, ya * yo + yb * ey
         dk *= dx
         k += 1
-    return AffineMap1D(F(q // q0, dk), F((p0 * dk - p) // q0, dk), (curve, t, delta, p, q, k, dk, ya, yb))
+    xa, xb = q // q0, (p0 * dk - p) // q0
+    return AffineMap1D(F(xa, dk), F(xb, dk), (curve, t, delta, p, q, k, dk, xa, xb, ya, yb))
 
 
 def typed(value):
     """value with the type of every rational in it, so 1 and Fraction(1) differ; a map as its (a, b)."""
-    if isinstance(value, (AffineMap1D, ParentAffineMap1D)):
+    if isinstance(value, AffineMap1D):
         value = (value.a, value.b)
     if isinstance(value, tuple):
         return tuple(typed(v) for v in value)
@@ -1722,18 +1713,6 @@ COERCED = [0, 1, 2, False, True, 0.5, 0.125, float("nan"), float("inf"), F(1, 7)
 
 
 class TestCoercionAgainstTheParent:
-    def test_affine_map(self):
-        for a in COERCED:
-            for b in COERCED[::3]:
-                assert coerced(AffineMap1D, a, b) == coerced(ParentAffineMap1D, a, b), (a, b)
-
-    def test_affine_map_call(self):
-        pairs = [(F(1, 9), F(4, 9)), (1, 0), (_SubF(4, 9), "1/3")]
-        for a, b in pairs:
-            cell, parent = AffineMap1D(a, b), ParentAffineMap1D(a, b)
-            for t in COERCED:
-                assert coerced(cell, t) == coerced(parent, t), (a, b, t)
-
     def test_locate_cell(self):
         deltas = [F(1, 81), 1, True, 0.5, _SubF(1, 9), "1/729", F(0), 2, "y", float("nan"), None]
         for t in COERCED:

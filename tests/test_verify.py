@@ -214,6 +214,9 @@ class TestHolderCampaign:
                 pl = UNIT_CURVE.iterate(n)
                 return SimpleNamespace(dt=pl.dt, dv=pl.dv, points=Unrefinable(pl.points))
 
+            def forget(self):
+                """Keeps no descents; the campaign frame empties the curve it ran on."""
+
         with pytest.raises(DepthTooLarge) as exc:
             verify_holder(7, 100, curve=IterateOnly())
         assert str(exc.value) == "24395643828 pairs exceed cap 2000000"
@@ -856,6 +859,14 @@ class TestOscillation:
         assert r.certified and r.checked == 64
         assert counts == {"Interval": 448, "Fraction": 1602 if sys.version_info < (3, 12) else 1411}
 
+    def test_no_fraction_comparison(self):
+        """oscillation_scan(123457/10**6, 64) tests its reflection on integers: 1 Fraction comparison before (`t_red != t_hat % 2`)."""
+        quotient_gap_floor()  # cached before counting, as in every campaign but the first
+        with counted_comparisons() as counts:
+            r = oscillation_scan(F(123457, 10**6), 64)
+        assert r.certified and r.checked == 64
+        assert counts == {"Fraction": 0}
+
     def test_no_scales_refused(self):
         for scales in (0, -3):
             with pytest.raises(ValueError, match="scales must be at least 1"):
@@ -1204,6 +1215,17 @@ class TestConeCampaign:
         assert len(folded) == 715 and sorted(descents) == sorted((t.numerator, t.denominator) for t in folded if t)
         assert counts == {"Interval": 2246, "Fraction": 8316 if sys.version_info < (3, 12) else 4716}
 
+    def test_no_fraction_comparison(self):
+        """verify_cone(600, 30) orders norms and tests exact points on integers.
+
+        1 520 Fraction comparisons before: 600 `nxy < nt.lo` and 332
+        `nxy < nt.hi` in hnorm, 588 `lo == hi` in Interval.is_point.
+        """
+        with counted_comparisons() as counts:
+            r = verify_cone(600, 30)
+        assert r.certified and r.checked == 600
+        assert counts == {"Fraction": 0}
+
     @pytest.mark.parametrize(
         "depth, seed, undecided",
         [(1, verify.REFERENCE_SEED, 291), (1, 77, 266), (5, verify.REFERENCE_SEED, 6), (5, 77, 3)],
@@ -1338,26 +1360,38 @@ class TestMutationSensitivity:
 
 # ----------------------------------------------------------------------
 # The standard curve's descent store lives for one campaign: each
-# campaign returns with it empty, whatever it held before.
+# campaign returns with it empty, whatever it held before.  So does the
+# store of a caller's curve, for the campaigns that take one, whether it
+# is passed by keyword or by position.
 
 
 STORE_CAMPAIGNS = {
-    "holder": lambda: verify_holder(3),
-    "claim2": lambda: verify_unit_gap(11),
-    "claim3": lambda: verify_window_gap(window_gap_samples(5)),
-    "cone": lambda: verify_cone(40, 20),
-    "oscillation": lambda: oscillation_scan(F(7, 2), 6),
-    "blowup-divergence": lambda: blowup_divergence(0, 1, F(4472135954999579, 10**16), 1, TestBlowupDivergence.GRID, 30),
-    "mutation": lambda: mutation_probe(BranchTag.MID, "y_scale", F(-7, 20), 3, 9, 4),
+    "holder": lambda curve: verify_holder(3),
+    "claim2": lambda curve: verify_unit_gap(11),
+    "claim3": lambda curve: verify_window_gap(window_gap_samples(5)),
+    "cone": lambda curve: verify_cone(40, 20),
+    "oscillation": lambda curve: oscillation_scan(F(7, 2), 6),
+    "blowup-divergence": lambda curve: blowup_divergence(0, 1, F(4472135954999579, 10**16), 1, TestBlowupDivergence.GRID, 30),
+    "mutation": lambda curve: mutation_probe(BranchTag.MID, "y_scale", F(-7, 20), 3, 9, 4),
+    "holder, caller's curve by position": lambda curve: verify_holder(3, 0, curve),
+    "holder, caller's curve by keyword": lambda curve: verify_holder(3, curve=curve),
+    "claim2, caller's curve by position": lambda curve: verify_unit_gap(11, curve),
+    "claim2, caller's curve by keyword": lambda curve: verify_unit_gap(11, curve=curve),
+    "claim3, caller's curve by position": lambda curve: verify_window_gap(window_gap_samples(5), curve),
+    "claim3, caller's curve by keyword": lambda curve: verify_window_gap(window_gap_samples(5), curve=curve),
 }
 
 
 @pytest.mark.parametrize("name", STORE_CAMPAIGNS)
 def test_every_campaign_leaves_the_store_empty(name):
-    UNIT_CURVE.eval_limit(F(1, 7), 16)
-    report = STORE_CAMPAIGNS[name]()
+    caller = Curve()
+    for curve in (UNIT_CURVE, caller):
+        curve.eval_limit(F(1, 7), 16)
+    report = STORE_CAMPAIGNS[name](caller)
     assert report
     assert UNIT_CURVE._descents == {}
+    # a campaign empties the caller's curve exactly when it ran on it
+    assert (caller._descents == {}) == ("caller's curve" in name)
 
 
 # A campaign that raises partway empties the store too.
