@@ -42,7 +42,7 @@ contracts like (2/3)**depth, and each
 Curve keeps that Interval beside the descent that built it, so asking
 again for a point at the same depth builds nothing.  The store is the
 one cache of a campaign, and lives for one: every campaign in `verify`
-empties the store of the standard curve, and of a curve its caller
+empties the store of the standard curve, and of every Curve its caller
 passed, with `Curve.forget` on every exit, return or raise.  A
 quotient enclosure divides the difference of two such Intervals through
 a certified root enclosure from `numerics`, each endpoint one Fraction of

@@ -11,7 +11,6 @@ the hash here and say why.
 import contextlib
 import hashlib
 import io
-import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ import pytest
 from lipgraph import cli
 from lipgraph.selfsim import UNIT_CURVE
 from lipgraph.verify import Report
+from test_verify import ref_to_json
 
 # (argv, where the output goes, sha256 of the output bytes)
 CASES = [
@@ -86,7 +86,7 @@ VERIFY_CASES = [c for c in CASES if c[0][0] == "verify"]
 
 @pytest.mark.parametrize("argv", [c[0] for c in VERIFY_CASES], ids=[" ".join(c[0]) for c in VERIFY_CASES])
 def test_report_json_is_json_dumps(argv, monkeypatch):
-    """Report.to_json writes what json.dumps writes, on the report of every verify case, with and without timing."""
+    """Report.to_json writes what json.dumps writes of the report made JSON by ref_jsonable, for every verify case, with and without timing."""
     reports = []
     to_json = Report.to_json
     monkeypatch.setattr(Report, "to_json", lambda r, include_timing=True: reports.append(r) or to_json(r, include_timing))
@@ -94,5 +94,4 @@ def test_report_json_is_json_dumps(argv, monkeypatch):
         cli.main(argv)
     (r,) = reports
     for timing in (False, True):
-        expect = json.dumps(r.to_dict(timing), sort_keys=True, indent=2, allow_nan=False) + "\n"
-        assert r.to_json(timing) == expect
+        assert r.to_json(timing) == ref_to_json(r, timing)

@@ -58,8 +58,13 @@ JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), JSON_TEXT
 )
+FRACTIONS = st.fractions()
+# A report's leaves: JSON scalars, and the Fractions and Intervals its writer turns into strings
+REPORT_LEAVES = st.one_of(
+    JSON_SCALARS, FRACTIONS, st.lists(FRACTIONS, min_size=2, max_size=2).map(lambda e: Interval(min(e), max(e)))
+)
 # What json.dumps(..., allow_nan=False) refuses: out-of-range floats and types it cannot serialise
-JSON_REFUSED = st.sampled_from([float("nan"), float("inf"), float("-inf"), object(), {1, 2}, F(1, 3), b"x"])
+JSON_REFUSED = st.sampled_from([float("nan"), float("inf"), float("-inf"), object(), {1, 2}, b"x"])
 
 
 def json_trees(leaves):
@@ -74,7 +79,34 @@ def json_trees(leaves):
     )
 
 
-JSON_VALUES = json_trees(JSON_SCALARS)
+REPORT_VALUES = json_trees(REPORT_LEAVES)
+REPORT_VALUES_AND_REFUSED = json_trees(st.booleans().flatmap(lambda bad: JSON_REFUSED if bad else REPORT_LEAVES))
+
+
+def ref_jsonable(v):
+    """v with each Fraction as its string and each Interval as the list of its ends' strings, at any depth."""
+    if isinstance(v, Interval):
+        return [str(v.lo), str(v.hi)]
+    if isinstance(v, F):
+        return str(v)
+    if isinstance(v, dict):
+        return {k: ref_jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [ref_jsonable(x) for x in v]
+    return v
+
+
+def ref_to_json(r, include_timing=True):
+    """What Report.to_json writes: json.dumps of the report's raw fields, made JSON by ref_jsonable, and a newline."""
+    raw = {
+        "campaign": r.campaign,
+        "parameters": r.parameters,
+        "checked": r.checked,
+        "failures": r.failures,
+        "certified": r.certified,
+        "wall_time_s": r.wall_time_s if include_timing else None,
+    }
+    return json.dumps(ref_jsonable(raw), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def json_outcome(fn, *args):
@@ -107,16 +139,20 @@ class TestReport:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        value=st.one_of(JSON_VALUES, json_trees(st.booleans().flatmap(lambda bad: JSON_REFUSED if bad else JSON_SCALARS))),
+        parameter=st.one_of(REPORT_VALUES, REPORT_VALUES_AND_REFUSED),
+        record=st.one_of(REPORT_VALUES, REPORT_VALUES_AND_REFUSED),
         timing=st.booleans(),
     )
-    def test_to_json_is_json_dumps(self, value, timing):
-        r = Report("c", {"p": 1}, 0, [value], False, 0.25)
+    def test_to_json_is_json_dumps(self, parameter, record, timing):
+        r = Report("c", {"p": parameter}, 0, [record], False, 0.25)
+        assert json_outcome(r.to_json, timing) == json_outcome(ref_to_json, r, timing)
 
-        def dumps(include_timing):
-            return json.dumps(r.to_dict(include_timing), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-        assert json_outcome(r.to_json, timing) == json_outcome(dumps, timing)
+    def test_parameters_keep_the_campaigns_objects(self):
+        # the writer reads the parameters; it leaves the Fraction and the Interval in them
+        r = verify_unit_gap(11)
+        floor = quotient_gap_floor()
+        assert type(r.parameters["min_gap_lo"]) is F and r.parameters["gap_floor"] is floor
+        assert json.loads(r.to_json())["parameters"]["gap_floor"] == [str(floor.lo), str(floor.hi)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -213,9 +249,6 @@ class TestHolderCampaign:
             def iterate(self, n):
                 pl = UNIT_CURVE.iterate(n)
                 return SimpleNamespace(dt=pl.dt, dv=pl.dv, points=Unrefinable(pl.points))
-
-            def forget(self):
-                """Keeps no descents; the campaign frame empties the curve it ran on."""
 
         with pytest.raises(DepthTooLarge) as exc:
             verify_holder(7, 100, curve=IterateOnly())
@@ -1069,7 +1102,7 @@ def cone_with_gaps(monkeypatch, sample_count, depth, seed):
     gaps = []
     with monkeypatch.context() as m:
         m.setattr(verify, "cone_gap", lambda p, q, d: gaps.append(cone_gap(p, q, d)) or gaps[-1])
-        report = verify_cone(sample_count, depth, seed).to_dict(include_timing=False)
+        report = json.loads(verify_cone(sample_count, depth, seed).to_json(include_timing=False))
     return report, gaps
 
 
@@ -1327,8 +1360,7 @@ class TestFailureRecords:
         for r in reports:
             assert r.failures
             assert json.loads(json.dumps(r.failures)) == r.failures
-            d = r.to_dict()
-            assert d["failures"] == r.failures and d["failures"] is not r.failures
+            assert json.loads(r.to_json())["failures"] == r.failures
 
 
 class TestMutationSensitivity:
@@ -1392,6 +1424,19 @@ def test_every_campaign_leaves_the_store_empty(name):
     assert UNIT_CURVE._descents == {}
     # a campaign empties the caller's curve exactly when it ran on it
     assert (caller._descents == {}) == ("caller's curve" in name)
+
+
+def test_the_frame_empties_every_curve_it_is_given():
+    # the frame finds a Curve by its type, under any parameter name
+    @verify._campaign("c")
+    def body(shape, *, other):
+        shape.eval_limit(F(1, 7), 16)
+        other.eval_limit(F(2, 7), 16)
+        return {}, 0, []
+
+    shape, other = Curve(), Curve()
+    assert body(shape, other=other).campaign == "c"
+    assert shape._descents == {} and other._descents == {}
 
 
 # A campaign that raises partway empties the store too.
