@@ -145,13 +145,13 @@ def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
     nt = sqrt_enclose(abs(p.t), width)
     # Interval.max_of(Interval.point(nxy), nt), building only the result; the order tests read integers
     nn, nd = nxy.as_integer_ratio()
-    (ln, ld), (hn, hd) = nt.lo.as_integer_ratio(), nt.hi.as_integer_ratio()
+    ln, ld, hn, hd = nt.ends
     if nn * ld < ln * nd:
         norm = nt
     elif nn * hd < hn * nd:
-        norm = Interval(nxy, nt.hi)
+        norm = Interval.of_ratios(nn, nd, hn, hd)
     else:
-        norm = Interval(nxy, nxy)
+        norm = Interval.of_ratios(nn, nd, nn, nd)
     r = p.r
     return norm if r is _ZERO else Interval.max_of(norm, r.abs())
 
@@ -196,7 +196,7 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
     do no arithmetic on them and `hnorm` does not read them.  The v part
     |q.r - p.r| is read from integer cross-multiples of the four
     endpoints of the Interval r slots (`numerics.abs_diff_ends`), and
-    each end of the gap is one Fraction.
+    each end of the gap is one integer ratio.
     """
     if p.x or q.x:
         raise NotGraphPoints("cone gap is defined for graph points, which have x = 0")
@@ -204,8 +204,8 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
     norm = hnorm(mul(inv(wp), wq), _norm_width(depth))
     # |q.r - p.r| = [an / ad, bn / bd]
     an, ad, bn, bd = abs_diff_ends(p.r, q.r)
-    (ln, ld), (hn, hd) = norm.lo.as_integer_ratio(), norm.hi.as_integer_ratio()
-    return Interval(Fraction(ln * bd - bn * ld, ld * bd), Fraction(hn * ad - an * hd, hd * ad))
+    ln, ld, hn, hd = norm.ends
+    return Interval.of_ratios(ln * bd - bn * ld, ld * bd, hn * ad - an * hd, hd * ad)
 
 
 @lru_cache(maxsize=16, typed=True)

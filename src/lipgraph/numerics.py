@@ -4,10 +4,13 @@ Everything downstream reduces numeric truth to two primitives:
 
 * exact order tests, of two rationals or of a rational and the square
   root of one, decided by cross-multiplying (and squaring) integer
-  numerators and denominators, each Fraction's pair read with one
-  `as_integer_ratio()` call rather than through its two properties
-  (`abs_diff_ends` gives the ends of an interval difference as such
-  integers), and
+  numerators and denominators.  An Interval keeps its ends as integer
+  ratios, ``ends = (ln, ld, hn, hd)`` with positive denominators that
+  need not be reduced, and reduces an end to a Fraction only when it is
+  read as ``lo`` or ``hi``; the hot paths read ``ends``, build results
+  with `Interval.of_ratios`, and read a Fraction's pair with one
+  `as_integer_ratio()` call (`abs_diff_ends` gives the ends of an
+  interval difference as such integers), and
 * certified enclosures of square roots, produced from `math.isqrt` at a
   caller-chosen width (`sqrt_enclose`).  A quotient by a root divides
   each endpoint of the numerator by one endpoint of that enclosure: a
@@ -21,7 +24,7 @@ helpers and performance heuristics elsewhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -36,30 +39,81 @@ class NegativeInput(ValueError):
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class Interval:
     """Closed interval with exact rational endpoints.
 
     An Interval produced by any operation in this package is a sound
     enclosure: the true real value is guaranteed to lie inside it.
     Degenerate intervals (``lo == hi``) represent exactly known values.
+
+    The one representation is ``ends = (ln, ld, hn, hd)``: the interval
+    [ln/ld, hn/hd], four ints with positive denominators that need not
+    be reduced.  ``lo`` and ``hi`` are the reduced Fractions, built on
+    their first read and kept.  Equality is by value, the hash is that
+    of (lo, hi), and assignment raises FrozenInstanceError.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("ends", "_lo", "_hi")
 
-    def __post_init__(self) -> None:
-        lo, hi = self.lo, self.hi
+    def __init__(self, lo: RationalLike, hi: RationalLike) -> None:
         if type(lo) is not Fraction:
             lo = Fraction(lo)
-            object.__setattr__(self, "lo", lo)
         if type(hi) is not Fraction:
             hi = Fraction(hi)
-            object.__setattr__(self, "hi", hi)
-        ln, ld = lo.as_integer_ratio()
-        hn, hd = hi.as_integer_ratio()
+        object.__setattr__(self, "ends", lo.as_integer_ratio() + hi.as_integer_ratio())
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
+        self.__post_init__()
+
+    @classmethod
+    def of_ratios(cls, ln: int, ld: int, hn: int, hd: int) -> "Interval":
+        """The interval [ln/ld, hn/hd] of four ints, ld and hd positive, with no Fraction built."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ends", (ln, ld, hn, hd))
+        self.__post_init__()
+        return self
+
+    def __post_init__(self) -> None:
+        # Every construction runs this once; bench/tracer.py counts Intervals by wrapping it.
+        ln, ld, hn, hd = self.ends
+        if ld <= 0 or hd <= 0:
+            raise ValueError(f"non-positive denominator: ends={self.ends}")
         if ln * hd > hn * ld:
-            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+
+    @property
+    def lo(self) -> Fraction:
+        """The lower end as a reduced Fraction, built on the first read and kept."""
+        try:
+            return self._lo
+        except AttributeError:
+            object.__setattr__(self, "_lo", Fraction(self.ends[0], self.ends[1]))
+            return self._lo
+
+    @property
+    def hi(self) -> Fraction:
+        """The upper end as a reduced Fraction, built on the first read and kept."""
+        try:
+            return self._hi
+        except AttributeError:
+            object.__setattr__(self, "_hi", Fraction(self.ends[2], self.ends[3]))
+            return self._hi
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        ln, ld, hn, hd = self.ends
+        on, od, pn, pd = other.ends
+        return ln * od == on * ld and hn * pd == pn * hd
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __reduce__(self):
+        return Interval.of_ratios, self.ends
 
     @classmethod
     def point(cls, q: RationalLike) -> "Interval":
@@ -74,8 +128,8 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def is_point(self) -> bool:
-        # Interval.point shares one Fraction between its ends; Fractions are reduced, so equal ends have equal ratios
-        return self.lo is self.hi or self.lo.as_integer_ratio() == self.hi.as_integer_ratio()
+        ln, ld, hn, hd = self.ends
+        return ln * hd == hn * ld
 
     def intersects(self, other: "Interval") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)
@@ -118,14 +172,20 @@ class Interval:
 
     @staticmethod
     def max_of(a: "Interval", b: "Interval") -> "Interval":
-        # An operand that dominates at both ends is the result itself.
-        if a.lo >= b.lo:
-            return a if a.hi >= b.hi else Interval(a.lo, b.hi)
-        return b if b.hi >= a.hi else Interval(b.lo, a.hi)
+        # An operand that dominates at both ends is the result itself; the order tests read ends.
+        aln, ald, ahn, ahd = a.ends
+        bln, bld, bhn, bhd = b.ends
+        if aln * bld >= bln * ald:
+            return a if ahn * bhd >= bhn * ahd else Interval.of_ratios(aln, ald, bhn, bhd)
+        return b if bhn * ahd >= ahn * bhd else Interval.of_ratios(bln, bld, ahn, ahd)
 
     @staticmethod
     def min_of(a: "Interval", b: "Interval") -> "Interval":
-        return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+        aln, ald, ahn, ahd = a.ends
+        bln, bld, bhn, bhd = b.ends
+        lo = (aln, ald) if aln * bld <= bln * ald else (bln, bld)
+        hi = (ahn, ahd) if ahn * bhd <= bhn * ahd else (bhn, bhd)
+        return Interval.of_ratios(*lo, *hi)
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -135,14 +195,12 @@ def abs_diff_ends(a: Interval, b: Interval) -> tuple[int, int, int, int]:
     """The ends of ``(b - a).abs()`` as unreduced integer ratios (ln, ld, hn, hd), ld and hd positive.
 
     ``b - a = [b.lo - a.hi, b.hi - a.lo]``; each end is cross-multiplied
-    from the numerators and denominators of two endpoints, and the ends
-    of its absolute value are picked by their signs as `Interval.abs`
-    picks them, so no Fraction is built.
+    from the `ends` of two endpoints, and the ends of its absolute value
+    are picked by their signs as `Interval.abs` picks them, so no
+    Fraction is built.
     """
-    aln, ald = a.lo.as_integer_ratio()
-    ahn, ahd = a.hi.as_integer_ratio()
-    bln, bld = b.lo.as_integer_ratio()
-    bhn, bhd = b.hi.as_integer_ratio()
+    aln, ald, ahn, ahd = a.ends
+    bln, bld, bhn, bhd = b.ends
     dln, dld = bln * ahd - ahn * bld, bld * ahd
     dhn, dhd = bhn * ald - aln * bhd, bhd * ald
     if dln >= 0:
@@ -176,11 +234,11 @@ def sqrt_enclose(x: RationalLike, width: RationalLike = Fraction(1, 2**30)) -> I
     if rp * rp == p:
         rq = isqrt(q)
         if rq * rq == q:
-            return Interval.point(Fraction(rp, rq))
+            return Interval.of_ratios(rp, rq, rp, rq)
     # p/q is in lowest terms, so p*q*4**k is a square only if p and q are
     m = p * q
     t = -(-2 * wd // (wn * q))  # ceil(2 * wd / (wn * q))
     k = (t - 1).bit_length() if t > 1 else 0
     s = isqrt(m << (2 * k))
     den = (1 << k) * q
-    return Interval(Fraction(s, den), Fraction(s + 1, den))
+    return Interval.of_ratios(s, den, s + 1, den)

@@ -45,8 +45,8 @@ one cache of a campaign, and lives for one: every campaign in `verify`
 empties the store of the standard curve, and of every Curve its caller
 passed, with `Curve.forget` on every exit, return or raise.  A
 quotient enclosure divides the difference of two such Intervals through
-a certified root enclosure from `numerics`, each endpoint one Fraction of
-cross-multiplied numerators (`_root_quotient`); the order of the two
+a certified root enclosure from `numerics`, each endpoint one unreduced
+ratio of cross-multiplied integers (`_root_quotient`); the order of the two
 abscissas and their distance come from cross-multiplied numerators too.
 A witness gap is the one Fraction that bounds the distance of two
 quotients from below, formed from the numerators of the two endpoints
@@ -493,7 +493,7 @@ class Curve:
 
         Descends through branch cells with `_descend`, composing the
         vertical affine maps as integer numerators over a power of ey;
-        the endpoints become Fractions only on return.  The composed
+        the enclosure keeps those ratios as its ends, unreduced.  The composed
         vertical image of [0, 1] is the enclosure;
         its width is the product of |y_scale| factors, at most
         (2/3)**depth for the standard system.  If the descent reaches an
@@ -533,14 +533,14 @@ class Curve:
         p, q, a, b, k, _ = st
         if k != depth:
             p, q, a, b, k = self._descend((p, q, a, b, k), depth)
-        den = self._ey**k
         if p == 0:
-            enc = Interval.point(Fraction(b, den))
+            lo = hi = b
         elif p == q:
-            enc = Interval.point(Fraction(a + b, den))
+            lo = hi = a + b
         else:
             lo, hi = (b, a + b) if a >= 0 else (a + b, b)
-            enc = Interval(Fraction(lo, den), Fraction(hi, den))
+        den = self._ey**k
+        enc = Interval.of_ratios(lo, den, hi, den)
         kept[key] = (p, q, a, b, k, enc)
         return enc
 
@@ -561,7 +561,7 @@ class Curve:
         integers of s and t, each read once; the gap is the one Fraction
         built here.  Its root is enclosed to width
         min(gap, 1) * (2/3)**depth, as tight as the numerator, and each
-        quotient endpoint is one Fraction (`_root_quotient`).
+        quotient endpoint is one integer ratio (`_root_quotient`).
         """
         if type(s) is not Fraction:
             s = Fraction(s)
@@ -664,23 +664,20 @@ class Curve:
         If none does, the last gap is returned for the caller to judge.
         The gap is max(q1.lo - q2.hi, q2.lo - q1.hi, 0) for the quotient
         enclosures q1, q2: the lower end of |q1 - q2| in interval
-        arithmetic.  Each difference is read as a numerator over the
-        product of its endpoints' denominators, compared with the floor
-        by cross-multiplying, and the returned gap is one Fraction of
-        the positive one (0 if neither is).
+        arithmetic.  Each difference is read from the quotients' `ends`
+        as a numerator over the product of two denominators, compared
+        with the floor by cross-multiplying, and the returned gap is one
+        Fraction of the positive one (0 if neither is).
         """
-        fn, fd = quotient_gap_floor().hi.as_integer_ratio()
+        _, _, fn, fd = quotient_gap_floor().ends
         for depth in depths:
-            q1 = self.diff_quotient(s1, t, depth)
-            q2 = self.diff_quotient(s2, t, depth)
+            l1, d1, h1, e1 = self.diff_quotient(s1, t, depth).ends
+            l2, d2, h2, e2 = self.diff_quotient(s2, t, depth).ends
             # At most one of q1.lo - q2.hi and q2.lo - q1.hi is positive;
             # the gap is n/d for that one, or 0.
-            (ln, ld), (hn, hd) = q1.lo.as_integer_ratio(), q2.hi.as_integer_ratio()
-            n = ln * hd - hn * ld
+            n, d = l1 * e2 - h2 * d1, d1 * e2
             if n <= 0:
-                (ln, ld), (hn, hd) = q2.lo.as_integer_ratio(), q1.hi.as_integer_ratio()
-                n = ln * hd - hn * ld
-            d = ld * hd
+                n, d = l2 * e1 - h1 * d2, d2 * e1
             if n * fd >= fn * d:
                 break
         return QuotientWitness(s1, s2, Fraction(n, d) if n > 0 else _ZERO, side)
@@ -763,16 +760,16 @@ def _root_quotient(a: Interval, b: Interval, root: Interval) -> Interval:
     The lower end is a.lo - b.hi over root.hi if nonnegative, else over
     root.lo; the upper end is a.hi - b.lo over root.lo if nonnegative,
     else over root.hi: the least and greatest of the four endpoint
-    quotients.  Each end is one Fraction of cross-multiplied numerators.
+    quotients.  Each end is one ratio of cross-multiplied `ends`.
     """
-    (aln, ald), (ahn, ahd) = a.lo.as_integer_ratio(), a.hi.as_integer_ratio()
-    (bln, bld), (bhn, bhd) = b.lo.as_integer_ratio(), b.hi.as_integer_ratio()
-    (rln, rld), (rhn, rhd) = root.lo.as_integer_ratio(), root.hi.as_integer_ratio()
+    aln, ald, ahn, ahd = a.ends
+    bln, bld, bhn, bhd = b.ends
+    rln, rld, rhn, rhd = root.ends
     n = aln * bhd - bhn * ald
-    lo = Fraction(n * rhd, ald * bhd * rhn) if n >= 0 else Fraction(n * rld, ald * bhd * rln)
+    lo = (n * rhd, ald * bhd * rhn) if n >= 0 else (n * rld, ald * bhd * rln)
     n = ahn * bld - bln * ahd
-    hi = Fraction(n * rld, ahd * bld * rln) if n >= 0 else Fraction(n * rhd, ahd * bld * rhn)
-    return Interval(lo, hi)
+    hi = (n * rld, ahd * bld * rln) if n >= 0 else (n * rhd, ahd * bld * rhn)
+    return Interval.of_ratios(*lo, *hi)
 
 
 @lru_cache(maxsize=None)

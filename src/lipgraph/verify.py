@@ -121,13 +121,22 @@ def _indented(v, pad: str) -> str:
         items = ",\n".join(f"{inner}{encode_basestring_ascii(k)}: {_indented(v[k], inner)}" for k in sorted(v))
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(v, Interval):
-        return _indented([str(v.lo), str(v.hi)], pad)
+        return _indented(_leaf(v), pad)
     return _scalar_json(v)
 
 
-# What json.dumps(v, allow_nan=False) and json.dumps(f, sort_keys=True) run.
+def _leaf(v) -> object:
+    """A Fraction leaf as its string and an Interval leaf as the list of its ends' strings, as reports write them."""
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, Interval):
+        return [str(v.lo), str(v.hi)]
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+# What json.dumps(v, allow_nan=False) runs, and json.dumps(f, sort_keys=True) of f as to_json writes it.
 _scalar_json = json.JSONEncoder(allow_nan=False).encode
-_record_key = json.JSONEncoder(sort_keys=True).encode
+_record_key = json.JSONEncoder(sort_keys=True, default=_leaf).encode
 
 
 def _campaign(name: str) -> Callable:
@@ -581,24 +590,24 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
     difference test (the Hölder chain) reads |r2 - r1|.lo = n / d and
     |beta2 - beta1| = tn / td from the endpoints' integer numerators and
     denominators, unreduced, and refutes when n**2 * td > tn * d**2.  The
-    gap's signs and the smallest gap lower end are read from integers too.
+    gap's signs and the smallest gap are decided on its `ends` too, and
+    the smallest gap's lower end is reduced once, for the report.
     """
     _check_count(sample_count, "pairs", name="sample_count")
     _check_depth(depth)
     failures = []
     exact_pairs = 0
-    min_gap_lo: Optional[Fraction] = None
-    mn = md = 0  # the integers of min_gap_lo
+    min_gap: Optional[Interval] = None
+    mn = md = 0  # the lower end of min_gap
     for idx, (w1, w2) in enumerate(islice(_cone_pairs(seed), sample_count)):
         p1 = graph_point(w1, depth)
         p2 = graph_point(w2, depth)
         g = cone_gap(p1, p2, depth)
-        lo = g.lo
-        ln, ld = lo.as_integer_ratio()
-        if min_gap_lo is None or ln * md < mn * ld:
-            min_gap_lo, mn, md = lo, ln, ld
+        ln, ld, hn, _ = g.ends
+        if min_gap is None or ln * md < mn * ld:
+            min_gap, mn, md = g, ln, ld
         if ln < 0:
-            kind = "cone-gap-negative" if g.hi.numerator < 0 else "cone-undecided"
+            kind = "cone-gap-negative" if hn < 0 else "cone-undecided"
             failures.append({"kind": kind, "gap": [str(g.lo), str(g.hi)], **_pair_key(idx, w1, w2)})
         r1, r2 = p1.r, p2.r
         exact = r1.is_point() and r2.is_point()
@@ -617,7 +626,7 @@ def verify_cone(sample_count: int, depth: int = 30, seed: int = REFERENCE_SEED) 
         "depth": depth,
         "seed": seed,
         "exact_pairs": exact_pairs,
-        "min_gap_lo": min_gap_lo,
+        "min_gap_lo": min_gap.lo,
         "cone_constant": Fraction(1),
     }
     return params, sample_count, failures

@@ -1,8 +1,11 @@
 """Exactness and soundness of the rational/interval arithmetic layer."""
 
+import copy
 import enum
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -306,9 +309,10 @@ class TestIntervalProperties:
 
 
 # ----------------------------------------------------------------------
-# Reference bodies of cmp_abs_sq, sqrt_enclose, Interval.point, abs and
-# max_of, which coerce every argument and compare Fractions: the fast
-# paths must match them value for value and exception for exception.
+# Reference bodies of cmp_abs_sq, sqrt_enclose, Interval.point, abs,
+# max_of and min_of, which coerce every argument and compare Fractions:
+# the fast paths must match them value for value and exception for
+# exception.
 
 
 def ref_cmp_abs_sq(a, b):
@@ -381,6 +385,24 @@ def ref_max_of(a, b):
     return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
+def parent_max_of(a, b):
+    """Interval.max_of as it was while it compared reduced ends: an operand that dominates at both ends is the result itself."""
+    if a.lo >= b.lo:
+        return a if a.hi >= b.hi else Interval(a.lo, b.hi)
+    return b if b.hi >= a.hi else Interval(b.lo, a.hi)
+
+
+def parent_min_of(a, b):
+    """Interval.min_of as it was while it compared reduced ends."""
+    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+
+
+def scaled(i, k, m):
+    """i with its lower ratio's terms multiplied by k and its upper ratio's by m: the same interval, unreduced."""
+    ln, ld, hn, hd = i.ends
+    return Interval.of_ratios(ln * k, ld * k, hn * m, hd * m)
+
+
 def exact(value):
     """A result with the type of every rational in it, so 1 and Fraction(1) differ."""
     if isinstance(value, Interval):
@@ -432,8 +454,11 @@ class TestFastPathReference:
         xs = [Interval(a, b) for a in ends for b in ends if a <= b]
         for x in xs:
             assert exact(x.abs()) == exact(ref_abs(x))
-            for y in xs:
-                assert exact(Interval.max_of(x, y)) == exact(ref_max_of(x, y))
+            for y in xs + [scaled(y, 3, 7) for y in xs]:
+                got, parent = Interval.max_of(x, y), parent_max_of(x, y)
+                assert exact(got) == exact(ref_max_of(x, y)) == exact(parent)
+                assert (got is x, got is y) == (parent is x, parent is y)
+                assert exact(Interval.min_of(x, y)) == exact(parent_min_of(x, y))
 
     def test_abs_diff_ends(self):
         """The integer ends of |b - a| against the Fraction reference, in every sign case and both straddle branches."""
@@ -455,6 +480,63 @@ class TestFastPathReference:
     def test_max_of_and_abs_properties(self, a, b, c, d):
         x, y = Interval(min(a, b), max(a, b)), Interval(min(c, d), max(c, d))
         assert Interval.max_of(x, y) == ref_max_of(x, y) == Interval.max_of(y, x)
+        assert exact(Interval.max_of(scaled(x, 2, 5), y)) == exact(parent_max_of(x, y))
+        assert exact(Interval.min_of(x, scaled(y, 9, 4))) == exact(parent_min_of(x, y)) == exact(Interval.min_of(y, x))
         assert x.abs() == ref_abs(x)
         ln, ld, hn, hd = abs_diff_ends(x, y)
         assert ld > 0 and hd > 0 and Interval(F(ln, ld), F(hn, hd)) == ref_abs(y - x)
+
+
+# ----------------------------------------------------------------------
+# Interval's one representation, ends = (ln, ld, hn, hd) with positive
+# denominators that need not be reduced: of_ratios against the Interval
+# of the two reduced Fractions.
+
+ints = st.integers(-(10**12), 10**12)
+denominators = st.integers(1, 10**12)
+factors = st.integers(1, 10**6)
+
+
+class TestRatioEnds:
+    @settings(max_examples=500, deadline=None)
+    @given(ln=ints, ld=denominators, hn=ints, hd=denominators, point=st.booleans(), k=factors, m=factors)
+    def test_of_ratios_is_the_interval_of_fractions(self, ln, ld, hn, hd, point, k, m):
+        if point:
+            hn, hd = ln * m, ld * m
+        want = outcome(Interval, F(ln, ld), F(hn, hd))
+        for got in (outcome(Interval.of_ratios, ln, ld, hn, hd), outcome(Interval.of_ratios, ln * k, ld * k, hn * m, hd * m)):
+            if not isinstance(want, Interval):
+                assert got == want and want[1] == f"empty interval: lo={F(ln, ld)} > hi={F(hn, hd)}"
+                continue
+            assert exact(got) == exact(want)
+            assert got == want and want == got and not got != want
+            assert hash(got) == hash(want) == hash((want.lo, want.hi))
+            assert repr(got) == repr(want) == f"[{F(ln, ld)}, {F(hn, hd)}]"
+            assert got.is_point() == want.is_point() == (F(ln, ld) == F(hn, hd))
+
+    def test_refusals(self):
+        for ends in ((1, 0, 1, 1), (1, 1, 1, 0), (1, -2, 1, 1), (0, 1, 1, -1), (-3, -1, 2, 1)):
+            with pytest.raises(ValueError) as raised:
+                Interval.of_ratios(*ends)
+            assert str(raised.value) == f"non-positive denominator: ends={ends}"
+        with pytest.raises(ValueError) as raised:
+            Interval.of_ratios(4, 6, 2, 6)
+        assert str(raised.value) == "empty interval: lo=2/3 > hi=1/3"
+
+    def test_frozen_and_copied_by_value(self):
+        i = Interval.of_ratios(2, 6, 3, 6)
+        for name in ("lo", "hi", "ends", "_lo", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(i, name, F(0))
+        assert i.ends == (2, 6, 3, 6) and i.lo is i.lo and (i.lo, i.hi) == (F(1, 3), F(1, 2))
+        for other in (copy.copy(i), copy.deepcopy(i), pickle.loads(pickle.dumps(i))):
+            assert other == i and other.ends == i.ends and repr(other) == "[1/3, 1/2]"
+        assert i != (F(1, 3), F(1, 2)) and {i: 1}[Interval(F(1, 3), F(1, 2))] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.one_of(rationals.map(abs), rationals.map(lambda y: y * y)),
+        width=st.sampled_from([F(1, 2**30), F(1, 10**12), F(1, 10), 1]) | st.fractions(F(1, 10**30), 4),
+    )
+    def test_sqrt_enclose_is_its_fraction_reference(self, x, width):
+        assert exact(sqrt_enclose(x, width)) == exact(ref_sqrt_enclose(x, width))

@@ -40,6 +40,7 @@ from lipgraph.selfsim import (
 )
 import lipgraph.verify as verify
 from lipgraph.verify import MAX_SCALES, MUTABLE_FIELDS, oscillation_scan, perturbed_branches
+from test_numerics import exact, ref_sqrt_enclose
 
 
 def inside(enc, q):
@@ -933,6 +934,34 @@ class TestQuotientAgainstTheParent:
         for curve, s, t, depth, exc in cases:
             got = outcome(curve.diff_quotient, s, t, depth)
             assert got[0] is exc and got == outcome(parent_diff_quotient, curve, s, t, depth)
+
+
+def fraction_diff_quotient(curve, s, t, depth):
+    """q(s, t) from Fraction references alone: ref_eval_limit, ref_sqrt_enclose and four-candidate division."""
+    s, t = F(s), F(t)
+    if s == t:
+        raise CoincidentPoints("difference quotient needs s != t")
+    num = ref_eval_limit(curve, reduce_domain(s), depth) - ref_eval_limit(curve, reduce_domain(t), depth)
+    gap = abs(s - t)
+    q = four_candidate_div(num, ref_sqrt_enclose(gap, min(gap, F(1)) * F(2, 3) ** depth))
+    return q if s > t else -q
+
+
+class TestRatioEndsAgainstFractions:
+    """Enclosures that keep unreduced integer ends read back as the Fraction references' reduced ends."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=line_points,
+        t=line_points,
+        depth=st.integers(0, 96),
+        curve=st.sampled_from(ORACLE_CURVES[:25]),  # the standard tuple and the 24 drifts
+    )
+    def test_eval_limit_and_diff_quotient(self, s, t, depth, curve):
+        fresh = Curve(branches=curve.branches)
+        u = reduce_domain(t)
+        assert exact(outcome(fresh.eval_limit, u, depth)) == exact(outcome(ref_eval_limit, curve, u, depth))
+        assert exact(outcome(fresh.diff_quotient, s, t, depth)) == exact(outcome(fraction_diff_quotient, curve, s, t, depth))
 
 
 RESUME_DEPTHS = (0, 1, 16, 24, 30, 16, 64, 300)
