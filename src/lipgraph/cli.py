@@ -141,10 +141,16 @@ def svg_ifs(depth: int) -> str:
 def _cmd_eval(args: argparse.Namespace) -> int:
     t = args.t
     enc = UNIT_CURVE.eval_limit(reduce_domain(t), args.depth)
+    # The enclosure's ends sit over 3**depth, within the digits str() writes; t may not.
+    try:
+        head = f"u({t})"
+    except ValueError as exc:
+        print(f"cannot print result: {exc}", file=sys.stderr)
+        return 2
     if enc.is_point():
-        print(f"u({t}) = {enc.lo}  (exact)")
+        print(f"{head} = {enc.lo}  (exact)")
     else:
-        print(f"u({t}) in [{enc.lo}, {enc.hi}]")
+        print(f"{head} in [{enc.lo}, {enc.hi}]")
         print(
             f"        ~ [{float(enc.lo):.15f}, {float(enc.hi):.15f}]"
             f"  width {float(enc.width()):.3e}"
@@ -178,13 +184,14 @@ def _cmd_plot_ifs(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     # Every refusal a campaign raises (caps, domain, brackets, invalid
-    # curves) is a ValueError subclass.
+    # curves) is a ValueError subclass, and so is a report rational with
+    # more digits than int-to-str conversion allows.
     try:
         report = args.run(args)
+        text = report.to_json(include_timing=args.timing)
     except (ValueError, OverflowError) as exc:
         print(f"cannot run campaign: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json(include_timing=args.timing)
     if args.out:
         if not _write_text(args.out, text):
             return 3

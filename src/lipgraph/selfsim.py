@@ -54,13 +54,14 @@ that are apart.
 
 A scan over shrinking scales at one point walks one chain of nested
 cells: `locate_cell` continues from the cell it returned for the scale
-before.  A located cell is a record, not a callable map: it carries its
-integer descent state, its cell map x -> (xa*x + xb) / dx**k and its
-composed vertical map, each derived once, and `window_witnesses` builds
-a window from its cell alone: each probe cell(b) is one Fraction of
-those integers.  On a branch system that
-passes `continuous_tiling`, u(cell(b)) = Y_cell(u(b)), so the descent of
-a window probe cell(b) starts at the cell instead of at the top.
+before.  A located cell is a `Cell`, one named record of the integers
+its descent computed: the point's state, the cell map
+x -> (xa*x + xb) / dx**k and the composed vertical map.  It builds no
+Fraction, and `window_witnesses` builds a window from the cell alone:
+each probe cell(b) is one Fraction of those integers.  On a branch
+system that passes `continuous_tiling`, u(cell(b)) = Y_cell(u(b)), so
+the descent of a window probe cell(b) starts at the cell instead of at
+the top.
 Descent work then grows linearly in the number of scales, not
 quadratically.
 """
@@ -69,9 +70,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import index
 from typing import Iterable, Optional
 
@@ -173,19 +175,18 @@ BRANCHES: tuple[Branch, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AffineMap1D:
-    """A located cell: the increasing affine map t -> a*t + b from [0, 1] onto it.
+class Cell(namedtuple("Cell", "curve t delta p q k dk xa xb ya yb")):
+    """The first nested cell of curve's descent of t whose length is at most delta.
 
-    A record, not a callable map.  A cell that Curve.locate_cell returns
-    also carries the descent that found it, with the map's integers, for
-    the next locate_cell to continue and for window_witnesses to read;
-    descent takes no part in equality or repr.
+    t and delta are Fractions, the fields after them ints.  After k steps t
+    sits at p/q in the cell's coordinates.  The cell map
+    x -> (xa*x + xb) / dk, with dk = dx**k, sends [0, 1] onto the cell,
+    and the composed vertical map is y -> (ya*y + yb) / ey**k.  A record
+    of what Curve.locate_cell computed, for the next locate_cell to
+    continue and for window_witnesses to read; it cannot be called.
     """
 
-    a: Fraction
-    b: Fraction
-    descent: Optional[tuple] = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -583,28 +584,22 @@ class Curve:
     # ------------------------------------------------------------------
     # cell location
 
-    def locate_cell(
-        self, t: RationalLike, delta: RationalLike, resume: Optional[AffineMap1D] = None
-    ) -> AffineMap1D:
-        """First nested cell containing t whose length is at most delta.
+    def locate_cell(self, t: RationalLike, delta: RationalLike, resume: Optional[Cell] = None) -> Cell:
+        """First nested cell containing t whose length is at most delta, as a `Cell`.
 
-        Returns the increasing affine map from [0, 1] onto the cell.  Ties
-        at cell boundaries resolve to the leftmost containing cell.  Cell
-        length shrinks by at least 4/9 per step, so the length lands in
-        [delta/9, delta] for the standard system.
+        Ties at cell boundaries resolve to the leftmost containing cell.
+        Cell length shrinks by at least 4/9 per step, so the length lands
+        in [delta/9, delta] for the standard system.
 
         The descent is the one of `eval_limit`, stopped by cell length
         instead of a step count.  A step through a branch with x_scale
         >= 1 would not shrink the cell, so it raises UncoveredPoint;
         every other step shrinks it, so the descent ends at any delta.
 
-        The cell carries its descent as `cell.descent`, the tuple (curve,
-        t, delta, p, q, k, dk, xa, xb, ya, yb): after k steps t sits at p/q
-        in the cell's coordinates, the cell map is x -> (xa*x + xb) / dk
-        with dk = dx**k, and the composed vertical map is
-        y -> (ya*y + yb) / ey**k, built as in `_descend`.  If resume is a
-        cell this Curve returned for the same t at some delta' >= delta,
-        the descent continues from it: every cell above it is longer than
+        The cell holds the descent's integers, its vertical map built as
+        in `_descend`; no Fraction is built.  If resume is a cell this
+        Curve returned for the same t at some delta' >= delta, the descent
+        continues from it: every cell above it is longer than
         delta' >= delta.  Any other resume starts from t, so the result
         always equals locate_cell(t, delta).
         """
@@ -621,11 +616,10 @@ class Curve:
         dx, ey = self._dx, self._ey
         locate = self.locate_branch
         p, q, k, dk, ya, yb = p0, q0, 0, 1, 1, 0
-        st = resume.descent if resume is not None else None
-        if st is not None and st[0] is self and st[1].as_integer_ratio() == (p0, q0):
-            kn, kd = st[2].as_integer_ratio()
+        if resume is not None and resume.curve is self and resume.t.as_integer_ratio() == (p0, q0):
+            kn, kd = resume.delta.as_integer_ratio()
             if dn * kd <= kn * dd:  # delta at most the kept delta
-                _, _, _, p, q, k, dk, _, _, ya, yb = st
+                p, q, k, dk, ya, yb = resume.p, resume.q, resume.k, resume.dk, resume.ya, resume.yb
         # After k steps p/q = (t*dk - xb) / xa, and q is a multiple of q0,
         # so xa = q/q0 and xb = (p0*dk - p)/q0, both exact; the length
         # test xa/dk > delta reads q*dd > delta.numerator*q0*dk = dn*dk.
@@ -639,8 +633,7 @@ class Curve:
             ya, yb = ya * ys, ya * yo + yb * ey
             dk *= dx
             k += 1
-        xa, xb = q // q0, (p0 * dk - p) // q0
-        return AffineMap1D(Fraction(xa, dk), Fraction(xb, dk), (self, t, delta, p, q, k, dk, xa, xb, ya, yb))
+        return Cell(self, t, delta, p, q, k, dk, q // q0, (p0 * dk - p) // q0, ya, yb)
 
     # ------------------------------------------------------------------
     # witnesses
@@ -697,15 +690,16 @@ class Curve:
         s1, s2, side = self._unit_probe(p, q)
         return self._deepen(s1, s2, t0, side, (16, 24, 32, 48, 64, 96))
 
-    def window_witnesses(self, cell: AffineMap1D) -> QuotientWitness:
+    def window_witnesses(self, cell: Cell) -> QuotientWitness:
         """Probe pair in a located cell with a certified quotient gap.
 
         Replays the unit-scale probe construction inside the cell this
         Curve's locate_cell returned for (t, delta), reading t, p/q =
         cell^-1(t) (which picks the probe side), the cell map and the
-        vertical map from cell.descent.  Probe distances from t lie in [delta/162, delta].
-        Any other cell raises ValueError: the probe descents below start
-        from its integer state, which only this Curve's rows composed.
+        vertical map from the cell's fields.  Probe distances from t lie
+        in [delta/162, delta].  A cell another Curve located raises
+        ValueError: the probe descents below start from its integer
+        state, which only this Curve's rows composed.
 
         Each probe cell(b), b = bn/bd, is the one Fraction (xa*bn +
         xb*bd) / (dk*bd) of the cell map's integers.  If the branches
@@ -716,17 +710,17 @@ class Curve:
         until the campaign's end empties it (`forget`).  Any other Curve
         descends the probes from the top.
         """
-        if cell.descent is None or cell.descent[0] is not self:
+        if cell.curve is not self:
             raise ValueError("window_witnesses needs a cell this curve located")
-        _, t, _, p, q, k, dk, xa, xb, ya, yb = cell.descent
-        b1, b2, side = self._unit_probe(p, q)
+        xa, xb, dk = cell.xa, cell.xb, cell.dk
+        b1, b2, side = self._unit_probe(cell.p, cell.q)
         ratios = b1.as_integer_ratio(), b2.as_integer_ratio()
         s1, s2 = (Fraction(xa * bn + xb * bd, dk * bd) for bn, bd in ratios)
         if self._tiled:
             for s, (bn, bd) in zip((s1, s2), ratios):
-                self._descents[s.as_integer_ratio()] = (bn, bd, ya, yb, k, None)
+                self._descents[s.as_integer_ratio()] = (bn, bd, cell.ya, cell.yb, cell.k, None)
         start = cell_start_depth(cell)
-        return self._deepen(s1, s2, t, side, range(start, start + 6 * 24, 24))
+        return self._deepen(s1, s2, cell.t, side, range(start, start + 6 * 24, 24))
 
 
 def window_start_depth(log3_inv_a: float) -> int:
@@ -738,17 +732,17 @@ def window_start_depth(log3_inv_a: float) -> int:
     return 16 + max(0, int(2.2 * log3_inv_a))
 
 
-def cell_start_depth(cell: AffineMap1D) -> int:
+def cell_start_depth(cell: Cell) -> int:
     """First depth window_witnesses tries in cell.
 
     Probe values are exact breakpoint images, so enclosure width is
     driven by u(t) alone; the depth is sized to the cell scale.  The
-    scale log_3(1/a) comes from the integers of the cell length a, so it
-    is finite however short the cell (1/a overflows a float once a <
-    5.6e-309).
+    scale log_3(1/a) comes from the integers of the cell length
+    a = xa/dk in lowest terms, so it is finite however short the cell
+    (1/a overflows a float once a < 5.6e-309).
     """
-    an, ad = cell.a.as_integer_ratio()
-    return window_start_depth(math.log(ad, 3) - math.log(an, 3))
+    g = math.gcd(cell.xa, cell.dk)
+    return window_start_depth(math.log(cell.dk // g, 3) - math.log(cell.xa // g, 3))
 
 
 UNIT_CURVE = Curve()
@@ -792,6 +786,4 @@ def quotient_gap_floor() -> Interval:
     t1 = (_root_quotient(one, zero, sqrt_enclose(d1, width * d1)) - 1).scale(Fraction(1, 3))
     t2 = Interval.point(Fraction(7, 9) - Fraction(3, 5))
     t3 = _root_quotient(one, zero, sqrt_enclose(d3, width * d3))
-    lo = min(t1.lo, t2.lo, t3.lo)
-    hi = min(t1.hi, t2.hi, t3.hi)
-    return Interval(lo, hi)
+    return reduce(Interval.min_of, (t1, t2, t3))

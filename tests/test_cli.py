@@ -7,6 +7,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -518,13 +520,38 @@ class TestDecimalRendering:
         assert cli._dec(F(5, 4), 1) == "1.3"
 
 
+# A rational whose numerator or denominator has more digits than CPython
+# converts to a string (4 300 by default) is refused once the command's
+# output meets it.  Literals such as 1e999999999 stay untested: Fraction
+# builds 10**exp before anything can check it.
+LARGE_RATIONALS = [
+    (["eval", "1e5000"], "cannot print result: "),
+    (["verify", "oscillation", "--t-hat", "1e5000", "--scales", "1"], "cannot run campaign: "),
+    (["verify", "oscillation", "--t-hat", "1e-5000", "--scales", "1"], "cannot run campaign: "),
+    (["verify", "blowup-divergence", "--t-hat", "1e5000"], "cannot run campaign: "),
+    (["verify", "blowup-divergence", "--radius", "1e5000"], "cannot run campaign: "),
+]
+
+
+class TestLargeRationals:
+    @pytest.mark.parametrize("argv, prefix", LARGE_RATIONALS, ids=[" ".join(argv) for argv, _ in LARGE_RATIONALS])
+    def test_refused_in_one_line_without_a_traceback(self, argv, prefix):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "lipgraph.cli", *argv], capture_output=True, text=True, env=env, timeout=300)
+        assert "Traceback" not in done.stderr
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(prefix + "Exceeds the limit (4300 digits) for integer string conversion")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
 # ----------------------------------------------------------------------
 # Any argument vector ends in a documented exit code, never a traceback.
 # Sizes, levels, scales and depths come from small ranges (plus values
 # just past each cap), so no example starts a large campaign.
 
 _RATIONALS = st.sampled_from(
-    ["0", "1", "-1", "1/7", "7/2", "4/9", "-3/5", "1/3", "-1/3", "-7/2", "-2.5", "2.5", "1/0", "-1/0", "x", ""]
+    ["0", "1", "-1", "1/7", "7/2", "4/9", "-3/5", "1/3", "-1/3", "-7/2", "-2.5", "2.5", "1/0", "-1/0", "x", "", "1e5000", "-1e-5000"]
 )
 # Where --out points; the test replaces the placeholders with paths.
 _OUT = st.sampled_from([[], ["--out", "@file"], ["--out", "@dir"], ["--out", "@missing/out"], ["--out"]])

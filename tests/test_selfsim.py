@@ -21,9 +21,9 @@ from lipgraph.selfsim import (
     UNIT_CURVE,
     UNIT_MIN_OFFSET,
     WINDOW_OFFSET_RATIO,
-    AffineMap1D,
     Branch,
     BranchTag,
+    Cell,
     CoincidentPoints,
     Curve,
     DepthTooLarge,
@@ -116,9 +116,20 @@ def grid_polyline(breakpoints):
     return PiecewiseLinear(dt, dv, tuple((t.numerator * dt // t.denominator, v.numerator * dv // v.denominator) for t, v in pts))
 
 
-def cell_inverse(cell, t):
-    """The point of [0, 1] that cell maps to t."""
-    return (F(t) - cell.b) / cell.a
+def cell_map(cell):
+    """The (a, b) of a located cell's map x -> a*x + b, from its integers."""
+    return F(cell.xa, cell.dk), F(cell.xb, cell.dk)
+
+
+def located(curve, t, delta, resume=None):
+    """The (a, b) of the cell curve.locate_cell returns, comparable with ref_locate_cell."""
+    return cell_map(curve.locate_cell(t, delta, resume))
+
+
+def cell_inverse(ab, t):
+    """The point of [0, 1] that the cell map x -> a*x + b sends to t."""
+    a, b = ab
+    return (F(t) - b) / a
 
 
 def window(curve, t, delta):
@@ -556,36 +567,40 @@ def related_quotients(draw, floor_hi):
 
 class TestLocateCell:
     def test_frozen(self):
-        cell = UNIT_CURVE.locate_cell(F(1, 5), F(1))
-        assert (cell.a, cell.b) == (F(1), F(0))
+        assert located(UNIT_CURVE, F(1, 5), F(1)) == (F(1), F(0))
+        assert located(UNIT_CURVE, F(1, 2), F(1, 10)) == (F(1, 81), F(40, 81))
+        assert located(UNIT_CURVE, F(1, 10), F(3, 10)) == (F(16, 81), F(0))
+        assert located(UNIT_CURVE, F(0), F(1, 81)) == (F(4, 9) ** 6, F(0))
 
-        cell = UNIT_CURVE.locate_cell(F(1, 2), F(1, 10))
-        assert (cell.a, cell.b) == (F(1, 81), F(40, 81))
-
-        cell = UNIT_CURVE.locate_cell(F(1, 10), F(3, 10))
-        assert (cell.a, cell.b) == (F(16, 81), F(0))
-
-        cell = UNIT_CURVE.locate_cell(F(0), F(1, 81))
-        assert (cell.a, cell.b) == (F(4, 9) ** 6, F(0))
+    def test_cell_is_a_record_of_integers(self):
+        t, delta = F(1, 2), F(1, 10)
+        cell = UNIT_CURVE.locate_cell(t, delta)
+        assert type(cell) is Cell and cell._fields == ("curve", "t", "delta", "p", "q", "k", "dk", "xa", "xb", "ya", "yb")
+        # after two mid steps 1/2 sits at 1/2 again: x -> (x + 40) / 81, y -> (y + 4) / 9
+        assert cell == (UNIT_CURVE, t, delta, 1, 2, 2, 81, 1, 40, 1, 4)
+        assert all(type(v) is int for v in cell[3:])
+        assert not hasattr(cell, "__dict__")
+        with pytest.raises(AttributeError):
+            cell.k = 0
 
     def test_cell_contains_point_with_calibrated_length(self):
         rng = random.Random(222)
         for _ in range(60):
             t = F(rng.randrange(0, 1001), 1000)
             delta = F(1, 9) ** rng.randrange(0, 7)
-            cell = UNIT_CURVE.locate_cell(t, delta)
-            assert cell.b <= t <= cell.a + cell.b
-            assert cell.a <= delta
-            assert cell.a >= delta * F(1, 9)
+            a, b = located(UNIT_CURVE, t, delta)
+            assert b <= t <= a + b
+            assert a <= delta
+            assert a >= delta * F(1, 9)
 
     def test_deep_scale_is_reached(self):
         # 9**-400 needs more than 768 descent steps, the old fixed step guard
         t, delta = F(1, 7), F(1, 9**400)
-        cell = UNIT_CURVE.locate_cell(t, delta)
+        a, b = located(UNIT_CURVE, t, delta)
         # every standard x_scale is 4/9 or 1/9, so the cell length is 4**i / 9**steps
-        assert cell.a.denominator > 9 ** (4 * MAX_LEVEL * 16)
-        assert cell.b <= t <= cell.a + cell.b
-        assert delta / 9 <= cell.a <= delta
+        assert a.denominator > 9 ** (4 * MAX_LEVEL * 16)
+        assert b <= t <= a + b
+        assert delta / 9 <= a <= delta
 
     def test_non_contracting_branch_refused(self):
         flat = Curve(branches=(Branch(BranchTag.LEFT, F(1), F(0), F(1), F(0)),))
@@ -625,7 +640,7 @@ class TestWindowWitnesses:
         # finite float reciprocal
         t, delta = F(1, 7), F(1, 9**j)
         cell = UNIT_CURVE.locate_cell(t, delta)
-        assert math.isinf(1 / float(cell.a)) == (j == 323)
+        assert math.isinf(1 / float(F(cell.xa, cell.dk))) == (j == 323)
         w = UNIT_CURVE.window_witnesses(cell)
         for s in (w.s1, w.s2):
             assert delta * WINDOW_OFFSET_RATIO <= abs(s - t) <= delta
@@ -639,7 +654,7 @@ class TestWindowWitnesses:
         # --t-hat 7/2 folds onto this chain, and its window gap at 9**-5
         # differs between depths 37 and 38.
         cell = UNIT_CURVE.locate_cell(F(1, 2), F(1, 9**j))
-        assert cell.a == F(1, 9**j) and 16 + 22 * j // 5 == start + 1
+        assert cell_map(cell)[0] == F(1, 9**j) and 16 + 22 * j // 5 == start + 1
         assert cell_start_depth(cell) == start, (
             f"math.log(9**{j}, 3) = {math.log(9**j, 3)!r}: the float log_3 of the cell length, "
             f"not the exact 2j = {2 * j}, decides the start depth"
@@ -663,10 +678,9 @@ class TestWindowWitnesses:
     def test_refuses_a_cell_it_did_not_locate(self):
         # the probe descents start from the cell's integer state, composed with the locating curve's rows
         t, delta = F(1, 7), F(1, 81)
-        located = UNIT_CURVE.locate_cell(t, delta)
-        plain, other = AffineMap1D(located.a, located.b), Curve().locate_cell(t, delta)
-        assert plain == other == located
-        for cell in (plain, other, _drifted(BranchTag.LEFT, "x_scale", F(1, 100)).locate_cell(t, delta)):
+        other = Curve().locate_cell(t, delta)
+        assert other == UNIT_CURVE.locate_cell(t, delta) and other.curve is not UNIT_CURVE
+        for cell in (other, _drifted(BranchTag.LEFT, "x_scale", F(1, 100)).locate_cell(t, delta)):
             with pytest.raises(ValueError, match="needs a cell this curve located"):
                 UNIT_CURVE.window_witnesses(cell)
 
@@ -752,15 +766,15 @@ def ref_locate_cell(curve, t, delta):
         raise OutOfDomain(f"t={t} outside [0, 1]")
     if not 0 < delta <= 1:
         raise OutOfDomain(f"delta={delta} outside (0, 1]")
-    cell = AffineMap1D(F(1), F(0))
+    a, b = F(1), F(0)
     guard = 0
-    while cell.a > delta:
-        br = ref_locate_branch(curve, cell_inverse(cell, t))
-        cell = AffineMap1D(cell.a * br.x_scale, cell.a * br.x_offset + cell.b)
+    while a > delta:
+        br = ref_locate_branch(curve, cell_inverse((a, b), t))
+        a, b = a * br.x_scale, a * br.x_offset + b
         guard += 1
         if guard > 4 * MAX_LEVEL * 16:
             raise UncoveredPoint("descent does not contract; branch system broken")
-    return cell
+    return a, b
 
 
 def ref_iterate(curve, n):
@@ -836,7 +850,7 @@ class TestFractionOracle:
         deltas = [F(1, 9**d) for d in ORACLE_DEPTHS] + [F(3, 10), F(1, 7), F(0), F(2)]
         for t in ORACLE_TS:
             for delta in deltas:
-                assert outcome(curve.locate_cell, t, delta) == outcome(ref_locate_cell, curve, t, delta)
+                assert outcome(located, curve, t, delta) == outcome(ref_locate_cell, curve, t, delta)
 
     @pytest.mark.parametrize("curve", ORACLE_CURVES)
     def test_iterate(self, curve):
@@ -1214,9 +1228,8 @@ class TestKeptEnclosure:
             if s in probes and s not in firsts:
                 firsts[s] = before
         # each probe was seeded at the cell's step count, with no enclosure
-        k = cell.descent[5]
         assert sorted(firsts) == sorted(probes)
-        assert all(before is not None and before[4] == k and before[5] is None for before in firsts.values())
+        assert all(before is not None and before[4] == cell.k and before[5] is None for before in firsts.values())
 
 
 # ----------------------------------------------------------------------
@@ -1370,7 +1383,7 @@ class TestSlotTable:
             for depth in (5, 30):
                 assert outcome(curve.eval_limit, t, depth) == outcome(ref_eval_limit, curve, t, depth)
             for delta in (F(1, 9), F(1, 729)):
-                assert outcome(curve.locate_cell, t, delta) == outcome(ref_locate_cell, curve, t, delta)
+                assert outcome(located, curve, t, delta) == outcome(ref_locate_cell, curve, t, delta)
                 window = outcome(lambda: curve.window_witnesses(curve.locate_cell(t, delta)))
                 assert window == outcome(ref_window_witnesses, curve, t, delta)
 
@@ -1428,10 +1441,10 @@ class TestDiffQuotientIntegers:
 
 def ref_window_witnesses(curve, t, delta):
     t, delta = F(t), F(delta)
-    cell = ref_locate_cell(curve, t, delta)
-    b1, b2, side = (F(5, 9), F(1), 1) if cell_inverse(cell, t) <= F(1, 2) else (F(0), F(4, 9), -1)
-    s1, s2 = cell.a * b1 + cell.b, cell.a * b2 + cell.b
-    start = cell_start_depth(cell)
+    a, b = ref_locate_cell(curve, t, delta)
+    b1, b2, side = (F(5, 9), F(1), 1) if cell_inverse((a, b), t) <= F(1, 2) else (F(0), F(4, 9), -1)
+    s1, s2 = a * b1 + b, a * b2 + b
+    start = window_start_depth(math.log(a.denominator, 3) - math.log(a.numerator, 3))
     floor_hi = quotient_gap_floor().hi
     for depth in range(start, start + 6 * 24, 24):
         gap = (ref_diff_quotient(curve, s1, t, depth) - ref_diff_quotient(curve, s2, t, depth)).abs()
@@ -1505,16 +1518,15 @@ class TestCellChain:
             for j, delta in enumerate(CHAIN_DELTAS, 1):
                 cell = UNIT_CURVE.locate_cell(t, delta, cell)
                 ref = ref_locate_cell(UNIT_CURVE, t, delta)
-                assert cell == ref
-                curve, t_, _, p, q, k, dk, xa, xb, ya, yb = cell.descent
-                assert curve is UNIT_CURVE and t_ == t
-                assert F(p, q) == cell_inverse(cell, t) and dk == UNIT_CURVE._dx**k
-                # the carried integer cell map is the reference cell's
-                assert (F(xa, dk), F(xb, dk)) == (ref.a, ref.b)
+                # the record's integer cell map is the reference cell's
+                assert cell_map(cell) == ref
+                assert cell.curve is UNIT_CURVE and cell.t == t and cell.delta == delta
+                k, dk, ya, yb = cell.k, cell.dk, cell.ya, cell.yb
+                assert F(cell.p, cell.q) == cell_inverse(ref, t) and dk == UNIT_CURVE._dx**k
                 # the identity the probe descents rest on: u(cell(b)) = Y_cell(u(b))
                 if j % 8 == 0:
                     for b, ub in u_probe.items():
-                        s = cell.a * b + cell.b
+                        s = ref[0] * b + ref[1]
                         assert fresh_eval_limit(UNIT_CURVE, s, k + 1) == Interval.point((ya * ub + yb) / ey**k)
 
     def test_chain_takes_the_steps_of_one_descent(self, monkeypatch):
@@ -1535,18 +1547,16 @@ class TestCellChain:
         t = F(1, 7)
         cell = UNIT_CURVE.locate_cell(t, F(1, 81))
         assert UNIT_CURVE.locate_cell(t, F(1, 81), cell) == cell
-        assert UNIT_CURVE.locate_cell(t, F(1, 100), cell) == ref_locate_cell(UNIT_CURVE, t, F(1, 100))
-        assert UNIT_CURVE.locate_cell(t, F(1, 9), cell) == ref_locate_cell(UNIT_CURVE, t, F(1, 9))
-        assert UNIT_CURVE.locate_cell(F(1, 5), F(1, 729), cell) == ref_locate_cell(UNIT_CURVE, F(1, 5), F(1, 729))
+        assert located(UNIT_CURVE, t, F(1, 100), cell) == ref_locate_cell(UNIT_CURVE, t, F(1, 100))
+        assert located(UNIT_CURVE, t, F(1, 9), cell) == ref_locate_cell(UNIT_CURVE, t, F(1, 9))
+        assert located(UNIT_CURVE, F(1, 5), F(1, 729), cell) == ref_locate_cell(UNIT_CURVE, F(1, 5), F(1, 729))
         other = Curve(branches=UNIT_CURVE.branches)
         again = other.locate_cell(t, F(1, 729), cell)
-        assert again == ref_locate_cell(UNIT_CURVE, t, F(1, 729)) and again.descent[0] is other
+        assert cell_map(again) == ref_locate_cell(UNIT_CURVE, t, F(1, 729)) and again.curve is other
         drift = _drifted(BranchTag.LEFT, "x_scale", F(1, 100))
-        assert drift.locate_cell(t, F(1, 729), cell) == ref_locate_cell(drift, t, F(1, 729))
-        plain = AffineMap1D(cell.a, cell.b)
-        assert UNIT_CURVE.locate_cell(t, F(1, 729), plain) == ref_locate_cell(UNIT_CURVE, t, F(1, 729))
+        assert located(drift, t, F(1, 729), cell) == ref_locate_cell(drift, t, F(1, 729))
         for bad in (F(0), F(2)):
-            assert outcome(UNIT_CURVE.locate_cell, t, bad, cell) == outcome(ref_locate_cell, UNIT_CURVE, t, bad)
+            assert outcome(located, UNIT_CURVE, t, bad, cell) == outcome(ref_locate_cell, UNIT_CURVE, t, bad)
 
     def test_windows_match_a_new_curve_and_the_reference(self):
         kept = Curve()
@@ -1626,9 +1636,9 @@ def probes_of(curve, cell):
 
 
 def ref_probes(curve, t, delta):
-    cell = ref_locate_cell(curve, t, delta)
-    b1, b2, side = (F(5, 9), F(1), 1) if cell_inverse(cell, t) <= F(1, 2) else (F(0), F(4, 9), -1)
-    return cell.a * b1 + cell.b, cell.a * b2 + cell.b, side
+    a, b = ref_locate_cell(curve, t, delta)
+    b1, b2, side = (F(5, 9), F(1), 1) if cell_inverse((a, b), t) <= F(1, 2) else (F(0), F(4, 9), -1)
+    return a * b1 + b, a * b2 + b, side
 
 
 def chained_probes(curve, t, deltas, resume):
@@ -1698,9 +1708,8 @@ def parent_locate_cell(curve, t, delta, resume=None):
         raise OutOfDomain(f"delta={delta} outside (0, 1]")
     dx, ey = curve._dx, curve._ey
     p0, q0 = t.numerator, t.denominator
-    st = resume.descent if resume is not None else None
-    if st is not None and st[0] is curve and st[1] == t and delta <= st[2]:
-        _, _, _, p, q, k, dk, _, _, ya, yb = st
+    if resume is not None and resume.curve is curve and resume.t == t and delta <= resume.delta:
+        p, q, k, dk, ya, yb = resume.p, resume.q, resume.k, resume.dk, resume.ya, resume.yb
     else:
         p, q, k, dk, ya, yb = p0, q0, 0, 1, 1, 0
     dd = delta.denominator
@@ -1714,27 +1723,22 @@ def parent_locate_cell(curve, t, delta, resume=None):
         ya, yb = ya * ys, ya * yo + yb * ey
         dk *= dx
         k += 1
-    xa, xb = q // q0, (p0 * dk - p) // q0
-    return AffineMap1D(F(xa, dk), F(xb, dk), (curve, t, delta, p, q, k, dk, xa, xb, ya, yb))
+    return Cell(curve, t, delta, p, q, k, dk, q // q0, (p0 * dk - p) // q0, ya, yb)
 
 
 def typed(value):
-    """value with the type of every rational in it, so 1 and Fraction(1) differ; a map as its (a, b)."""
-    if isinstance(value, AffineMap1D):
-        value = (value.a, value.b)
+    """value with the type of every rational in it, so 1 and Fraction(1) differ; a cell field by field."""
     if isinstance(value, tuple):
         return tuple(typed(v) for v in value)
     return type(value), value
 
 
 def coerced(fn, *args):
-    """typed(fn(*args)) and a located cell's typed descent, or the type and message of what fn raises."""
+    """typed(fn(*args)), or the type and message of what fn raises."""
     try:
-        value = fn(*args)
+        return typed(fn(*args))
     except (ArithmeticError, ValueError, TypeError) as exc:
         return type(exc), str(exc)
-    descent = getattr(value, "descent", None)
-    return typed(value) if descent is None else typed(value) + (typed(descent),)
 
 
 COERCED = [0, 1, 2, False, True, 0.5, 0.125, float("nan"), float("inf"), F(1, 7), F(2, 3), _SubF(1, 3), _SubF(1),
@@ -1802,6 +1806,6 @@ class TestDescentProperties:
         delta=st.fractions(0, 1, max_denominator=10**6).filter(bool) | st.integers(0, 400).map(lambda j: F(1, 9**j)),
     )
     def test_cell_contains_point_and_is_short(self, t, delta):
-        cell = UNIT_CURVE.locate_cell(t, delta)
-        assert cell.b <= t <= cell.a + cell.b
-        assert cell.a <= delta
+        a, b = located(UNIT_CURVE, t, delta)
+        assert b <= t <= a + b
+        assert a <= delta

@@ -606,7 +606,7 @@ class TestUnitGapCampaign:
         one Fraction each and the witness checks moved to integers, 12.5
         and 45.0.
         """
-        quotient_gap_floor()  # cached before counting, as in every campaign but the first
+        quotient_gap_floor().hi  # cached with its upper end before counting, as in every campaign but the first
         with counted_constructions() as counts:
             r = verify_unit_gap(601, curve=Curve())
         assert r.certified and r.checked == 601
@@ -757,7 +757,7 @@ class CraftedWitnesses(Curve):
 
     On the 19-point claim2 grid, t0 = k/18 meets UNIT_CASES[k] (the last
     three points are "good"); every claim3 sample meets window_case, at
-    the t and delta its located cell's descent holds.
+    the t and delta its located cell holds.
     """
 
     window_case: str = "good"
@@ -767,7 +767,7 @@ class CraftedWitnesses(Curve):
         return _crafted(t0, F(1, 18), 1, UNIT_CASES[k] if k < len(UNIT_CASES) else "good")
 
     def window_witnesses(self, cell):
-        _, t, delta = cell.descent[:3]
+        t, delta = cell.t, cell.delta
         return _crafted(t, delta / 162, delta, self.window_case)
 
 
@@ -830,7 +830,7 @@ class TestFailureKeys:
             return _double_failure(t0, F(1, 18), 1) if t0 in (F(1, 6), F(1, 2)) else unit(self, t0)
 
         def window_witnesses(self, cell):
-            _, t, delta = cell.descent[:3]
+            t, delta = cell.t, cell.delta
             return _double_failure(t, delta / 162, delta) if delta == F(1, 81) or t == F(5, 9) else window(self, cell)
 
         monkeypatch.setattr(Curve, "unit_witnesses", unit_witnesses)
@@ -887,21 +887,22 @@ class TestOscillation:
         """Interval and Fraction constructions of oscillation_scan(123457/10**6, 64), as test_work_per_base_point counts them.
 
         On a Curve whose store starts empty a window builds 7 Intervals
-        and about 13 Fractions (448 and 834 in all; 643 from CPython
-        3.12 on, measured on 3.12.1 and 3.13.0).  While each Interval
-        reduced its ends to two Fractions, a scan built 1 602 Fractions
-        (1 411 from 3.12 on).  While each probe was
-        cell(b), a Fraction product and sum, and locate_cell and
-        AffineMap1D coerced Fractions to Fractions, a scan built 2 114
+        and about 11 Fractions (448 and 706 in all; 515 from CPython
+        3.12 on, measured on 3.12.1 and 3.13.0).  While locate_cell built
+        each cell's map as two Fractions, a scan built 834 Fractions (643
+        from 3.12 on).  While each Interval reduced its ends to two
+        Fractions, a scan built 1 602 Fractions (1 411 from 3.12 on).
+        While each probe was cell(b), a Fraction product and sum, and
+        locate_cell coerced Fractions to Fractions, a scan built 2 114
         Fractions (1 667 from 3.12 on).
         """
-        quotient_gap_floor()
+        quotient_gap_floor().hi
         t = F(123457, 10**6)
         monkeypatch.setattr(verify, "UNIT_CURVE", Curve())
         with counted_constructions() as counts:
             r = oscillation_scan(t, 64)
         assert r.certified and r.checked == 64
-        assert counts == {"Interval": 448, "Fraction": 834 if sys.version_info < (3, 12) else 643}
+        assert counts == {"Interval": 448, "Fraction": 706 if sys.version_info < (3, 12) else 515}
 
     def test_no_fraction_comparison(self):
         """oscillation_scan(123457/10**6, 64) tests its reflection on integers: 1 Fraction comparison before (`t_red != t_hat % 2`)."""
