@@ -185,8 +185,14 @@ def _cmd_plot_ifs(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # Every refusal a campaign raises (caps, domain, brackets, invalid
     # curves) is a ValueError subclass, and so is a report rational with
-    # more digits than int-to-str conversion allows.
+    # more digits than int-to-str conversion allows.  The report writes
+    # every rational argument, so each is written once here, before the
+    # campaign runs.
     try:
+        for v in vars(args).values():
+            for x in v if isinstance(v, list) else [v]:
+                if isinstance(x, Fraction):
+                    str(x)
         report = args.run(args)
         text = report.to_json(include_timing=args.timing)
     except (ValueError, OverflowError) as exc:

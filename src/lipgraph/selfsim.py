@@ -157,7 +157,8 @@ class Branch:
 
     def __post_init__(self) -> None:
         for name in ("x_scale", "x_offset", "y_scale", "y_offset"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     @property
     def x_lo(self) -> Fraction:
@@ -314,7 +315,8 @@ class Curve:
     (InvalidCurve, UncoveredPoint) when a perturbation destroys the
     structure the standard system has.
 
-    On construction the branch constants are cleared to integers: dx is
+    On construction the branch constants are cleared to integers, read
+    with as_integer_ratio(): dx is
     the least common denominator of every x_scale and x_offset, ey that
     of every y_scale and y_offset, and each branch becomes one row
     (x_lo, x_hi, x_scale, x_offset, y_scale, y_offset, x_lift, y_den, n)
@@ -328,22 +330,15 @@ class Curve:
     branches: tuple[Branch, ...] = BRANCHES
 
     def __post_init__(self) -> None:
-        dx = math.lcm(*(f.denominator for br in self.branches for f in (br.x_scale, br.x_offset)))
-        ey = math.lcm(*(f.denominator for br in self.branches for f in (br.y_scale, br.y_offset)))
-        rows = tuple(
-            (
-                int(br.x_lo * dx),
-                int(br.x_hi * dx),
-                int(br.x_scale * dx),
-                int(br.x_offset * dx),
-                int(br.y_scale * ey),
-                int(br.y_offset * ey),
-                1,
-                ey,
-                1,
-            )
-            for br in self.branches
-        )
+        xr = [(br.x_scale.as_integer_ratio(), br.x_offset.as_integer_ratio()) for br in self.branches]
+        yr = [(br.y_scale.as_integer_ratio(), br.y_offset.as_integer_ratio()) for br in self.branches]
+        dx = math.lcm(*(d for pair in xr for _, d in pair))
+        ey = math.lcm(*(d for pair in yr for _, d in pair))
+        rows = []
+        for ((sn, sd), (on, od)), ((yn, yd), (zn, zd)) in zip(xr, yr):
+            xs, xo = sn * (dx // sd), on * (dx // od)
+            rows.append((xo, xo + xs, xs, xo, yn * (ey // yd), zn * (ey // zd), 1, ey, 1))
+        rows = tuple(rows)
         span = _SPAN if dx <= 9 else 0
         object.__setattr__(self, "_dx", dx)
         object.__setattr__(self, "_ey", ey)
@@ -463,7 +458,10 @@ class Curve:
 
         Level 0 is the diagonal.  Each level maps the previous polyline
         through every branch and concatenates; seam points shared by
-        adjacent branches are deduplicated exactly.  Level k keeps its
+        adjacent branches are deduplicated exactly: a branch whose x and
+        y scales are both nonzero keeps consecutive points apart, so only
+        its first image is compared with the point before, and a
+        degenerate branch compares each image.  Level k keeps its
         points as integer numerators over dx**k and ey**k, and the
         iterate is that grid at level n: a broken system raises
         InvalidCurve, and a valid one builds no Fraction.
@@ -476,6 +474,11 @@ class Curve:
             nxt: list[tuple[int, int]] = []
             for _, _, xs, xo, ys, yo, _, _, _ in self._rows:
                 x0, y0 = xo * xd, yo * yd
+                if xs and ys:
+                    # an injective map keeps consecutive points apart: only the seam repeats
+                    img = [(xs * t + x0, ys * v + y0) for t, v in pts]
+                    nxt += img[1:] if nxt and nxt[-1] == img[0] else img
+                    continue
                 for t, v in pts:
                     pt = (xs * t + x0, ys * v + y0)
                     if nxt and nxt[-1] == pt:
@@ -504,7 +507,9 @@ class Curve:
 
         The Curve keeps the last descent of each point together with the
         Interval it returned.  A call at the same depth returns that
-        Interval, with no step and no Fraction built, and so does any
+        Interval, with no step and no Fraction built (for an int depth
+        before the checks above, which the kept point and depth passed
+        when they were kept), and so does any
         deeper call once the kept descent sits at 0 or 1, where the value
         is exact.  Any other deeper call resumes where the kept descent
         stopped, and only a shallower call starts again from t.  Probes
@@ -515,6 +520,11 @@ class Curve:
         if type(t) is not Fraction:
             t = Fraction(t)
         p, q = t.as_integer_ratio()
+        kept = self._descents
+        key = (p, q)
+        st = kept.get(key)
+        if st is not None and type(depth) is int and st[4] == depth and st[5] is not None:
+            return st[5]  # every kept point and depth passed the checks below
         if p < 0 or p > q:
             raise OutOfDomain(f"t={t} outside [0, 1]")
         if depth < 0:
@@ -522,9 +532,6 @@ class Curve:
         depth = index(depth)
         if depth > MAX_DEPTH:
             raise DepthTooLarge(f"depth {depth} exceeds cap {MAX_DEPTH}")
-        kept = self._descents
-        key = (p, q)
-        st = kept.get(key)
         if st is None or st[4] > depth:
             if st is None and len(kept) >= _DESCENTS_KEPT:
                 kept.clear()

@@ -101,28 +101,33 @@ def _indented(v, pad: str) -> str:
 
     The one walk that turns a report into JSON: a Fraction is written as
     its string and an Interval as the list of its two ends' strings, at
-    any depth.  Lists and dicts are written here and only strings and
-    scalars go through the json module, which on CPython 3.11 is faster
-    than an indented ``json.dumps``.  Dict keys must be strings.
+    any depth.  Lists and dicts are written here, and so are leaves of
+    exactly str, Fraction, int, bool or None, tested by type first; only
+    subclasses and other scalars go through the json module.  On CPython
+    3.11 this is faster than an indented ``json.dumps``.  Dict keys must
+    be strings.
     """
-    if isinstance(v, str):
+    t = type(v)
+    if t is str:
         return encode_basestring_ascii(v)
-    if isinstance(v, Fraction):
+    if t is Fraction:
         return f'"{v!s}"'  # digits, '-' and '/' need no escape
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        inner = pad + "  "
-        return "[\n" + ",\n".join(inner + _indented(x, inner) for x in v) + "\n" + pad + "]"
+    if t is int:
+        return repr(v)
+    if t is bool or v is None:
+        return "null" if v is None else "true" if v else "false"
+    if not isinstance(v, (dict, list, tuple)):
+        # subclasses, Intervals and every other leaf, checked as json.dumps checks them
+        return _indented(_leaf(v), pad) if isinstance(v, (Fraction, Interval)) else _scalar_json(v)
+    inner = pad + "  "
     if isinstance(v, dict):
         if not v:
             return "{}"
-        inner = pad + "  "
         items = ",\n".join(f"{inner}{encode_basestring_ascii(k)}: {_indented(v[k], inner)}" for k in sorted(v))
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(v, Interval):
-        return _indented(_leaf(v), pad)
-    return _scalar_json(v)
+    if not v:
+        return "[]"
+    return "[\n" + ",\n".join(inner + _indented(x, inner) for x in v) + "\n" + pad + "]"
 
 
 def _leaf(v) -> object:
@@ -229,14 +234,16 @@ def verify_holder(level: int, refine: int = 0, curve: Curve = UNIT_CURVE) -> Rep
     d_t *= step
     d_v *= step
     ee = d_v * d_v
+    pairs = _holder_violations(ti, vi, d_t, ee)
+    names = {k: _ratio(ti[k], d_t) for k in {k for pair in pairs for k in pair}}
     failures = [
         {
             "kind": "quotient-above-one",
-            "s": _ratio(ti[j], d_t),
-            "t": _ratio(ti[i], d_t),
+            "s": names[j],
+            "t": names[i],
             "quotient_sq": _ratio((vi[j] - vi[i]) ** 2 * d_t, (ti[j] - ti[i]) * ee),
         }
-        for i, j in _holder_violations(ti, vi, d_t, ee)
+        for i, j in pairs
     ]
     return params, npairs, failures
 
@@ -256,20 +263,24 @@ _HOLDER_LEAF = 8
 def _holder_violations(ti: list[int], vi: list[int], d: int, ee: int) -> list[tuple[int, int]]:
     """Pairs i < j with (vi[j] - vi[i])**2 * d > (ti[j] - ti[i]) * ee, in (i, j) order.
 
-    ti must strictly increase.  Level k of a pyramid holds the max and
-    min of vi over each aligned block of _HOLDER_LEAF * 2**k indices.
-    For j in a block that starts at s > i, |vi[j] - vi[i]| is at most
-    max(vmax - vi[i], vi[i] - vmin) and ti[j] - ti[i] is at least
-    ti[s] - ti[i]; so when that bound passes, every pair of the block
-    does, exactly.  After the rest of i's own leaf, checked pair by
-    pair, each step tests the largest aligned block at the next index
-    and halves it while the bound fails; a leaf it fails on is checked
-    pair by pair.
+    ti must strictly increase and d must be positive.  The search reads
+    V = vi * d and T = ti * ee * d, on which the test is the exact
+    (V[j] - V[i])**2 > T[j] - T[i]: both sides of the one above times d.
+    Level k of a pyramid holds the max and min of V over each aligned
+    block of _HOLDER_LEAF * 2**k indices.  For j in a block that starts
+    at s > i, |V[j] - V[i]| is at most max(vmax - V[i], V[i] - vmin) and
+    T[j] - T[i] is at least T[s] - T[i]; so when that bound passes, every
+    pair of the block does, exactly.  After the rest of i's own leaf,
+    checked pair by pair, each step tests the largest aligned block at
+    the next index and halves it while the bound fails; a leaf it fails
+    on is checked pair by pair.
     """
     m = len(ti)
     leaf = _HOLDER_LEAF
-    vmax = [[max(vi[s : s + leaf]) for s in range(0, m, leaf)]]
-    vmin = [[min(vi[s : s + leaf]) for s in range(0, m, leaf)]]
+    T = [t * ee * d for t in ti]
+    V = [v * d for v in vi]
+    vmax = [[max(V[s : s + leaf]) for s in range(0, m, leaf)]]
+    vmin = [[min(V[s : s + leaf]) for s in range(0, m, leaf)]]
     while len(vmax[-1]) > 1:
         hi, lo = vmax[-1], vmin[-1]
         vmax.append([max(hi[b : b + 2]) for b in range(0, len(hi), 2)])
@@ -277,28 +288,33 @@ def _holder_violations(ti: list[int], vi: list[int], d: int, ee: int) -> list[tu
     top = len(vmax) - 1
     out = []
     for i in range(m):
-        t_i, v_i = ti[i], vi[i]
+        t_i, v_i = T[i], V[i]
         b = i // leaf + 1  # the next leaf
-        for j in range(i + 1, min(b * leaf, m)):
-            dv = vi[j] - v_i
-            if dv * dv * d > (ti[j] - t_i) * ee:
+        s = b * leaf
+        for j in range(i + 1, s if s < m else m):
+            dv = V[j] - v_i
+            if dv * dv > T[j] - t_i:
                 out.append((i, j))
-        while b * leaf < m:
-            # the largest aligned block that starts at leaf b
-            k = min((b & -b).bit_length() - 1, top)
+        while s < m:
+            # the largest aligned block that starts at leaf b, which starts at index s
+            k = (b & -b).bit_length() - 1
+            if k > top:
+                k = top
             while True:
                 c = b >> k
-                dv = max(vmax[k][c] - v_i, v_i - vmin[k][c])
-                if dv * dv * d <= (ti[b * leaf] - t_i) * ee:
+                hi, lo = vmax[k][c] - v_i, v_i - vmin[k][c]
+                dv = hi if hi > lo else lo
+                if dv * dv <= T[s] - t_i:
                     break
                 if not k:
-                    for j in range(b * leaf, min(b * leaf + leaf, m)):
-                        dv = vi[j] - v_i
-                        if dv * dv * d > (ti[j] - t_i) * ee:
+                    for j in range(s, s + leaf if s + leaf < m else m):
+                        dv = V[j] - v_i
+                        if dv * dv > T[j] - t_i:
                             out.append((i, j))
                     break
                 k -= 1
             b += 1 << k
+            s = b * leaf
     return out
 
 

@@ -544,6 +544,33 @@ class TestLargeRationals:
         assert done.stderr.startswith(prefix + "Exceeds the limit (4300 digits) for integer string conversion")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oscillation", "--t-hat", "1e-5000", "--scales", "900"],
+            ["oscillation", "--t-hat", "1e5000", "--scales", "900"],
+            ["blowup-divergence", "--t-hat", "1e5000"],
+            ["blowup-divergence", "--offsets", "1,1e5000"],
+        ],
+    )
+    def test_refused_before_the_campaign_runs(self, argv, monkeypatch, capsys):
+        def entered(*args, **kwargs):
+            raise AssertionError("the campaign ran before the refusal")
+
+        for name in ("oscillation_scan", "blowup_divergence"):
+            monkeypatch.setattr(cli, name, entered)
+            monkeypatch.setattr(verify, name, entered)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = cli.main(["verify", *argv])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot run campaign: Exceeds the limit (4300 digits) for integer string conversion")
+        assert err.count("\n") == 1
+
 
 # ----------------------------------------------------------------------
 # Any argument vector ends in a documented exit code, never a traceback.

@@ -859,6 +859,86 @@ class TestFractionOracle:
 
 
 # ----------------------------------------------------------------------
+# Construction and iterates on integer rows: the rows against the Fraction
+# products they were once built from, and each level's row images against
+# the loop that compares every image point with the point before.
+
+
+def product_rows(branches):
+    """dx, ey and the rows of branches, each constant times its common denominator in Fractions."""
+    dx = math.lcm(*(f.denominator for br in branches for f in (br.x_scale, br.x_offset)))
+    ey = math.lcm(*(f.denominator for br in branches for f in (br.y_scale, br.y_offset)))
+    rows = tuple(
+        (int(br.x_lo * dx), int(br.x_hi * dx), int(br.x_scale * dx), int(br.x_offset * dx), int(br.y_scale * ey), int(br.y_offset * ey), 1, ey, 1)
+        for br in branches
+    )
+    return dx, ey, rows
+
+
+def per_point_iterate(curve, n):
+    """The level-n grid of curve's rows, each image point compared with the one before, as a PiecewiseLinear."""
+    pts, xd, yd = [(0, 0), (1, 1)], 1, 1
+    for _ in range(n):
+        nxt = []
+        for _, _, xs, xo, ys, yo, _, _, _ in curve._rows:
+            for t, v in pts:
+                pt = (xs * t + xo * xd, ys * v + yo * yd)
+                if not nxt or nxt[-1] != pt:
+                    nxt.append(pt)
+        pts, xd, yd = nxt, xd * curve._dx, yd * curve._ey
+    return PiecewiseLinear(xd, yd, tuple(pts))
+
+
+_CONSTANTS = st.one_of(
+    st.fractions(-2, 2, max_denominator=12),
+    st.fractions(-2, 2, max_denominator=12).map(_SubF),
+    st.integers(-1, 1),
+)
+
+
+@st.composite
+def branch_tuples(draw):
+    """Standard tuples with a few constants replaced (often by 0), or tuples of random branches."""
+    if draw(st.booleans()):
+        branches = list(BRANCHES)
+        for _ in range(draw(st.integers(1, 3))):
+            i, fld = draw(st.integers(0, 2)), draw(st.sampled_from(MUTABLE_FIELDS))
+            branches[i] = Branch(**{**vars(branches[i]), fld: draw(st.one_of(st.just(0), _CONSTANTS))})
+        return tuple(branches)
+    tags = st.sampled_from(list(BranchTag))
+    return tuple(draw(st.lists(st.builds(Branch, tags, _CONSTANTS, _CONSTANTS, _CONSTANTS, _CONSTANTS), max_size=4)))
+
+
+class TestIntegerRows:
+    @settings(max_examples=200, deadline=None)
+    @given(branches=branch_tuples())
+    def test_rows_are_the_fraction_products(self, branches):
+        curve = Curve(branches=branches)
+        assert all(type(getattr(br, fld)) is F for br in branches for fld in MUTABLE_FIELDS)
+        assert (curve._dx, curve._ey, curve._rows) == product_rows(branches)
+        assert all(type(x) is int for row in curve._rows for x in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(branches=branch_tuples(), n=st.integers(0, 4))
+    @example(branches=_drifted(BranchTag.MID, "x_scale", F(-1, 9)).branches, n=3)  # a zero x_scale row
+    @example(branches=_drifted(BranchTag.MID, "y_scale", F(1, 3)).branches, n=3)  # a zero y_scale row
+    def test_iterate_is_the_per_point_loop(self, branches, n):
+        curve = Curve(branches=branches)
+        grid = lambda pl: (pl.dt, pl.dv, pl.points)
+        assert outcome(lambda: grid(curve.iterate(n))) == outcome(lambda: grid(per_point_iterate(curve, n)))
+
+    def test_iterate_of_each_drift_at_levels_0_to_6(self):
+        refused = 0
+        for curve in ORACLE_CURVES[:25]:
+            for n in range(7):
+                got = outcome(lambda: curve.iterate(n).points)
+                assert got == outcome(lambda: per_point_iterate(curve, n).points)
+                refused += got[0] is InvalidCurve
+        # every level from 1 of 22 drifts; the left and mid x_scale - 1/100 drifts build every iterate
+        assert refused == 22 * 6
+
+
+# ----------------------------------------------------------------------
 # Curves keep their descents: eval_limit against a fresh Curve per call,
 # which has nothing to resume, and diff_quotient against the same
 # enclosures divided by four-candidate min/max.
@@ -1094,6 +1174,19 @@ class TestResumableDescent:
             with pytest.raises(TypeError) as want:
                 fresh_eval_limit(curve, F(1, 7), depth)
             assert str(got.value) == str(want.value)
+
+    def test_kept_enclosure_answers_only_its_own_int_depth(self):
+        curve = Curve()
+        kept = curve.eval_limit(F(1, 7), 1)
+        # a bool depth reads as the int it equals, as before repeats were answered ahead of the checks
+        assert curve.eval_limit(F(1, 7), True) is kept
+        curve.eval_limit(F(1, 7), 16)
+        assert curve.eval_limit(F(1, 7), True) == fresh_eval_limit(curve, F(1, 7), True)
+        curve.eval_limit(F(1, 7), 16)
+        for t, depth in ((F(8, 7), 16), (F(-1, 7), 16), (8, 16), (F(1, 7), -1), (F(1, 7), MAX_DEPTH + 1)):
+            expected = outcome(fresh_eval_limit, curve, t, depth)
+            assert expected[0] in (OutOfDomain, DepthTooLarge)
+            assert outcome(curve.eval_limit, t, depth) == expected
 
     @pytest.mark.parametrize("curve", ORACLE_CURVES[:25])
     def test_diff_quotient_off_the_unit_interval(self, curve):
