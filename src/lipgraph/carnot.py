@@ -20,9 +20,10 @@ from `selfsim` sends w to w * (u(beta(w)) * v0), which in coordinates
 just fills the r slot with an enclosure of u.
 
 A `GroupPoint` is a named tuple of the four coordinates, cheap to build
-in bulk.  Its fields are read-only and equal points hash alike; the
-tuple's concatenation, repetition and ordering are turned off, so
-`p + q` raises TypeError.
+in bulk; this module builds each one with `GroupPoint._make`.  Its
+fields are read-only and equal points hash alike; the tuple's
+concatenation, repetition and ordering are turned off, so `p + q`
+raises TypeError.
 
 The r coordinate is an Interval rather than a rational because graph
 points carry certified enclosures of the profile; group operations
@@ -31,17 +32,21 @@ coordinates, which is what makes the blow-up sampler rigorous.
 
 On graph points x = 0, so the twist x y' - y x' of a product of graph
 points vanishes; `mul` skips a twist product with a zero factor and does
-not add an x of 0, `inv` does not negate one, and `hnorm` takes |y|
-exactly (and |x| only when x is not 0).  Points of W carry the module's
-one shared zero r slot: `inv` does not negate it, `mul` returns the
-other factor's Interval r unchanged when one r slot is that zero (and
-the zero itself when both are), `hnorm` does not take the max with it,
-and `beta` tests it by identity before it compares.  Other r slots
-equal to 0 take the general path.  So the cone campaign does no
-arithmetic on terms that are 0 and roots only |t|; `cone_gap` reads the
-v part from the integer numerators and denominators of the four r
-endpoints and takes its norm width (2/3)**depth from a per-depth
-cache.
+not add an x of 0, `inv` does not negate one, and `hnorm` orders |x| and
+|y| on their integer numerators and denominators and roots t itself
+when it is nonnegative.  Points of W carry the module's one shared zero
+x and one shared zero r slot.  `beta`, `inv`, `mul` and `cone_gap` test
+x by identity with the shared zero before they test it for 0 (in `mul`,
+each factor of the twist), and `hnorm` skips it by identity, so a graph
+point makes no Fraction zero test.  `inv` does not negate the zero r
+slot, `mul` returns the other factor's Interval r unchanged when one r
+slot is that zero (and the zero itself when both are), `hnorm` does not
+take the max with it, and `beta` tests it by identity before it
+compares.  Other zeros, in either slot, take the general test and get
+its result.  So the cone campaign does no arithmetic on terms
+that are 0 and roots only |t|; `cone_gap` reads the v part from the
+integer numerators and denominators of the four r endpoints and takes
+its norm width (2/3)**depth from a per-depth cache.
 """
 
 from __future__ import annotations
@@ -100,11 +105,12 @@ class GroupPoint(NamedTuple):
 def mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:
     px, py, qx, qy = p.x, p.y, q.x, q.y
     t = p.t + q.t
-    twist = (px * qy if px and qy else 0) - (py * qx if py and qx else 0)
+    # A twist product with a zero factor is skipped; the shared zero x is told by identity, first.
+    twist = (px * qy if px is not _FZERO and px and qy else 0) - (py * qx if qx is not _FZERO and qx and py else 0)
     if twist:
         t += twist / 2
     # Adding a Fraction 0 to a Fraction is skipped; other types add, for the sum's type.
-    x = px if type(px) is type(qx) is Fraction and not qx else px + qx
+    x = px if type(px) is Fraction and (qx is _FZERO or type(qx) is Fraction and not qx) else px + qx
     # Adding the shared zero r slot to an Interval is skipped; other slots add, for the sum's type.
     pr, qr = p.r, q.r
     if qr is _ZERO and type(pr) is Interval:
@@ -113,19 +119,20 @@ def mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:
         r = qr
     else:
         r = pr + qr
-    return GroupPoint(x, py + qy, t, r)
+    return GroupPoint._make((x, py + qy, t, r))
 
 
 def inv(p: GroupPoint) -> GroupPoint:
     x, r = p.x, p.r
-    return GroupPoint(x if type(x) is Fraction and not x else -x, -p.y, -p.t, r if r is _ZERO else -r)
+    x = x if x is _FZERO or type(x) is Fraction and not x else -x
+    return GroupPoint._make((x, -p.y, -p.t, r if r is _ZERO else -r))
 
 
 def dilate(lam: RationalLike, p: GroupPoint) -> GroupPoint:
     lam = Fraction(lam)
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise NonPositiveLambda(f"dilation factor must be positive, got {lam}")
-    return GroupPoint(lam * p.x, lam * p.y, lam * lam * p.t, p.r.scale(lam))
+    return GroupPoint._make((lam * p.x, lam * p.y, lam * lam * p.t, p.r.scale(lam)))
 
 
 def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
@@ -138,13 +145,21 @@ def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
         width = Fraction(width)
     if width.numerator <= 0:
         raise ValueError("width must be positive")
-    x, y = p.x, p.y
-    nxy = abs(y) if type(x) is Fraction and not x else max(abs(x), abs(y))
-    if type(nxy) is not Fraction:
-        nxy = Fraction(nxy)
-    nt = sqrt_enclose(abs(p.t), width)
-    # Interval.max_of(Interval.point(nxy), nt), building only the result; the order tests read integers
-    nn, nd = nxy.as_integer_ratio()
+    x, y, t = p.x, p.y, p.t
+    if type(x) is not Fraction:
+        x = Fraction(abs(x))
+    if type(y) is not Fraction:
+        y = Fraction(abs(y))
+    # max(|x|, |y|) = nn / nd, ordered on integer pairs; the shared zero x is skipped, any other 0 loses
+    nn, nd = y.as_integer_ratio()
+    nn = abs(nn)
+    if x is not _FZERO:
+        xn, xd = x.as_integer_ratio()
+        if abs(xn) * nd > nn * xd:
+            nn, nd = abs(xn), xd
+    # a nonnegative t is rooted as it is, with no abs(t) built
+    nt = sqrt_enclose(t if type(t) is Fraction and t.numerator >= 0 else abs(t), width)
+    # Interval.max_of(Interval.point(nn / nd), nt), building only the result; the order tests read integers
     ln, ld, hn, hd = nt.ends
     if nn * ld < ln * nd:
         norm = nt
@@ -158,8 +173,8 @@ def hnorm(p: GroupPoint, width: RationalLike = Fraction(1, 2**30)) -> Interval:
 
 def beta(w: GroupPoint) -> Fraction:
     """The t coordinate of a vertical-subgroup point, its profile argument."""
-    r = w.r
-    if w.x or (r is not _ZERO and r != _ZERO):
+    x, r = w.x, w.r
+    if (x is not _FZERO and x) or (r is not _ZERO and r != _ZERO):
         raise NotInW(f"point has x={w.x}, r={w.r}")
     return w.t
 
@@ -170,7 +185,7 @@ def w_point(y: RationalLike = 0, t: RationalLike = 0) -> GroupPoint:
         y = Fraction(y)
     if type(t) is not Fraction:
         t = Fraction(t)
-    return GroupPoint(_FZERO, y, t, _ZERO)
+    return GroupPoint._make((_FZERO, y, t, _ZERO))
 
 
 def graph_point(w: GroupPoint, depth: int) -> GroupPoint:
@@ -179,7 +194,7 @@ def graph_point(w: GroupPoint, depth: int) -> GroupPoint:
     The profile argument is folded into [0, 1] by the even, 2-periodic
     extension, so w may sit anywhere on the vertical subgroup.
     """
-    return GroupPoint(w.x, w.y, w.t, UNIT_CURVE.eval_limit(reduce_domain(beta(w)), depth))
+    return GroupPoint._make((w.x, w.y, w.t, UNIT_CURVE.eval_limit(reduce_domain(beta(w)), depth)))
 
 
 def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
@@ -198,9 +213,10 @@ def cone_gap(p: GroupPoint, q: GroupPoint, depth: int) -> Interval:
     endpoints of the Interval r slots (`numerics.abs_diff_ends`), and
     each end of the gap is one integer ratio.
     """
-    if p.x or q.x:
+    px, qx = p.x, q.x
+    if (px is not _FZERO and px) or (qx is not _FZERO and qx):
         raise NotGraphPoints("cone gap is defined for graph points, which have x = 0")
-    wp, wq = GroupPoint(p.x, p.y, p.t, _ZERO), GroupPoint(q.x, q.y, q.t, _ZERO)
+    wp, wq = GroupPoint._make((px, p.y, p.t, _ZERO)), GroupPoint._make((qx, q.y, q.t, _ZERO))
     norm = hnorm(mul(inv(wp), wq), _norm_width(depth))
     # |q.r - p.r| = [an / ad, bn / bd]
     an, ad, bn, bd = abs_diff_ends(p.r, q.r)
@@ -228,7 +244,7 @@ def blowup_profile(
     t_hat = Fraction(t_hat)
     lam = Fraction(lam)
     h = Fraction(h)
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     us = UNIT_CURVE.eval_limit(reduce_domain(t_hat + h / (lam * lam)), depth)
     ut = UNIT_CURVE.eval_limit(reduce_domain(t_hat), depth)
@@ -250,11 +266,11 @@ def blowup_graph_sample(
     in the r slot.
     """
     lam = Fraction(lam)
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     if p_hat.x:
         raise NotGraphPoints("blow-up base point must be a graph point")
-    w_hat = GroupPoint(p_hat.x, p_hat.y, p_hat.t, _ZERO)
+    w_hat = GroupPoint._make((p_hat.x, p_hat.y, p_hat.t, _ZERO))
     p_inv = inv(p_hat)
     inv_lam = 1 / lam
     out = []

@@ -132,7 +132,9 @@ class Interval:
         return ln * hd == hn * ld
 
     def intersects(self, other: "Interval") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
+        ln, ld, hn, hd = self.ends
+        on, od, pn, pd = other.ends
+        return not (hn * od < on * hd or pn * ld < ln * pd)
 
     def inside_ball(self, center: RationalLike, tol: RationalLike) -> bool:
         """Certified ``|self - center| <= tol`` (true for every point of self)."""
@@ -158,7 +160,7 @@ class Interval:
 
     def scale(self, q: RationalLike) -> "Interval":
         q = Fraction(q)
-        if q >= 0:
+        if q.numerator >= 0:
             return Interval(self.lo * q, self.hi * q)
         return Interval(self.hi * q, self.lo * q)
 

@@ -26,9 +26,9 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, partial, reduce, wraps
 from itertools import combinations, islice
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -139,9 +139,15 @@ def _leaf(v) -> object:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-# What json.dumps(v, allow_nan=False) runs, and json.dumps(f, sort_keys=True) of f as to_json writes it.
+# What json.dumps(v, allow_nan=False) runs, and the C encoder that json.dumps(f, sort_keys=True)
+# runs on a failure record f as to_json writes it.
 _scalar_json = json.JSONEncoder(allow_nan=False).encode
-_record_key = json.JSONEncoder(sort_keys=True, default=_leaf).encode
+_record_chunks = c_make_encoder(None, _leaf, encode_basestring_ascii, None, ": ", ", ", True, False, True)
+
+
+def _record_key(record: dict) -> str:
+    """json.dumps(record, sort_keys=True, default=_leaf), from the one encoder bound at import."""
+    return "".join(_record_chunks(record, 0))
 
 
 def _campaign(name: str) -> Callable:
@@ -579,9 +585,10 @@ def _cone_pairs(seed: int) -> Iterator[tuple[GroupPoint, GroupPoint]]:
         yield w_point(0, b1), w_point(0, b2)
         yield w_point(0, b1), w_point(1, b2)
     grid = _draw_grid()
-    draw, n = rng.randrange, len(grid)
-    while True:
-        y1, t1, y2, t2 = grid[draw(n)], grid[draw(n)], grid[draw(n)], grid[draw(n)]
+    n = len(grid)
+    # rng.randrange(n) as CPython draws it: getrandbits(n.bit_length()), drawn again while it is n or more
+    draws = map(grid.__getitem__, filter(n.__gt__, iter(partial(rng.getrandbits, n.bit_length()), -1)))
+    for y1, t1, y2, t2 in zip(draws, draws, draws, draws):
         yield w_point(y1, t1), w_point(y2, t2)
 
 
@@ -687,10 +694,11 @@ def blowup_divergence(
     targets differ.  One base point with two non-collapsing rescaling
     limits is exactly a point of blow-up divergence.  The Hausdorff step
     takes a norm per ordered pair of samples, so more than MAX_PAIRS
-    offset pairs are refused with DepthTooLarge before the first solve.
+    offset pairs are refused with DepthTooLarge before the first solve,
+    and an empty grid with ValueError.
     """
     _check_depth(depth)
-    _check_count(len(grid) ** 2, "offset pairs")
+    _check_count(len(grid) ** 2, "offset pairs", name="offset count")
     t_hat = Fraction(t_hat)
     target1 = Fraction(target1)
     target2 = Fraction(target2)

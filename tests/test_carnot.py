@@ -505,6 +505,8 @@ class TestFastPathReference:
             GroupPoint(F(0), F(0), F(7), Interval(0, 0)),
             GroupPoint(F(1), F(-2), None, Interval(0, 0)),  # a bad width must win over a bad t
             GroupPoint(F(0), float("nan"), None, Interval(0, 0)),  # so must a bad |y|
+            GroupPoint(F(1), float("nan"), F(1), Interval(0, 0)),  # even where a nonzero x would win the max
+            GroupPoint(0, float("nan"), F(1), Interval(0, 0)),
         ]
         for p in GROUP_POINTS + GRAPH_POINTS + odd:
             for width in (F(1, 2**30), F(1, 10), 1, 0, -1, F(-1, 7), 0.25, "1/1000", _Sub(1, 8), None):
@@ -585,3 +587,21 @@ class TestFastPathReference:
                 assert outcome(beta, p) == outcome(ref_beta, p)
         for p in GROUP_POINTS + GRAPH_POINTS:
             assert outcome(beta, p) == outcome(ref_beta, p)
+
+    def test_zero_x_other_than_the_shared_one(self):
+        """A Fraction 0 that is another object, 0, False and a subclass's 0 as x: the general tests, as in the reference."""
+        zeros = [F(0), 0, False, _Sub(0)]
+        assert all(x is not carnot._FZERO for x in zeros)
+        graph = [GroupPoint(x, p.y, p.t, p.r) for x in zeros for p in GRAPH_POINTS[1::5]]
+        w = [GroupPoint(x, F(2, 3), F(-5, 9), carnot._ZERO) for x in zeros]
+        for p in graph + w:
+            assert outcome(inv, p) == outcome(ref_inv, p)
+            assert outcome(beta, p) == outcome(ref_beta, p)
+            for width in (F(1, 2**30), F(1, 10)):
+                assert outcome(hnorm, p, width) == outcome(ref_hnorm, p, width)
+            for q in graph + w + GRAPH_POINTS[::5] + GROUP_POINTS[:3]:
+                assert outcome(mul, p, q) == outcome(ref_mul, p, q)
+                assert outcome(mul, q, p) == outcome(ref_mul, q, p)
+                for depth in (1, 30):
+                    assert outcome(cone_gap, p, q, depth) == outcome(ref_cone_gap, p, q, depth)
+                    assert outcome(cone_gap, q, p, depth) == outcome(ref_cone_gap, q, p, depth)

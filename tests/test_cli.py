@@ -349,6 +349,21 @@ class TestVerifyCommand:
         with pytest.raises(AssertionError, match="a quotient was solved"):
             verify.blowup_divergence(0, 1, F(1, 2), 1, [verify.w_point(0, 0)] * 1414, 40)
 
+    def test_blowup_empty_offsets_refused_before_any_solve(self, monkeypatch):
+        # an empty grid is refused up front, not by the radius after both solves
+        def no_solve(*args):
+            raise AssertionError("a quotient was solved")
+
+        monkeypatch.setattr(verify, "solve_quotient", no_solve)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(["verify", "blowup-divergence", "--offsets", ""])
+        assert code == 2 and out == ""
+        assert err.getvalue() == "cannot run campaign: offset count must be at least 1\n"
+        with pytest.raises(ValueError, match="^offset count must be at least 1$") as raised:
+            verify.blowup_divergence(0, 1, F(1, 2), 1, [], 40)
+        assert type(raised.value) is ValueError
+
     def test_cell_past_the_depth_cap_refused_before_any_witness(self, monkeypatch):
         # at 1/7 the cell at 9**-927 is shorter than the scale, so its window would start at 4098
         def no_witness(*args):

@@ -460,6 +460,17 @@ class TestFastPathReference:
                 assert (got is x, got is y) == (parent is x, parent is y)
                 assert exact(Interval.min_of(x, y)) == exact(parent_min_of(x, y))
 
+    def test_intersects_and_scale_on_ends(self):
+        """intersects and scale decide on integers as the Fraction comparisons they replaced did, unreduced ends too."""
+        ends = [F(-5, 2), F(-1, 3), 0, F(1, 7), F(1, 3), F(4, 3)]
+        xs = [Interval(a, b) for a in ends for b in ends if a <= b]
+        for x in xs:
+            for y in xs + [scaled(y, 3, 7) for y in xs]:
+                assert x.intersects(y) == y.intersects(x) == (not (x.hi < y.lo or y.hi < x.lo))
+            for q in (F(-3, 2), -1, 0, F(0), False, F(2, 5), 3):
+                ref = Interval(x.lo * q, x.hi * q) if q >= 0 else Interval(x.hi * q, x.lo * q)
+                assert exact(x.scale(q)) == exact(scaled(x, 2, 5).scale(q)) == exact(ref)
+
     def test_abs_diff_ends(self):
         """The integer ends of |b - a| against the Fraction reference, in every sign case and both straddle branches."""
         ends = [F(-5, 2), F(-1, 3), 0, F(1, 7), F(1, 3), F(4, 3), F(5, 2)]

@@ -6,8 +6,9 @@ Each pair runs, in each checkout as the working directory,
 
 once per side, alternating which side runs first (the parent in odd
 pairs).  Then it prints, for every end-to-end metric of the change's
-BENCHMARK.json, each side's median, the distance between the quartiles
-of the parent's runs and in how many pairs the change was better:
+BENCHMARK.json, each side's median, the change's median relative to the
+parent's, the distance between the quartiles of the parent's runs, in
+how many pairs the change was better and which pairs it was worse in:
 
     python3 tools/ab.py PARENT CHANGE --workload witness --pairs 10
 
@@ -65,19 +66,22 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
 
 
 def summarise(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs in which the change was better."""
+    """Per metric: each side's median and quartiles, the median's relative change, and the pairs won and lost."""
     out = {}
     for name, better in metrics.items():
         side = {s: [r[s][name] for r in runs] for s in SIDES}
         sign = 1 if better == "lower" else -1
-        wins = sum(sign * (c - p) < 0 for p, c in zip(side["parent"], side["change"]))
+        gaps = [sign * (r["change"][name] - r["parent"][name]) for r in runs]
         q1, q3 = quartiles(side["parent"])
+        parent_median, change_median = statistics.median(side["parent"]), statistics.median(side["change"])
         out[name] = {
-            "parent_median": statistics.median(side["parent"]),
-            "change_median": statistics.median(side["change"]),
+            "parent_median": parent_median,
+            "change_median": change_median,
+            "relative_change": (change_median - parent_median) / parent_median if parent_median else None,
             "parent_iqr": q3 - q1,
             "change_quartiles": quartiles(side["change"]),
-            "change_better_pairs": wins,
+            "change_better_pairs": sum(g < 0 for g in gaps),
+            "change_worse_in": [r["pair"] for r, g in zip(runs, gaps) if g > 0],
             "pairs": len(runs),
         }
     return out
@@ -121,9 +125,12 @@ def main(argv=None) -> int:
 
     summary = summarise(runs, metrics)
     for name, s in summary.items():
+        rel = "n/a" if s["relative_change"] is None else f"{s['relative_change']:+.1%}"
+        worse = ", ".join(map(str, s["change_worse_in"])) or "none"
         print(
             f"{args.workload} {name}: parent {s['parent_median']:.4g} (iqr {s['parent_iqr']:.3g})"
-            f" -> change {s['change_median']:.4g}; change better in {s['change_better_pairs']} of {s['pairs']}"
+            f" -> change {s['change_median']:.4g} ({rel});"
+            f" change better in {s['change_better_pairs']} of {s['pairs']}, worse in pairs: {worse}"
         )
     failed = any(r[s].get("failed") for r in runs for s in SIDES)
     if failed:
